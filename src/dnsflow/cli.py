@@ -42,7 +42,13 @@ def _build_initial(man: RunManifest) -> VelocityField:
     if kind == "stream_bump":
         return bench.stream_bump_field(grid, amplitude=man.initial.amplitude)
     if kind == "snapshot":
-        v, _ = snapshot.read_vtk(man.initial.file)
+        try:
+            v, _ = snapshot.read_vtk(man.initial.file)
+        except OSError as exc:
+            raise ConfigError(f"cannot read snapshot {man.initial.file}: "
+                              f"{exc.strerror}") from None
+        except ValueError as exc:
+            raise ConfigError(f"bad snapshot: {exc}") from None
         if v.spec != grid:
             raise ConfigError("snapshot grid does not match the [grid] section")
         return v
@@ -115,6 +121,11 @@ def cmd_run(man: RunManifest) -> int:
         if not math.isclose(traj.final_time, cfg.T, rel_tol=1e-12):
             report.append(f"comparison_time = {traj.final_time:.17g} "
                           "(T/h not integral; floor(T/h) steps taken)")
+    outers = [r.stokes_outer for r in traj.results]
+    report += [
+        f"stokes_outer_total = {sum(outers)}",
+        f"stokes_outer_max = {max(outers)}",
+    ]
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
     return EXIT_OK
@@ -273,15 +284,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_threads() -> int:
+    text = os.environ.get("DNS_FLOW_THREADS", "") or "1"
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"DNS_FLOW_THREADS must be an integer, "
+                          f"got {text!r}") from None
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("DNS_FLOW_THREADS", "1") or "1")
     try:
+        threads = args.threads if args.threads is not None else _env_threads()
         man = load_manifest(args.config, out_dir=args.out, seed=args.seed,
                             threads=threads)
         if args.command == "run":

@@ -9,8 +9,10 @@ is enforced through the weighted adjoint of the interior central
 gradient, which coincides with the public divergence operator at every
 node for wall-pinned fields. The pressure Schur complement
 h G^T W (I - h nu L)^{-1} G is symmetric positive semidefinite, so the
-outer Uzawa iteration is a plain conjugate-gradient loop with an inner
-CG Helmholtz solve per application.
+outer Uzawa iteration is a plain conjugate-gradient loop. With the walls
+pinned, the interior 5-point Helmholtz operator I - h nu L is diagonal
+in the sine basis, so each application of its inverse is an exact
+DST-I solve (fast Poisson solver; Buzbee, Golub & Nielson 1970).
 """
 
 from __future__ import annotations
@@ -197,16 +199,30 @@ def _leray_dirichlet(u: VelocityField, rel_tol: float,
                           ScalarField(spec, phi).demeaned())
 
 
+def _dst1(a: np.ndarray) -> np.ndarray:
+    """Unnormalised DST-I along the last axis: 2 sum_j a_j sin(pi j k / n).
+
+    Odd extension to length 2n and a real FFT; applying it twice
+    multiplies by 2n.
+    """
+    n = a.shape[-1] + 1
+    ext = np.zeros(a.shape[:-1] + (2 * n,))
+    ext[..., 1:n] = a
+    ext[..., n + 1:] = -a[..., ::-1]
+    return -np.fft.rfft(ext)[..., 1:n].imag
+
+
 class StokesSolver:
     """Reusable solver context for the dirichlet implicit step.
 
-    Owns the warm-started pressure iterate and CG scratch; one context
-    must not be shared mutably across threads.
+    Owns the warm-started pressure iterate and the sine-basis symbol of
+    the Helmholtz inverse; one context must not be shared mutably across
+    threads.
     """
 
     def __init__(self, spec: GridSpec, h: float, nu: float = 1.0,
                  div_tol: float = 1e-9, rel_tol: float = 1e-10,
-                 inner_tol: float = 1e-13, max_outer: int | None = None):
+                 max_outer: int | None = None):
         if not spec.bc is BoundaryCondition.DIRICHLET_ZERO:
             raise ValueError("StokesSolver context is for the dirichlet backend")
         self.spec = spec
@@ -214,33 +230,40 @@ class StokesSolver:
         self.nu = float(nu)
         self.div_tol = div_tol
         self.rel_tol = rel_tol
-        self.inner_tol = inner_tol
         self.max_outer = max_outer if max_outer is not None else 10 * max(spec.cells)
         self._grad_i, self._grad_t, self._lap, self._w = _dirichlet_ops(spec)
         self._p = np.zeros(spec.node_shape)
+        # always 0, the Helmholtz solve being direct; kept for callers
+        # that read inner iteration counts (perfbench's trace hook)
         self.total_inner = 0
-
-    def _helmholtz(self, f):
-        return f - self.h * self.nu * self._lap(f)
+        n0, n1 = spec.cells
+        dx2 = spec.spacing ** 2
+        lam0 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n0) / n0)) / dx2
+        lam1 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n1) / n1)) / dx2
+        # indexed (k1, k0): the solve divides between the two axis passes
+        self._inv_symbol = 1.0 / (4.0 * n0 * n1 * (
+            1.0 + self.h * self.nu * (lam1[:, None] + lam0[None, :])))
 
     def _ainv(self, f):
-        sol, k, ok = _cg(self._helmholtz, f, np.zeros_like(f),
-                         self.inner_tol, 50 * max(self.spec.cells))
-        self.total_inner += k
-        out = np.zeros_like(f)
-        out[1:-1, 1:-1] = sol[1:-1, 1:-1]
+        """(I - h nu L)^{-1} on the interior nodes, walls pinned to zero.
+
+        f has shape (..., n0 + 1, n1 + 1); its wall values are ignored.
+        """
+        coef = _dst1(_dst1(f[..., 1:-1, 1:-1]).swapaxes(-1, -2))
+        sol = _dst1(_dst1(coef * self._inv_symbol).swapaxes(-1, -2))
+        out = np.zeros(f.shape)
+        out[..., 1:-1, 1:-1] = sol
         return out
 
     def _schur(self, p):
-        gx, gy = self._grad_i(p)
-        return self.h * self._grad_t(self._ainv(gx), self._ainv(gy))
+        a = self._ainv(np.stack(self._grad_i(p)))
+        return self.h * self._grad_t(a[0], a[1])
 
     def solve(self, w_field: VelocityField):
         spec = self.spec
         h = self.h
-        au = self._ainv(w_field.data[0])
-        av = self._ainv(w_field.data[1])
-        b = self._grad_t(au, av)
+        a = self._ainv(w_field.data)
+        b = self._grad_t(a[0], a[1])
 
         def div_small(r):
             # r = W_s * (adjoint divergence of the current velocity)
@@ -250,9 +273,9 @@ class StokesSolver:
                            self.max_outer, stop_fn=div_small)
         self._p = p.copy()
         gx, gy = self._grad_i(p)
-        vu = self._ainv(w_field.data[0] - h * gx)
-        vv = self._ainv(w_field.data[1] - h * gy)
-        v = VelocityField(spec, np.stack([vu, vv]))
+        vel = self._ainv(w_field.data - h * np.stack([gx, gy]))
+        v = VelocityField(spec, vel)
+        vu, vv = vel
         p_field = ScalarField(spec, p).demeaned()
         mom = (vu - h * self.nu * self._lap(vu) + h * gx - w_field.data[0],
                vv - h * self.nu * self._lap(vv) + h * gy - w_field.data[1])
@@ -285,8 +308,9 @@ def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0,
     """Solve v - h nu lap(v) + h grad(p) = w with div(v) = 0.
 
     Periodic: exact in one pass, mode by mode. Dirichlet: CG-accelerated
-    Uzawa iteration on the pressure; on hitting the iteration cap the
-    best iterate is returned with ``info.converged`` False.
+    Uzawa iteration on the pressure, each velocity solve an exact DST-I
+    Helmholtz inverse; on hitting the iteration cap the best iterate is
+    returned with ``info.converged`` False.
     """
     if h <= 0.0:
         raise ValueError("time step h must be positive")

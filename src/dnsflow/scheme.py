@@ -31,7 +31,12 @@ from .fields import (
     norm_l2,
 )
 from .interpolate import InterpOrder, sample_offgrid
-from .projection import StokesSolver, leray_project, solve_implicit_stokes
+from .projection import (
+    ProjectionError,
+    StokesSolver,
+    leray_project,
+    solve_implicit_stokes,
+)
 
 
 class SolvePath(enum.Enum):
@@ -93,12 +98,20 @@ class DnsConfig:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One step's fields and diagnostics.
+
+    ``stokes_outer`` counts the outer Uzawa iterations of the implicit
+    Stokes solve that produced v: 0 on the periodic FFT path and on the
+    direct-minimize path.
+    """
+
     v: VelocityField
     p: ScalarField
     w: VelocityField
     functional_value: float
     el_residual: float
     path_disagreement: float | None = None
+    stokes_outer: int = 0
 
 
 @dataclass
@@ -219,7 +232,7 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
             raise SolverFailure(
                 f"implicit Stokes solve hit the iteration cap "
                 f"(max divergence {info.max_divergence:.3e})")
-        return v, p
+        return v, p, info.outer_iterations
 
     def direct():
         v, iters, ok = _minimize_projected_cg(
@@ -227,17 +240,17 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
         if not ok:
             raise SolverFailure(
                 f"projected CG minimizer did not converge in {iters} iterations")
-        return v, _recover_pressure(v, w, cfg.h, cfg.nu)
+        return v, _recover_pressure(v, w, cfg.h, cfg.nu), 0
 
     if cfg.path is SolvePath.EULER_LAGRANGE:
-        v, p = euler_lagrange()
+        v, p, outer = euler_lagrange()
     else:
-        v, p = direct()
+        v, p, outer = direct()
 
     gap = None
     if cfg.cross_check:
-        v_other, _ = (direct() if cfg.path is SolvePath.EULER_LAGRANGE
-                      else euler_lagrange())
+        v_other, _, _ = (direct() if cfg.path is SolvePath.EULER_LAGRANGE
+                         else euler_lagrange())
         gap = norm_l2(v - v_other)
 
     return StepResult(
@@ -245,6 +258,7 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
         functional_value=_functional_given_w(v, w, cfg.h, cfg.nu),
         el_residual=_el_residual(v, w, cfg.h, cfg.nu),
         path_disagreement=gap,
+        stokes_outer=outer,
     )
 
 
@@ -253,7 +267,9 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
 
     If a is not divergence-free within tolerance it is projected once
     and the fact is recorded on the trajectory. Each StepResult is
-    streamed to the sinks as ``sink(step_index, result)``.
+    streamed to the sinks as ``sink(step_index, result)``. Solver
+    failures are raised as SolverFailure carrying the step index (0 for
+    the initial projection).
     """
     if a.spec != cfg.grid:
         raise ValueError("initial datum grid does not match the config")
@@ -261,7 +277,10 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     projected = False
     div_gate = max(cfg.div_tol, 1e-10 if a.spec.is_periodic else 1e-8)
     if div_a > div_gate:
-        a = leray_project(a).solenoidal
+        try:
+            a = leray_project(a).solenoidal
+        except ProjectionError as exc:
+            raise SolverFailure(f"initial projection: {exc}", step=0) from exc
         projected = True
 
     solver = None
@@ -274,7 +293,7 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     for n in range(1, cfg.n_steps + 1):
         try:
             result = dns_step(v, cfg, solver=solver)
-        except SolverFailure as exc:
+        except (SolverFailure, ProjectionError) as exc:
             raise SolverFailure(str(exc), step=n) from exc
         traj.snapshots.append(result.v)
         traj.results.append(result)

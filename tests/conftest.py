@@ -9,6 +9,9 @@ from dnsflow import (
     ScalarField,
     VelocityField,
 )
+from dnsflow import projection
+
+_real_cg = projection._cg
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +63,14 @@ def random_pinned_velocity(spec: GridSpec, seed: int) -> VelocityField:
     data[:, 0, :] = data[:, -1, :] = 0.0
     data[:, :, 0] = data[:, :, -1] = 0.0
     return VelocityField(spec, data)
+
+
+def failing_poisson_cg(apply_a, b, x0, rel_tol, max_iters, stop_fn=None,
+                       abs_tol=0.0):
+    """Stand-in for projection._cg: every Neumann Poisson CG reports
+    non-convergence after two iterations; the Uzawa loop (the only caller
+    with a stop rule) keeps the real CG."""
+    if stop_fn is not None:
+        return _real_cg(apply_a, b, x0, rel_tol, max_iters, stop_fn)
+    x, k, _ = _real_cg(apply_a, b, x0, rel_tol, 2, abs_tol=abs_tol)
+    return x, k, False

@@ -3,6 +3,7 @@ import textwrap
 import pytest
 
 from dnsflow import BoundaryCondition, InterpOrder, SolvePath
+from dnsflow import projection
 from dnsflow.cli import main
 from dnsflow.manifest import (
     ConfigError,
@@ -10,6 +11,8 @@ from dnsflow.manifest import (
     load_manifest,
     parse_manifest,
 )
+
+from conftest import failing_poisson_cg
 
 BASE_CFG = textwrap.dedent("""\
     [grid]
@@ -231,3 +234,70 @@ def test_cli_solver_failure_exits_3(tmp_path):
     path = _write_cfg(tmp_path, cfg, name="stuck.cfg")
     assert main(["run", "--config", path,
                  "--out", str(tmp_path / "stuck_out")]) == 3
+
+
+BOX_CFG = textwrap.dedent("""\
+    [grid]
+    cells = 16
+    bc = dirichlet
+
+    [time]
+    h = 0.05
+    t = 0.1
+
+    [initial]
+    kind = random_solenoidal
+""")
+
+
+def test_cli_run_reports_stokes_outer_counts(tmp_path):
+    out = tmp_path / "box"
+    assert main(["run", "--config", _write_cfg(tmp_path, BOX_CFG),
+                 "--out", str(out)]) == 0
+    report = dict(line.split(" = ", 1)
+                  for line in (out / "report.txt").read_text().splitlines())
+    assert int(report["stokes_outer_total"]) >= int(report["stokes_outer_max"]) > 0
+    periodic = tmp_path / "periodic"
+    assert main(["run", "--config", _write_cfg(tmp_path, name="tg.cfg"),
+                 "--out", str(periodic)]) == 0
+    text = (periodic / "report.txt").read_text()
+    assert "stokes_outer_total = 0\n" in text
+    assert "stokes_outer_max = 0\n" in text
+
+
+def _assert_one_line_reason(capsys, prefix):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    return lines[0]
+
+
+def test_cli_projection_failure_exits_3_with_step(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
+    cfg = BOX_CFG.replace("kind = random_solenoidal", "kind = zero")
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    _assert_one_line_reason(capsys, "solver failure: step 1: ")
+
+
+def test_cli_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DNS_FLOW_THREADS", "abc")
+    code = main(["run", "--config", _write_cfg(tmp_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    line = _assert_one_line_reason(capsys, "config error: ")
+    assert "DNS_FLOW_THREADS" in line
+
+
+def test_cli_missing_snapshot_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.vtk"
+    cfg = BASE_CFG.replace("kind = taylor_green",
+                           f"kind = snapshot\nfile = {missing}")
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    line = _assert_one_line_reason(capsys, "config error: ")
+    assert str(missing) in line

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dnsflow import (
+    BoundaryCondition,
+    DnsConfig,
     GridSpec,
     ProjectionError,
     ScalarField,
@@ -15,10 +17,13 @@ from dnsflow import (
     inner_product_l2,
     leray_project,
     norm_l2,
+    random_solenoidal_field,
+    run,
     solve_implicit_stokes,
     stream_bump_field,
     taylor_green_field,
 )
+from dnsflow.projection import _cg, _dirichlet_ops
 
 from conftest import random_pinned_velocity, random_velocity
 
@@ -189,6 +194,7 @@ def test_stokes_dirichlet_cap_returns_best_iterate(dirichlet32):
     assert not info.converged
     assert info.outer_iterations == 1
     assert np.all(np.isfinite(v.data))
+    assert solver.total_inner == 0
 
 
 def test_stokes_solver_context_mismatch(dirichlet32):
@@ -198,3 +204,73 @@ def test_stokes_solver_context_mismatch(dirichlet32):
                               solver=solver)
     with pytest.raises(ValueError):
         StokesSolver(GridSpec(16), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# exact DST-I Helmholtz inverse against the CG reference
+
+def _cg_ainv(solver, f):
+    """Reference (I - h nu L)^{-1}: CG on the interior 5-point operator,
+    one component at a time, walls of the result pinned to zero."""
+    _, _, lap, _ = _dirichlet_ops(solver.spec)
+
+    def helmholtz(x):
+        return x - solver.h * solver.nu * lap(x)
+
+    out = np.zeros(f.shape)
+    for idx in np.ndindex(f.shape[:-2]):
+        sol, _, ok = _cg(helmholtz, f[idx], np.zeros(f.shape[-2:]), 1e-14,
+                         50 * max(solver.spec.cells))
+        assert ok
+        out[idx][1:-1, 1:-1] = sol[1:-1, 1:-1]
+    return out
+
+
+BOX_GRIDS = [
+    GridSpec(32, bc=BoundaryCondition.DIRICHLET_ZERO),
+    # non-square cell counts: the two axes' eigenvalues must not swap
+    GridSpec((16, 32), extent=(np.pi, 2.0 * np.pi),
+             bc=BoundaryCondition.DIRICHLET_ZERO),
+]
+
+
+@pytest.mark.parametrize("spec", BOX_GRIDS, ids=["32x32", "16x32"])
+def test_helmholtz_inverse_matches_cg_reference(spec):
+    solver = StokesSolver(spec, 0.0125, nu=0.7)
+    rng = np.random.default_rng(11)
+    f = np.zeros((2,) + spec.node_shape)
+    f[:, 1:-1, 1:-1] = rng.normal(size=f[:, 1:-1, 1:-1].shape)
+    ref = _cg_ainv(solver, f)
+    batched = solver._ainv(f)
+    assert np.all(batched[:, [0, -1], :] == 0.0)
+    assert np.all(batched[:, :, [0, -1]] == 0.0)
+    assert np.linalg.norm(batched - ref) < 1e-12 * np.linalg.norm(ref)
+    for c in range(2):
+        single = solver._ainv(f[c])
+        assert single.shape == spec.node_shape
+        assert (np.linalg.norm(single - ref[c])
+                < 1e-12 * np.linalg.norm(ref[c]))
+
+
+@pytest.mark.parametrize("spec", BOX_GRIDS, ids=["32x32", "16x32"])
+def test_stokes_dirichlet_solves_system_any_aspect(spec):
+    w = leray_project(random_solenoidal_field(spec, seed=4)).solenoidal
+    v, _, info = solve_implicit_stokes(w, 0.0125)
+    assert info.converged
+    assert info.max_divergence < 1e-8
+    assert info.momentum_residual < 1e-10 * max(norm_l2(w), 1.0)
+
+
+def test_box_run_matches_cg_reference(monkeypatch):
+    spec = BOX_GRIDS[0]
+    a = random_solenoidal_field(spec, seed=3)
+    cfg = DnsConfig(h=0.0125, T=0.05, grid=spec)
+    fast = run(a, cfg)
+    monkeypatch.setattr(StokesSolver, "_ainv", _cg_ainv)
+    ref = run(a, cfg)
+    assert len(fast.results) == len(ref.results) == 4
+    v_fast, v_ref = fast.snapshots[-1], ref.snapshots[-1]
+    assert norm_l2(v_fast - v_ref) < 1e-10 * norm_l2(v_ref)
+    for r_fast, r_ref in zip(fast.results, ref.results):
+        assert r_fast.stokes_outer > 0
+        assert abs(r_fast.stokes_outer - r_ref.stokes_outer) <= 1

@@ -3,6 +3,7 @@ import pytest
 
 from dnsflow import (
     DnsConfig,
+    ProjectionError,
     GridSpec,
     InterpOrder,
     SolvePath,
@@ -20,6 +21,9 @@ from dnsflow import (
     run,
     taylor_green_field,
 )
+from dnsflow import projection
+
+from conftest import failing_poisson_cg, random_pinned_velocity
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +276,42 @@ def test_run_aborts_with_step_index(dirichlet32):
     with pytest.raises(SolverFailure) as err:
         run(a, cfg)
     assert err.value.step == 1
+
+
+@pytest.mark.parametrize("path", list(SolvePath))
+def test_run_wraps_projection_error_with_step_index(dirichlet32, monkeypatch,
+                                                    path):
+    a = leray_project(random_solenoidal_field(dirichlet32, seed=2)).solenoidal
+    monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
+    cfg = DnsConfig(h=0.0125, T=0.05, grid=dirichlet32, path=path)
+    with pytest.raises(SolverFailure) as err:
+        run(a, cfg)
+    assert err.value.step == 1
+    assert isinstance(err.value.__cause__, ProjectionError)
+
+
+def test_run_wraps_initial_projection_error(dirichlet32, monkeypatch):
+    a = random_pinned_velocity(dirichlet32, 5)
+    monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
+    cfg = DnsConfig(h=0.0125, T=0.05, grid=dirichlet32)
+    with pytest.raises(SolverFailure) as err:
+        run(a, cfg)
+    assert err.value.step == 0
+    assert isinstance(err.value.__cause__, ProjectionError)
+
+
+def test_step_records_stokes_outer_count(periodic32, dirichlet32):
+    h = 0.0125
+    box = random_solenoidal_field(dirichlet32, seed=2)
+    el = dns_step(box, DnsConfig(h=h, T=h, grid=dirichlet32))
+    assert el.stokes_outer > 0
+    dm = dns_step(box, DnsConfig(h=h, T=h, grid=dirichlet32,
+                                 path=SolvePath.DIRECT_MINIMIZE,
+                                 minimizer_tol=1e-8,
+                                 minimizer_max_iters=2000))
+    assert dm.stokes_outer == 0
+    tg, _ = taylor_green_field(0.0, periodic32)
+    assert dns_step(tg, DnsConfig(h=h, T=h, grid=periodic32)).stokes_outer == 0
 
 
 def test_config_validation(periodic32):
