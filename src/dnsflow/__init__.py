@@ -7,26 +7,20 @@ checks.
 """
 
 from .fields import (
-    TWO_PI,
     BoundaryCondition,
     GridSpec,
     ScalarField,
     VelocityField,
-    advection_term,
     divergence,
-    grad_max_norm,
     grad_norm_sq,
     gradient,
     inner_product_l2,
     laplacian,
     norm_l2,
-    quadrature_weights,
 )
 from .interpolate import InterpOrder, sample_offgrid
 from .projection import (
-    HelmholtzParts,
     ProjectionError,
-    StokesInfo,
     StokesSolver,
     leray_project,
     solve_implicit_stokes,
@@ -35,8 +29,6 @@ from .scheme import (
     DnsConfig,
     SolvePath,
     SolverFailure,
-    StepResult,
-    Trajectory,
     backtrace,
     dns_step,
     functional_value,
@@ -46,7 +38,6 @@ from .analysis import (
     AnalyticVectorField,
     EnergyLedger,
     InterpolantMode,
-    TestFunction,
     TimeInterpolant,
     build_energy_ledger,
     check_cumulative_estimate,
@@ -58,12 +49,10 @@ from .analysis import (
     material_derivative_identity,
     max_step_increment,
     monitor_assumption_a,
-    solenoidal_test_function,
     stable_within_factor,
     weak_residual,
 )
 from .bench import (
-    ConvergenceTable,
     TaylorGreenOracle,
     convergence_study,
     random_solenoidal_field,

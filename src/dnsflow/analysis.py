@@ -4,6 +4,13 @@ Everything here is read-only over completed trajectories: the per-step
 energy inequality and its cumulative exponential bound, the gradient
 scaling monitor, the material-derivative quadrature identity, the
 time interpolants and the discrete weak-form residual.
+
+Weak-form test functions are separable, phi = eta(t) curl psi(x): a
+``TestFunction`` holds only the stream modes of psi, and the time bump
+eta is laid on the horizon T of the trajectory it tests, so phi is
+divergence-free and vanishes at t = 0 and t = T by construction.
+``weak_residual(traj, phis)`` evaluates psi and D psi once per grid and
+takes every snapshot's inner products against all phi in one pass.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from .fields import (
     advection_term,
     grad_max_norm,
     grad_norm_sq,
-    gradient,
     inner_product_l2,
     norm_l2,
     quadrature_weights,
+    velocity_jacobian,
 )
 from .scheme import Trajectory, backtrace
 
@@ -371,89 +378,38 @@ def max_step_increment(traj: Trajectory) -> float:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Analytic space-time test field phi with its derivatives.
+    """Separable solenoidal test field phi(x, t) = eta(t) curl psi(x).
 
-    ``value``/``dt``/``jacobian`` are closures of (X, Y, t); the flags
-    certify analytic divergence-freedom (spot-checked on construction)
-    and vanishing at t = 0 and t = T.
+    psi = sum_m amp_m sin(k1_m x) sin(k2_m y) over the (k1, k2, amp)
+    triples in ``modes``, and eta(t) = 16 t^2 (T - t)^2 / T^4 is the bump
+    on the horizon T of the trajectory phi is paired with, so phi is
+    divergence-free and vanishes at t = 0 and t = T by construction.
     """
 
-    value: Callable
-    dt: Callable
-    jacobian: Callable
-    divergence_free: bool
-    compact_time_support: bool
-    label: str = ""
+    modes: tuple[tuple[int, int, float], ...]
 
+    @property
+    def label(self) -> str:
+        return "curl[" + " + ".join(f"{a:g} sin({k1}x)sin({k2}y)"
+                                    for k1, k2, a in self.modes) + "] * bump"
 
-def _spot_check_divergence(jac, rng: np.random.Generator, t_max: float) -> bool:
-    x = rng.uniform(0.0, 2.0 * math.pi, size=100)
-    y = rng.uniform(0.0, 2.0 * math.pi, size=100)
-    t = rng.uniform(0.0, t_max, size=100)
-    (jxx, _), (_, jyy) = jac(x, y, t)
-    return bool(np.max(np.abs(jxx + jyy)) < 1e-12)
-
-
-def solenoidal_test_function(T: float, modes=((1, 1, 1.0),)) -> TestFunction:
-    """Time bump times the curl of a trigonometric stream function.
-
-    phi = eta(t) * (d psi / dy, -d psi / dx) with
-    psi = sum_m amp_m sin(k1_m x) sin(k2_m y) and
-    eta(t) = 16 t^2 (T - t)^2 / T^4, so div phi = 0 analytically and
-    phi vanishes at t = 0 and t = T. ``modes`` is a sequence of
-    (k1, k2, amplitude) triples.
-    """
-    modes = tuple((int(k1), int(k2), float(a)) for (k1, k2, a) in modes)
-
-    def eta(t):
-        return 16.0 * t * t * (T - t) * (T - t) / T**4
-
-    def eta_dt(t):
-        return 16.0 * (2.0 * t * (T - t) * (T - t)
-                       - 2.0 * t * t * (T - t)) / T**4
-
-    def space(x, y):
-        u = np.zeros_like(x)
-        v = np.zeros_like(x)
-        for k1, k2, a in modes:
-            u += a * k2 * np.sin(k1 * x) * np.cos(k2 * y)
-            v += -a * k1 * np.cos(k1 * x) * np.sin(k2 * y)
-        return u, v
-
-    def value(x, y, t):
-        u, v = space(x, y)
-        e = eta(t)
-        return e * u, e * v
-
-    def dt(x, y, t):
-        u, v = space(x, y)
-        e = eta_dt(t)
-        return e * u, e * v
-
-    def jacobian(x, y, t):
-        e = eta(t)
-        p1x = np.zeros_like(x)
-        p1y = np.zeros_like(x)
-        p2x = np.zeros_like(x)
-        p2y = np.zeros_like(x)
-        for k1, k2, a in modes:
+    def on_grid(self, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+        """curl psi = (d psi/dy, -d psi/dx) and its Jacobian at the grid
+        nodes, shapes ``(2, *node_shape)`` and ``(2, 2, *node_shape)``."""
+        x = spec.axis_nodes(0)[:, None]
+        y = spec.axis_nodes(1)[None, :]
+        val = np.zeros((2,) + spec.node_shape)
+        jac = np.zeros((2, 2) + spec.node_shape)
+        for k1, k2, a in self.modes:
             sx, cx = np.sin(k1 * x), np.cos(k1 * x)
             sy, cy = np.sin(k2 * y), np.cos(k2 * y)
-            p1x += e * a * k1 * k2 * cx * cy
-            p1y += -e * a * k2 * k2 * sx * sy
-            p2x += e * a * k1 * k1 * sx * sy
-            p2y += -e * a * k1 * k2 * cx * cy
-        return (p1x, p1y), (p2x, p2y)
-
-    rng = np.random.default_rng(20260808)
-    ok = _spot_check_divergence(jacobian, rng, T)
-    label = "curl[" + " + ".join(f"{a:g} sin({k1}x)sin({k2}y)"
-                                 for k1, k2, a in modes) + "] * bump"
-    return TestFunction(value, dt, jacobian, divergence_free=ok,
-                        compact_time_support=True, label=label)
+            val += a * np.array([k2 * sx * cy, -k1 * cx * sy])
+            jac += a * np.array([[k1 * k2 * cx * cy, -k2 * k2 * sx * sy],
+                                 [k1 * k1 * sx * sy, -k1 * k2 * cx * cy]])
+        return val, jac
 
 
-def default_test_functions(T: float) -> list[TestFunction]:
+def default_test_functions() -> list[TestFunction]:
     """Five distinct solenoidal test fields.
 
     Every member carries a (1, 1) stream mode so it pairs with the
@@ -467,7 +423,7 @@ def default_test_functions(T: float) -> list[TestFunction]:
         ((1, 1, 1.0), (3, 3, 0.8)),
         ((1, 1, 1.0), (3, 3, 0.3), (3, 1, -0.2)),
     ]
-    return [solenoidal_test_function(T, modes) for modes in mode_sets]
+    return [TestFunction(modes) for modes in mode_sets]
 
 
 @dataclass(frozen=True)
@@ -476,53 +432,42 @@ class WeakFormReport:
     nonlinear_residual: float   # linear + int <(v_bar . D) v_bar, phi>
 
 
-def weak_residual(traj: Trajectory, phi: TestFunction,
-                  time_quad_nodes: int = 5) -> WeakFormReport:
-    """Discrete weak-form residual of the trajectory against phi.
+def weak_residual(traj: Trajectory,
+                  phis: Sequence[TestFunction]) -> list[WeakFormReport]:
+    """Discrete weak-form residual of the trajectory against each phi.
 
-    The v-side factors are affine or constant in t on each step
-    interval, so per-interval Gauss-Legendre quadrature with a handful
-    of nodes integrates the products with the polynomial time bump
-    exactly. Rejects test functions without compact support in time.
+    v_h and v_bar are the piecewise-linear and piecewise-constant
+    interpolants of the snapshots. Each space-time integral splits into
+    the inner products <v_n, psi>, <Dv_n, D psi> and <(v_n . D) v_n, psi>,
+    taken against all psi in one pass over the snapshots, times step
+    integrals of eta, eta' theta and eta' (1 - theta), whose integrands
+    have degree <= 4 in t: 3-node Gauss-Legendre is exact.
     """
-    if not phi.compact_time_support:
-        raise ValueError("test function must vanish at t = 0 and t = T "
-                         "(compact support in time)")
-    if not phi.divergence_free:
-        raise ValueError("test function must be divergence-free")
-    if time_quad_nodes < 2:
-        raise ValueError("need at least 2 time quadrature nodes per interval")
     spec = traj.cfg.grid
-    X, Y = spec.mesh()
     w = quadrature_weights(spec)
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(time_quad_nodes)
-    times = traj.times
-    linear = 0.0
-    advect = 0.0
-    for n in range(1, len(traj.snapshots)):
-        v_prev = traj.snapshots[n - 1]
-        v_n = traj.snapshots[n]
-        t0, t1 = times[n - 1], times[n]
-        half = 0.5 * (t1 - t0)
-        mid = 0.5 * (t0 + t1)
-        dvx = gradient(v_n.component(0))
-        dvy = gradient(v_n.component(1))
-        adv = advection_term(v_n)
-        for q in range(time_quad_nodes):
-            t = mid + half * gl_nodes[q]
-            wq = half * gl_weights[q]
-            theta = (t - t0) / (t1 - t0)
-            ptx, pty = phi.dt(X, Y, t)
-            vh_x = theta * v_n.data[0] + (1.0 - theta) * v_prev.data[0]
-            vh_y = theta * v_n.data[1] + (1.0 - theta) * v_prev.data[1]
-            linear -= wq * float(np.sum(w * (vh_x * ptx + vh_y * pty)))
-            (j1x, j1y), (j2x, j2y) = phi.jacobian(X, Y, t)
-            linear += wq * float(np.sum(w * (dvx.data[0] * j1x
-                                             + dvx.data[1] * j1y
-                                             + dvy.data[0] * j2x
-                                             + dvy.data[1] * j2y)))
-            pvx, pvy = phi.value(X, Y, t)
-            advect += wq * float(np.sum(w * (adv.data[0] * pvx
-                                             + adv.data[1] * pvy)))
-    return WeakFormReport(linear_residual=linear,
-                          nonlinear_residual=linear + advect)
+    vals, jacs = zip(*(phi.on_grid(spec) for phi in phis))
+    psi = (w * np.stack(vals)).reshape(len(phis), -1)
+    dpsi = (w * np.stack(jacs)).reshape(len(phis), -1)
+
+    v_psi, dv_dpsi, adv_psi = [psi @ traj.snapshots[0].data.ravel()], [], []
+    for v in traj.snapshots[1:]:
+        jac = velocity_jacobian(v)
+        v_psi.append(psi @ v.data.ravel())
+        dv_dpsi.append(dpsi @ jac.ravel())
+        adv_psi.append(psi @ advection_term(v, jac).data.ravel())
+    v_psi = np.array(v_psi)
+
+    # step integrals of eta, eta' theta and eta' (1 - theta)
+    T = traj.final_time
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    theta = 0.5 * (nodes + 1.0)
+    t = traj.times[:-1, None] + traj.cfg.h * theta
+    wq = 0.5 * traj.cfg.h * weights
+    eta = (16.0 * t**2 * (T - t)**2 / T**4) @ wq
+    deta = 32.0 * t * (T - t) * (T - 2.0 * t) / T**4 * wq
+    linear = (eta @ np.array(dv_dpsi) - (deta @ theta) @ v_psi[1:]
+              - (deta @ (1.0 - theta)) @ v_psi[:-1])
+    advect = eta @ np.array(adv_psi)
+    return [WeakFormReport(linear_residual=float(lin),
+                           nonlinear_residual=float(lin + adv))
+            for lin, adv in zip(linear, advect)]

@@ -38,6 +38,10 @@ class BoundaryCondition(enum.Enum):
         raise ValueError(f"unknown boundary condition {text!r}")
 
 
+class NonFiniteFieldError(ValueError):
+    """A field was built from NaN or infinite samples."""
+
+
 def _as_pair(value, name: str) -> tuple:
     if np.isscalar(value):
         return (value, value)
@@ -137,7 +141,8 @@ class ScalarField:
             raise ValueError(f"scalar data shape {data.shape} does not match "
                              f"grid nodes {self.spec.node_shape}")
         if not np.all(np.isfinite(data)):
-            raise ValueError("scalar field contains non-finite samples")
+            raise NonFiniteFieldError("scalar field contains non-finite "
+                                      "samples")
         object.__setattr__(self, "data", data)
 
     @classmethod
@@ -190,7 +195,8 @@ class VelocityField:
             raise ValueError(f"velocity data shape {data.shape} does not match "
                              f"(2, *{self.spec.node_shape})")
         if not np.all(np.isfinite(data)):
-            raise ValueError("velocity field contains non-finite samples")
+            raise NonFiniteFieldError("velocity field contains non-finite "
+                                      "samples")
         object.__setattr__(self, "data", data)
 
     @property
@@ -405,28 +411,40 @@ def norm_l2(a: VelocityField) -> float:
     return math.sqrt(max(inner_product_l2(a, a), 0.0))
 
 
+def velocity_jacobian(v: VelocityField) -> np.ndarray:
+    """Samples of the Jacobian, ``J[c, a] = d v_c / d x_a``, shape
+    ``(2, 2, *node_shape)``; both components go through one batched
+    transform (periodic) or stencil pass (dirichlet)."""
+    spec = v.spec
+    if spec.is_periodic:
+        KX, KY, _ = _spectral_kit(spec)
+        vhat = np.fft.rfft2(v.data)
+        ik = 1j * np.stack([KX, KY])
+        return np.fft.irfft2(ik[None] * vhat[:, None], s=spec.node_shape)
+    return np.stack([_fd_partial(v.data, 1, spec.spacing),
+                     _fd_partial(v.data, 2, spec.spacing)], axis=1)
+
+
 def grad_norm_sq(v: VelocityField) -> float:
     """Integral of |Dv|^2 (the full Jacobian, both components)."""
-    total = 0.0
-    for c in range(2):
-        g = gradient(v.component(c))
-        total += inner_product_l2(g, g)
-    return total
+    jac = velocity_jacobian(v)
+    return float(np.sum(quadrature_weights(v.spec) * np.sum(jac * jac,
+                                                            axis=(0, 1))))
 
 
 def grad_max_norm(v: VelocityField) -> float:
     """Max over nodes of the Frobenius norm of the velocity Jacobian."""
-    acc = np.zeros(v.spec.node_shape)
-    for c in range(2):
-        g = gradient(v.component(c))
-        acc += g.data[0] ** 2 + g.data[1] ** 2
-    return float(np.sqrt(np.max(acc)))
+    jac = velocity_jacobian(v)
+    return float(np.sqrt(np.max(np.sum(jac * jac, axis=(0, 1)))))
 
 
-def advection_term(v: VelocityField) -> VelocityField:
-    """(v . D) v computed with the backend's derivative operators."""
-    out = np.empty((2,) + v.spec.node_shape)
-    for c in range(2):
-        g = gradient(v.component(c))
-        out[c] = v.data[0] * g.data[0] + v.data[1] * g.data[1]
-    return VelocityField(v.spec, out)
+def advection_term(v: VelocityField,
+                   jac: np.ndarray | None = None) -> VelocityField:
+    """(v . D) v computed with the backend's derivative operators.
+
+    ``jac`` is v's :func:`velocity_jacobian`, for callers that already
+    hold it.
+    """
+    if jac is None:
+        jac = velocity_jacobian(v)
+    return VelocityField(v.spec, v.data[0] * jac[:, 0] + v.data[1] * jac[:, 1])

@@ -17,7 +17,8 @@ re-serializes to a canonical form (sorted sections, full precision).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .fields import TWO_PI, BoundaryCondition, GridSpec
@@ -90,9 +91,12 @@ def _get_float(sec: dict, key: str, default=None) -> float:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(sec[key])
+        value = float(sec[key])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {sec[key]!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {sec[key]!r} is not finite")
+    return value
 
 
 def _get_int(sec: dict, key: str, default: int) -> int:
@@ -119,9 +123,13 @@ def _get_float_list(sec: dict, key: str) -> tuple[float, ...]:
     if key not in sec:
         return ()
     try:
-        return tuple(float(tok) for tok in sec[key].split(",") if tok.strip())
+        values = tuple(float(tok) for tok in sec[key].split(",")
+                       if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected a comma list of numbers") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key {key!r}: {sec[key]!r} has non-finite entries")
+    return values
 
 
 def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
@@ -179,6 +187,11 @@ def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
 
     ladder_sec = sections.get("ladder", {})
     ladder_hs = _get_float_list(ladder_sec, "h")
+    for rung_h in ladder_hs:
+        try:
+            replace(cfg, h=rung_h)
+        except ValueError as exc:
+            raise ConfigError(f"[ladder] h = {rung_h:g}: {exc}") from exc
     ladder_cells = tuple(int(c) for c in _get_float_list(ladder_sec, "cells"))
 
     return RunManifest(cfg=cfg, initial=initial, out_dir=out_dir,

@@ -22,6 +22,7 @@ import numpy as np
 from .fields import (
     BoundaryCondition,
     GridSpec,
+    NonFiniteFieldError,
     ScalarField,
     VelocityField,
     divergence,
@@ -268,20 +269,22 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     If a is not divergence-free within tolerance it is projected once
     and the fact is recorded on the trajectory. Each StepResult is
     streamed to the sinks as ``sink(step_index, result)``. Solver
-    failures are raised as SolverFailure carrying the step index (0 for
-    the initial projection).
+    failures, and fields that overflow to non-finite samples, are raised
+    as SolverFailure carrying the step index (0 for the initial datum
+    and its projection).
     """
     if a.spec != cfg.grid:
         raise ValueError("initial datum grid does not match the config")
-    div_a = float(np.max(np.abs(divergence(a).data)))
     projected = False
     div_gate = max(cfg.div_tol, 1e-10 if a.spec.is_periodic else 1e-8)
-    if div_a > div_gate:
-        try:
+    try:
+        if float(np.max(np.abs(divergence(a).data))) > div_gate:
             a = leray_project(a).solenoidal
-        except ProjectionError as exc:
-            raise SolverFailure(f"initial projection: {exc}", step=0) from exc
-        projected = True
+            projected = True
+    except NonFiniteFieldError as exc:
+        raise SolverFailure(f"initial datum: {exc}", step=0) from exc
+    except ProjectionError as exc:
+        raise SolverFailure(f"initial projection: {exc}", step=0) from exc
 
     solver = None
     if a.spec.bc is BoundaryCondition.DIRICHLET_ZERO:
@@ -293,7 +296,7 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     for n in range(1, cfg.n_steps + 1):
         try:
             result = dns_step(v, cfg, solver=solver)
-        except (SolverFailure, ProjectionError) as exc:
+        except (SolverFailure, ProjectionError, NonFiniteFieldError) as exc:
             raise SolverFailure(str(exc), step=n) from exc
         traj.snapshots.append(result.v)
         traj.results.append(result)

@@ -1,8 +1,8 @@
-"""Field snapshot IO: legacy structured-points VTK ASCII and bare CSV.
+"""Field snapshot IO: legacy structured-points VTK ASCII.
 
 All floating-point emission uses 17 significant digits so a written
 snapshot reads back bitwise. The VTK title line carries the boundary
-condition and extent, which the plain format has no slot for.
+condition and extent, which the plain VTK header has no slot for.
 """
 
 from __future__ import annotations
@@ -103,46 +103,3 @@ def read_vtk(path) -> tuple[VelocityField, ScalarField | None]:
         pressure = ScalarField(spec, p)
     return velocity, pressure
 
-
-def write_csv(path, velocity: VelocityField,
-              pressure: ScalarField | None = None) -> None:
-    """Headerless rows x,y,vx,vy,p in row-major node order."""
-    spec = velocity.spec
-    nx, ny = spec.node_shape
-    dx = spec.spacing
-    p = pressure.data if pressure is not None else np.zeros((nx, ny))
-    rows = []
-    for i in range(nx):
-        for j in range(ny):
-            rows.append(",".join([
-                _fmt(i * dx), _fmt(j * dx),
-                _fmt(velocity.data[0][i, j]), _fmt(velocity.data[1][i, j]),
-                _fmt(p[i, j]),
-            ]))
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
-def read_csv(path, bc: BoundaryCondition = BoundaryCondition.PERIODIC,
-             ) -> tuple[VelocityField, ScalarField]:
-    """Rebuild fields from the bare CSV; the grid is inferred from the
-    coordinate columns plus the caller-supplied boundary condition."""
-    raw = np.loadtxt(path, delimiter=",")
-    if raw.ndim != 2 or raw.shape[1] != 5:
-        raise ValueError(f"{path}: expected x,y,vx,vy,p rows")
-    xs = np.unique(raw[:, 0])
-    ys = np.unique(raw[:, 1])
-    nx, ny = len(xs), len(ys)
-    if nx * ny != raw.shape[0]:
-        raise ValueError(f"{path}: rows do not form a full grid")
-    dx = xs[1] - xs[0]
-    if bc is BoundaryCondition.PERIODIC:
-        cells = (nx, ny)
-        extent = (nx * dx, ny * dx)
-    else:
-        cells = (nx - 1, ny - 1)
-        extent = (xs[-1], ys[-1])
-    spec = GridSpec(cells, extent, bc)
-    u = raw[:, 2].reshape(nx, ny)
-    v = raw[:, 3].reshape(nx, ny)
-    p = raw[:, 4].reshape(nx, ny)
-    return VelocityField(spec, np.stack([u, v])), ScalarField(spec, p)

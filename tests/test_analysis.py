@@ -27,12 +27,14 @@ from dnsflow import (
     monitor_assumption_a,
     norm_l2,
     run,
-    solenoidal_test_function,
     stable_within_factor,
     taylor_green_field,
     weak_residual,
 )
+from dnsflow import analysis
 from dnsflow.analysis import LedgerRow
+from dnsflow.fields import quadrature_weights, velocity_jacobian
+from dnsflow.scheme import Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -317,45 +319,52 @@ def test_max_step_increment(tg_mini_run):
 # test functions and weak residual
 
 def test_test_function_library(periodic32):
-    phis = default_test_functions(0.5)
+    phis = default_test_functions()
     assert len(phis) >= 5
-    rng = np.random.default_rng(1)
-    x = rng.uniform(0, 2 * math.pi, 50)
-    y = rng.uniform(0, 2 * math.pi, 50)
+    assert len({phi.modes for phi in phis}) == len(phis)
     for phi in phis:
-        assert phi.divergence_free
-        assert phi.compact_time_support
-        u0, v0 = phi.value(x, y, 0.0)
-        uT, vT = phi.value(x, y, 0.5)
-        assert np.max(np.abs(np.concatenate([u0, v0, uT, vT]))) == 0.0
-        (jxx, _), (_, jyy) = phi.jacobian(x, y, 0.3)
-        assert np.max(np.abs(jxx + jyy)) < 1e-12
+        assert phi.label.endswith("* bump")
+        val, jac = phi.on_grid(periodic32)
+        assert val.shape == (2, 32, 32)
+        assert jac.shape == (2, 2, 32, 32)
+        assert np.max(np.abs(jac[0, 0] + jac[1, 1])) == 0.0
+        # the analytic Jacobian is the derivative of the sampled field
+        spectral = velocity_jacobian(VelocityField(periodic32, val))
+        assert np.max(np.abs(spectral - jac)) < 1e-11
 
 
 def test_weak_residual_zero_trajectory(zero_run):
-    phi = solenoidal_test_function(zero_run.final_time)
-    rep = weak_residual(zero_run, phi)
+    phi = analysis.TestFunction(((1, 1, 1.0),))
+    (rep,) = weak_residual(zero_run, [phi])
     assert rep.linear_residual == 0.0
     assert rep.nonlinear_residual == 0.0
 
 
-def test_weak_residual_rejects_non_compact(tg_mini_run):
-    phi = solenoidal_test_function(tg_mini_run.final_time)
-    bad = phi.__class__(phi.value, phi.dt, phi.jacobian,
-                        divergence_free=True, compact_time_support=False)
-    with pytest.raises(ValueError):
-        weak_residual(tg_mini_run, bad)
+def test_weak_residual_steady_trajectory(periodic32):
+    # phi vanishes at t = 0 and at the trajectory's own final time
+    # floor(T/h) h = 0.2 (not at T = 0.22), so a time-constant v leaves
+    # only int eta dt <Dv, D psi>, with int eta = 8 (0.2) / 15
+    a, _ = taylor_green_field(0.0, periodic32)
+    cfg = DnsConfig(h=0.05, T=0.22, grid=periodic32)
+    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, results=[])
+    assert steady.final_time == pytest.approx(0.2)
+    phi = analysis.TestFunction(((1, 1, 1.0), (3, 1, 0.6)))
+    _, dpsi = phi.on_grid(periodic32)
+    w = quadrature_weights(periodic32)
+    dv_dpsi = float(np.sum(w * velocity_jacobian(a) * dpsi))
+    assert abs(dv_dpsi) > 1.0
+    (rep,) = weak_residual(steady, [phi])
+    assert rep.linear_residual == pytest.approx(8.0 * 0.2 / 15.0 * dv_dpsi,
+                                                rel=1e-12)
 
 
 def test_weak_residual_linear_in_phi(tg_mini_run):
-    T = tg_mini_run.final_time
-    phi_a = solenoidal_test_function(T, modes=((1, 1, 1.0),))
-    phi_b = solenoidal_test_function(T, modes=((3, 1, 1.0),))
     alpha = 1.7
-    combo = solenoidal_test_function(T, modes=((1, 1, alpha), (3, 1, 1.0)))
-    ra = weak_residual(tg_mini_run, phi_a).linear_residual
-    rb = weak_residual(tg_mini_run, phi_b).linear_residual
-    rc = weak_residual(tg_mini_run, combo).linear_residual
+    phis = [analysis.TestFunction(modes)
+            for modes in (((1, 1, 1.0),), ((3, 1, 1.0),),
+                          ((1, 1, alpha), (3, 1, 1.0)))]
+    ra, rb, rc = (rep.linear_residual
+                  for rep in weak_residual(tg_mini_run, phis))
     scale = abs(alpha * ra) + abs(rb)
     assert abs(rc - (alpha * ra + rb)) < 1e-12 * max(scale, 1.0)
 
@@ -363,12 +372,12 @@ def test_weak_residual_linear_in_phi(tg_mini_run):
 def test_weak_residual_shrinks_with_h(periodic32):
     a, _ = taylor_green_field(0.0, periodic32)
     T = 0.2
-    phis = default_test_functions(T)
+    phis = default_test_functions()
     res = []
     for h in (0.025, 0.0125):
         traj = run(a, DnsConfig(h=h, T=T, grid=periodic32,
                                 interp_order=InterpOrder.CUBIC))
-        res.append([abs(weak_residual(traj, phi).linear_residual)
-                    for phi in phis])
+        res.append([abs(rep.linear_residual)
+                    for rep in weak_residual(traj, phis)])
     for r_coarse, r_fine in zip(res[0], res[1]):
         assert r_fine < r_coarse

@@ -301,3 +301,37 @@ def test_cli_missing_snapshot_exits_2(tmp_path, capsys):
     assert code == 2
     line = _assert_one_line_reason(capsys, "config error: ")
     assert str(missing) in line
+
+
+def test_cli_verify_pairs_each_rung_with_its_own_horizon(tmp_path):
+    # h = 0.1 takes floor(2.5) = 2 steps and ends at 0.2, h = 0.05 ends at
+    # 0.25: each rung's test functions must vanish at that rung's end
+    cfg = (BASE_CFG.replace("cells = 16", "cells = 32")
+           .replace("t = 0.2", "t = 0.25")
+           .replace("h = 0.1, 0.05, 0.025", "h = 0.1, 0.05"))
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    assert "weak_residual_decreases: PASS" in (out / "verify.txt").read_text()
+
+
+def test_cli_taylor_green_amplitude_overflow_exits_2(tmp_path, capsys):
+    cfg = BASE_CFG.replace("amplitude = 1.0", "amplitude = 1e200")
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    line = _assert_one_line_reason(capsys, "config error: ")
+    assert "amplitude" in line
+
+
+@pytest.mark.parametrize("amplitude, step", [("1e306", 0), ("1e305", 1)])
+def test_cli_non_finite_field_exits_3_with_step(tmp_path, capsys, amplitude,
+                                                step):
+    cfg = (BASE_CFG.replace("cells = 16", "cells = 32")
+           .replace("kind = taylor_green", "kind = random_solenoidal")
+           .replace("amplitude = 1.0", f"amplitude = {amplitude}"))
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    line = _assert_one_line_reason(capsys, f"solver failure: step {step}: ")
+    assert "non-finite" in line

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dnsflow import BoundaryCondition, GridSpec, ScalarField
-from dnsflow.snapshot import read_csv, read_vtk, write_csv, write_vtk
+from dnsflow.snapshot import read_vtk, write_vtk
 
 from conftest import random_pinned_velocity, random_scalar, random_velocity
 
@@ -47,26 +47,3 @@ def test_vtk_rejects_garbage(tmp_path):
     path.write_text("not a vtk file\n")
     with pytest.raises(ValueError):
         read_vtk(path)
-
-
-@pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC,
-                                BoundaryCondition.DIRICHLET_ZERO])
-def test_csv_round_trip(tmp_path, bc):
-    spec = GridSpec(16, bc=bc)
-    v = random_pinned_velocity(spec, 7)
-    p = random_scalar(spec, 8)
-    path = tmp_path / "snap.csv"
-    write_csv(path, v, p)
-    v2, p2 = read_csv(path, bc=bc)
-    assert v2.spec == spec
-    assert np.array_equal(v2.data, v.data)
-    assert np.array_equal(p2.data, p.data)
-
-
-def test_csv_is_headerless_five_columns(tmp_path, periodic32):
-    v = random_velocity(periodic32, 2)
-    path = tmp_path / "snap.csv"
-    write_csv(path, v)
-    first = path.read_text().splitlines()[0].split(",")
-    assert len(first) == 5
-    float(first[0])   # no header: every token parses as a number
