@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -262,15 +262,11 @@ def convergence_study(base: DnsConfig, hs, cells_list=None,
     hs = sorted(float(h) for h in hs)[::-1]
     if cells_list is None:
         cells_list = [base.grid.cells[0]]
-    configs = []
-    for cells in cells_list:
-        grid = GridSpec(cells, base.grid.extent, base.grid.bc)
-        for h in hs:
-            configs.append(DnsConfig(
-                h=h, T=base.T, grid=grid, interp_order=base.interp_order,
-                path=base.path, nu=base.nu, minimizer_tol=base.minimizer_tol,
-                minimizer_max_iters=base.minimizer_max_iters,
-                div_tol=base.div_tol))
+    configs = [
+        replace(base, h=h,
+                grid=GridSpec(cells, base.grid.extent, base.grid.bc))
+        for cells in cells_list for h in hs
+    ]
     if executor is None:
         raw = [_run_rung(cfg, oracle) for cfg in configs]
     else:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -75,14 +76,8 @@ def _build_initial(man: RunManifest) -> VelocityField:
 def _ladder_configs(man: RunManifest) -> list[DnsConfig]:
     if not man.ladder_hs:
         raise ConfigError("this subcommand needs a [ladder] section with h = ...")
-    cfg = man.cfg
-    return [
-        DnsConfig(h=h, T=cfg.T, grid=cfg.grid, interp_order=cfg.interp_order,
-                  path=cfg.path, nu=cfg.nu, minimizer_tol=cfg.minimizer_tol,
-                  minimizer_max_iters=cfg.minimizer_max_iters,
-                  div_tol=cfg.div_tol)
-        for h in sorted(man.ladder_hs, reverse=True)
-    ]
+    return [dataclasses.replace(man.cfg, h=h)
+            for h in sorted(man.ladder_hs, reverse=True)]
 
 
 def _run_ladder(man: RunManifest, configs) -> list[Trajectory]:

@@ -60,6 +60,8 @@ def _spec_from_header(title: str, nx: int, ny: int, dx: float) -> GridSpec:
             bc = BoundaryCondition.parse(token[3:])
         elif token.startswith("extent="):
             parts = token[7:].split(",")
+            if len(parts) != 2:
+                raise ValueError(f"title token {token!r} needs two extents")
             extent = (float(parts[0]), float(parts[1]))
     if bc is BoundaryCondition.PERIODIC:
         cells = (nx, ny)
@@ -70,36 +72,58 @@ def _spec_from_header(title: str, nx: int, ny: int, dx: float) -> GridSpec:
     return GridSpec(cells, extent, bc)
 
 
+def _header(lines: list[str], idx: dict, key: str, path, n_values: int = 0):
+    """Index and tokens of the header line that starts with ``key``."""
+    if key not in idx:
+        raise ValueError(f"{path}: no {key} line in the header")
+    tokens = lines[idx[key]].split()
+    if len(tokens) <= n_values:
+        raise ValueError(f"{path}: {key} line needs {n_values} values")
+    return idx[key], tokens
+
+
 def read_vtk(path) -> tuple[VelocityField, ScalarField | None]:
+    """Read a snapshot written by ``write_vtk``.
+
+    A missing header line or a data block shorter than ``DIMENSIONS``
+    raises ValueError naming it.
+    """
     lines = Path(path).read_text().splitlines()
     if len(lines) < 9 or "vtk DataFile" not in lines[0]:
         raise ValueError(f"{path}: not a legacy VTK file")
     title = lines[1]
     idx = {line.split()[0]: k for k, line in enumerate(lines)
            if line and line[0].isalpha()}
-    dims = lines[idx["DIMENSIONS"]].split()
+    _, dims = _header(lines, idx, "DIMENSIONS", path, 2)
     nx, ny = int(dims[1]), int(dims[2])
-    dx = float(lines[idx["SPACING"]].split()[1])
+    _, spacing = _header(lines, idx, "SPACING", path, 1)
+    dx = float(spacing[1])
     spec = _spec_from_header(title, nx, ny, dx)
-    start = idx["VECTORS"] + 1
+    k = _header(lines, idx, "VECTORS", path)[0] + 1
     u = np.empty((nx, ny))
     v = np.empty((nx, ny))
-    k = start
-    for j in range(ny):
-        for i in range(nx):
-            parts = lines[k].split()
-            u[i, j] = float(parts[0])
-            v[i, j] = float(parts[1])
-            k += 1
+    try:
+        for j in range(ny):
+            for i in range(nx):
+                parts = lines[k].split()
+                u[i, j] = float(parts[0])
+                v[i, j] = float(parts[1])
+                k += 1
+    except IndexError:
+        raise ValueError(f"{path}: VECTORS block is shorter than DIMENSIONS "
+                         f"{nx} x {ny}") from None
     velocity = VelocityField(spec, np.stack([u, v]))
     pressure = None
     if "SCALARS" in idx:
-        k = idx["LOOKUP_TABLE"] + 1
+        k = _header(lines, idx, "LOOKUP_TABLE", path)[0] + 1
         p = np.empty((nx, ny))
-        for j in range(ny):
-            for i in range(nx):
-                p[i, j] = float(lines[k])
-                k += 1
+        try:
+            for j in range(ny):
+                for i in range(nx):
+                    p[i, j] = float(lines[k])
+                    k += 1
+        except IndexError:
+            raise ValueError(f"{path}: SCALARS block is shorter than "
+                             f"DIMENSIONS {nx} x {ny}") from None
         pressure = ScalarField(spec, p)
     return velocity, pressure
-

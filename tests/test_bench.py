@@ -115,6 +115,34 @@ def mini_study():
     return convergence_study(base, hs=(0.05, 0.025, 0.0125))
 
 
+class _RecordingExecutor:
+    """A ``map`` provider that keeps the rung configs it is given."""
+
+    def __init__(self):
+        self.configs = []
+
+    def map(self, fn, configs):
+        self.configs = list(configs)
+        return map(fn, self.configs)
+
+
+def test_study_rungs_keep_every_base_field():
+    base = DnsConfig(h=0.1, T=0.2, grid=GridSpec(16),
+                     interp_order=InterpOrder.CUBIC, nu=1.0,
+                     minimizer_tol=1e-9, cross_check=True, div_tol=1e-8)
+    pool = _RecordingExecutor()
+    convergence_study(base, hs=(0.1, 0.05), cells_list=(16, 32),
+                      executor=pool)
+    assert [(c.grid.cells[0], c.h) for c in pool.configs] == [
+        (16, 0.1), (16, 0.05), (32, 0.1), (32, 0.05)]
+    for cfg in pool.configs:
+        assert cfg.cross_check
+        assert cfg == DnsConfig(h=cfg.h, T=0.2, grid=cfg.grid,
+                                interp_order=InterpOrder.CUBIC,
+                                minimizer_tol=1e-9, cross_check=True,
+                                div_tol=1e-8)
+
+
 def test_single_rung_has_no_order(periodic32):
     base = DnsConfig(h=0.05, T=0.2, grid=periodic32,
                      interp_order=InterpOrder.CUBIC)

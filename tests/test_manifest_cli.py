@@ -1,10 +1,11 @@
+import dataclasses
 import textwrap
 
 import pytest
 
 from dnsflow import BoundaryCondition, InterpOrder, SolvePath
-from dnsflow import projection
-from dnsflow.cli import main
+from dnsflow import bench, projection, snapshot
+from dnsflow.cli import _ladder_configs, main
 from dnsflow.manifest import (
     ConfigError,
     canonical_text,
@@ -301,6 +302,55 @@ def test_cli_missing_snapshot_exits_2(tmp_path, capsys):
     assert code == 2
     line = _assert_one_line_reason(capsys, "config error: ")
     assert str(missing) in line
+
+
+def _snapshot_lines(tmp_path):
+    path = tmp_path / "good.vtk"
+    v, p = bench.taylor_green_field(0.0, parse_manifest(BASE_CFG).cfg.grid)
+    snapshot.write_vtk(path, v, p)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("damage, named", [
+    ("no_dimensions", "DIMENSIONS"),
+    ("no_spacing", "SPACING"),
+    ("short_vectors", "VECTORS block is shorter than DIMENSIONS"),
+    ("short_scalars", "SCALARS block is shorter than DIMENSIONS"),
+    ("one_extent", "needs two extents"),
+])
+def test_cli_malformed_snapshot_exits_2(tmp_path, capsys, damage, named):
+    lines = _snapshot_lines(tmp_path)
+    if damage == "short_vectors":
+        lines = lines[:9 + 100]
+    elif damage == "short_scalars":
+        lines = lines[:-3]
+    elif damage == "one_extent":
+        lines[1] = "dnsflow bc=periodic extent=6.25"
+    else:
+        key = "DIMENSIONS" if damage == "no_dimensions" else "SPACING"
+        lines = [line for line in lines if not line.startswith(key)]
+    bad = tmp_path / "bad.vtk"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=named):
+        snapshot.read_vtk(bad)
+    cfg = BASE_CFG.replace("kind = taylor_green",
+                           f"kind = snapshot\nfile = {bad}")
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    line = _assert_one_line_reason(capsys, "config error: bad snapshot: ")
+    assert named in line
+
+
+def test_ladder_rungs_keep_cross_check():
+    man = parse_manifest(BASE_CFG.replace(
+        "path = euler_lagrange", "path = euler_lagrange\ncross_check = true"))
+    assert man.cfg.cross_check
+    rungs = _ladder_configs(man)
+    assert [c.h for c in rungs] == [0.1, 0.05, 0.025]
+    assert all(c.cross_check for c in rungs)
+    assert rungs == [dataclasses.replace(man.cfg, h=h)
+                     for h in (0.1, 0.05, 0.025)]
 
 
 def test_cli_verify_pairs_each_rung_with_its_own_horizon(tmp_path):
