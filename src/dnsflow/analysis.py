@@ -19,7 +19,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .fields import (
     quadrature_weights,
     velocity_jacobian,
 )
-from .scheme import Trajectory, backtrace
+from .scheme import Trajectory, backtrace, energy_terms
 
 
 # ---------------------------------------------------------------------------
@@ -72,33 +72,30 @@ def _fitted_c(kinetic_plain: float, dirichlet: float,
     return 0.0
 
 
-def _make_row(n: int, h: float, v: VelocityField, v_prev: VelocityField,
-              w: VelocityField, dirichlet_prev: float) -> LedgerRow:
-    ds = v - w
-    dp = v - v_prev
-    kin_s = inner_product_l2(ds, ds) / (2.0 * h)
-    kin_p = inner_product_l2(dp, dp) / (2.0 * h)
-    dirichlet = grad_norm_sq(v)
-    c = _fitted_c(kin_p, dirichlet, dirichlet_prev)
-    if math.isfinite(c):
-        c = c / h
-    return LedgerRow(n=n, t=n * h, kinetic_shifted=kin_s, kinetic_plain=kin_p,
-                     dirichlet=dirichlet, dirichlet_prev=dirichlet_prev,
-                     fitted_c=c)
+def _assemble_ledger(traj: Trajectory, steps: Iterable[tuple]) -> EnergyLedger:
+    """Ledger rows from each step's (v_n, kinetic_shifted, dirichlet);
+    the plain kinetic term is taken against the stored v_{n-1}."""
+    h = traj.cfg.h
+    rows = []
+    initial = dirichlet_prev = grad_norm_sq(traj.snapshots[0])
+    for n, (v, kin_s, dirichlet) in enumerate(steps, start=1):
+        dp = v - traj.snapshots[n - 1]
+        kin_p = inner_product_l2(dp, dp) / (2.0 * h)
+        c = _fitted_c(kin_p, dirichlet, dirichlet_prev)
+        if math.isfinite(c):
+            c = c / h
+        rows.append(LedgerRow(n=n, t=n * h, kinetic_shifted=kin_s,
+                              kinetic_plain=kin_p, dirichlet=dirichlet,
+                              dirichlet_prev=dirichlet_prev, fitted_c=c))
+        dirichlet_prev = dirichlet
+    return EnergyLedger(tuple(rows), initial)
 
 
 def ledger_from_results(traj: Trajectory) -> EnergyLedger:
-    """Assemble the ledger from the run's own step records."""
-    h = traj.cfg.h
-    rows = []
-    dirichlet_prev = grad_norm_sq(traj.snapshots[0])
-    initial = dirichlet_prev
-    for n, res in enumerate(traj.results, start=1):
-        row = _make_row(n, h, res.v, traj.snapshots[n - 1], res.w,
-                        dirichlet_prev)
-        rows.append(row)
-        dirichlet_prev = row.dirichlet
-    return EnergyLedger(tuple(rows), initial)
+    """Assemble the ledger from the run's own step records, reusing the
+    energy terms each step computed."""
+    return _assemble_ledger(traj, ((r.v, r.kinetic_shifted, r.dirichlet)
+                                   for r in traj.results))
 
 
 def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
@@ -107,18 +104,11 @@ def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
     The back-traced field is recomputed here, so this builder picks up
     any post-run modification of the snapshots.
     """
-    cfg = traj.cfg
-    rows = []
-    dirichlet_prev = grad_norm_sq(traj.snapshots[0])
-    initial = dirichlet_prev
-    for n in range(1, len(traj.snapshots)):
-        v_prev = traj.snapshots[n - 1]
-        v = traj.snapshots[n]
-        w = backtrace(v_prev, cfg.h, cfg.interp_order)
-        row = _make_row(n, cfg.h, v, v_prev, w, dirichlet_prev)
-        rows.append(row)
-        dirichlet_prev = row.dirichlet
-    return EnergyLedger(tuple(rows), initial)
+    h, order = traj.cfg.h, traj.cfg.interp_order
+    snaps = traj.snapshots
+    return _assemble_ledger(traj, (
+        (v, *energy_terms(v, backtrace(v_prev, h, order), h))
+        for v_prev, v in zip(snaps, snaps[1:])))
 
 
 def ledger_to_csv(ledger: EnergyLedger) -> str:

@@ -63,19 +63,15 @@ class GridSpec:
     cells: tuple[int, int]
     extent: tuple[float, float] = (TWO_PI, TWO_PI)
     bc: BoundaryCondition = BoundaryCondition.PERIODIC
-    dim: int = 2
 
     def __init__(self, cells, extent=(TWO_PI, TWO_PI),
-                 bc=BoundaryCondition.PERIODIC, dim=2):
+                 bc=BoundaryCondition.PERIODIC):
         object.__setattr__(self, "cells", tuple(int(c) for c in _as_pair(cells, "cells")))
         object.__setattr__(self, "extent", tuple(float(e) for e in _as_pair(extent, "extent")))
         object.__setattr__(self, "bc", bc)
-        object.__setattr__(self, "dim", int(dim))
         self._validate()
 
     def _validate(self) -> None:
-        if self.dim != 2:
-            raise ValueError("only dim = 2 is implemented")
         for n in self.cells:
             if n < 8:
                 raise ValueError(f"need >= 8 cells per axis, got {n}")
@@ -394,10 +390,6 @@ def quadrature_weights(spec: GridSpec) -> np.ndarray:
         w = w1x[:, None] * w1y[None, :]
     w.flags.writeable = False
     return w
-
-
-def integrate_scalar(f: ScalarField) -> float:
-    return float(np.sum(quadrature_weights(f.spec) * f.data))
 
 
 def inner_product_l2(a: VelocityField, b: VelocityField) -> float:

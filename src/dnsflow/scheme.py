@@ -101,16 +101,20 @@ class DnsConfig:
 class StepResult:
     """One step's fields and diagnostics.
 
-    ``stokes_outer`` counts the outer Uzawa iterations of the implicit
-    Stokes solve that produced v: 0 on the periodic FFT path and on the
-    direct-minimize path.
+    ``kinetic_shifted`` and ``dirichlet`` are :func:`energy_terms` at v;
+    ``max_divergence`` is max |div v|. ``stokes_outer`` counts the outer
+    Uzawa iterations of the implicit Stokes solve that produced v: 0 on
+    the periodic FFT path and on the direct-minimize path.
     """
 
     v: VelocityField
     p: ScalarField
     w: VelocityField
+    kinetic_shifted: float
+    dirichlet: float
     functional_value: float
     el_residual: float
+    max_divergence: float
     path_disagreement: float | None = None
     stokes_outer: int = 0
 
@@ -159,21 +163,16 @@ def functional_value(v: VelocityField, v_prev: VelocityField, h: float,
                      nu: float = 1.0,
                      order: InterpOrder = InterpOrder.LINEAR) -> float:
     """Quadrature value of the step functional I[v]."""
-    w = backtrace(v_prev, h, order)
-    return _functional_given_w(v, w, h, nu)
+    kinetic, dirichlet = energy_terms(v, backtrace(v_prev, h, order), h)
+    return kinetic + 0.5 * nu * dirichlet
 
 
-def _functional_given_w(v: VelocityField, w: VelocityField, h: float,
-                        nu: float) -> float:
+def energy_terms(v: VelocityField, w: VelocityField,
+                 h: float) -> tuple[float, float]:
+    """The two terms of I[v] for the back-traced field w: the shifted
+    kinetic term int |v - w|^2 / 2h and the Dirichlet energy int |Dv|^2."""
     d = v - w
-    return inner_product_l2(d, d) / (2.0 * h) + 0.5 * nu * grad_norm_sq(v)
-
-
-def _el_residual(v: VelocityField, w: VelocityField, h: float,
-                 nu: float) -> float:
-    """Norm of the solenoidal part of (v - w)/h - nu lap(v)."""
-    resid = (v - w) * (1.0 / h) - nu * laplacian(v)
-    return norm_l2(leray_project(resid).solenoidal)
+    return inner_product_l2(d, d) / (2.0 * h), grad_norm_sq(v)
 
 
 def _minimize_projected_cg(w: VelocityField, h: float, nu: float,
@@ -215,13 +214,6 @@ def _minimize_projected_cg(w: VelocityField, h: float, nu: float,
     return x, k, math.sqrt(rs) <= tol * b_norm
 
 
-def _recover_pressure(v: VelocityField, w: VelocityField, h: float,
-                      nu: float) -> ScalarField:
-    """Read the pressure off the residual h grad(p) = w - v + h nu lap(v)."""
-    resid = (w - v) * (1.0 / h) + nu * laplacian(v)
-    return leray_project(resid).potential.demeaned()
-
-
 def dns_step(v_prev: VelocityField, cfg: DnsConfig,
              solver: StokesSolver | None = None) -> StepResult:
     """Advance one step; v_prev is assumed divergence-free."""
@@ -233,7 +225,7 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
             raise SolverFailure(
                 f"implicit Stokes solve hit the iteration cap "
                 f"(max divergence {info.max_divergence:.3e})")
-        return v, p, info.outer_iterations
+        return v, p, info
 
     def direct():
         v, iters, ok = _minimize_projected_cg(
@@ -241,23 +233,35 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
         if not ok:
             raise SolverFailure(
                 f"projected CG minimizer did not converge in {iters} iterations")
-        return v, _recover_pressure(v, w, cfg.h, cfg.nu), 0
+        return v
 
     if cfg.path is SolvePath.EULER_LAGRANGE:
-        v, p, outer = euler_lagrange()
+        v, p, info = euler_lagrange()
+        outer, max_div = info.outer_iterations, info.max_divergence
     else:
-        v, p, outer = direct()
+        v = direct()
+        outer, max_div = 0, float(np.max(np.abs(divergence(v).data)))
 
     gap = None
     if cfg.cross_check:
-        v_other, _, _ = (direct() if cfg.path is SolvePath.EULER_LAGRANGE
-                         else euler_lagrange())
+        v_other = (direct() if cfg.path is SolvePath.EULER_LAGRANGE
+                   else euler_lagrange()[0])
         gap = norm_l2(v - v_other)
 
+    kinetic, dirichlet = energy_terms(v, w, cfg.h)
+    # Leray split of the step residual (v - w)/h - nu lap(v): its solenoidal
+    # part vanishes at the minimizer and its potential is -p, since
+    # h grad(p) = w - v + h nu lap(v)
+    split = leray_project((v - w) * (1.0 / cfg.h) - cfg.nu * laplacian(v))
+    if cfg.path is SolvePath.DIRECT_MINIMIZE:
+        p = (split.potential * -1.0).demeaned()
     return StepResult(
         v=v, p=p, w=w,
-        functional_value=_functional_given_w(v, w, cfg.h, cfg.nu),
-        el_residual=_el_residual(v, w, cfg.h, cfg.nu),
+        kinetic_shifted=kinetic,
+        dirichlet=dirichlet,
+        functional_value=kinetic + 0.5 * cfg.nu * dirichlet,
+        el_residual=norm_l2(split.solenoidal),
+        max_divergence=max_div,
         path_disagreement=gap,
         stokes_outer=outer,
     )

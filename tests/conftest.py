@@ -5,9 +5,14 @@ import pytest
 
 from dnsflow import (
     BoundaryCondition,
+    DnsConfig,
     GridSpec,
+    InterpOrder,
     ScalarField,
+    SolvePath,
     VelocityField,
+    random_solenoidal_field,
+    run,
 )
 from dnsflow import projection
 
@@ -27,6 +32,23 @@ def periodic64():
 @pytest.fixture(scope="session")
 def dirichlet32():
     return GridSpec(32, bc=BoundaryCondition.DIRICHLET_ZERO)
+
+
+SMALL_RUN_CASES = [(bc, path, order) for bc in BoundaryCondition
+                   for path in SolvePath for order in InterpOrder]
+
+
+@pytest.fixture(scope="session", params=SMALL_RUN_CASES,
+                ids=lambda case: "-".join(e.value for e in case))
+def small_run(request):
+    """Four steps from random solenoidal data on a 16-cell grid, for each
+    backend, solve path and interpolation order."""
+    bc, path, order = request.param
+    spec = GridSpec(16, bc=bc)
+    cfg = DnsConfig(h=0.0125, T=0.05, grid=spec, interp_order=order,
+                    path=path, nu=0.7, minimizer_tol=1e-8,
+                    minimizer_max_iters=2000)
+    return run(random_solenoidal_field(spec, seed=17), cfg)
 
 
 def random_scalar(spec: GridSpec, seed: int, k_max: int = 5) -> ScalarField:
@@ -65,12 +87,12 @@ def random_pinned_velocity(spec: GridSpec, seed: int) -> VelocityField:
     return VelocityField(spec, data)
 
 
-def failing_poisson_cg(apply_a, b, x0, rel_tol, max_iters, stop_fn=None,
-                       abs_tol=0.0):
+def failing_poisson_cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0,
+                       stop_fn=None):
     """Stand-in for projection._cg: every Neumann Poisson CG reports
     non-convergence after two iterations; the Uzawa loop (the only caller
     with a stop rule) keeps the real CG."""
     if stop_fn is not None:
-        return _real_cg(apply_a, b, x0, rel_tol, max_iters, stop_fn)
-    x, k, _ = _real_cg(apply_a, b, x0, rel_tol, 2, abs_tol=abs_tol)
+        return _real_cg(apply_a, b, x0, max_iters, stop_fn=stop_fn)
+    x, k, _ = _real_cg(apply_a, b, x0, 2, rel_tol, abs_tol)
     return x, k, False

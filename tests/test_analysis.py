@@ -67,14 +67,14 @@ def test_zero_trajectory_ledger(zero_run):
     assert rep.max_fitted_c == 0.0
 
 
-def test_ledger_builders_agree(tg_mini_run):
-    fast = ledger_from_results(tg_mini_run)
-    slow = build_energy_ledger(tg_mini_run)
-    assert len(fast) == len(slow)
-    for a, b in zip(fast.rows, slow.rows):
-        assert a.kinetic_shifted == pytest.approx(b.kinetic_shifted, rel=1e-12)
-        assert a.kinetic_plain == pytest.approx(b.kinetic_plain, rel=1e-12)
-        assert a.dirichlet == pytest.approx(b.dirichlet, rel=1e-12)
+def test_ledger_builders_agree(small_run):
+    # the step records and the recomputation from snapshots evaluate the
+    # same terms with the same operations: every row agrees exactly
+    fast = ledger_from_results(small_run)
+    slow = build_energy_ledger(small_run)
+    assert len(fast) == len(slow) == len(small_run.results)
+    assert fast.initial_dirichlet == slow.initial_dirichlet
+    assert fast.rows == slow.rows
 
 
 def test_ledger_terms_finite_nonnegative(tg_mini_run):

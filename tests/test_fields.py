@@ -46,7 +46,6 @@ def test_dirichlet_grid_has_wall_nodes(dirichlet32):
     dict(cells=15),                       # odd periodic cells
     dict(cells=(16, 32)),                 # non-square cells
     dict(cells=16, extent=-1.0),
-    dict(cells=16, dim=3),
 ])
 def test_grid_spec_rejects(bad):
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dnsflow import (
+    BoundaryCondition,
     DnsConfig,
     ProjectionError,
     GridSpec,
@@ -15,6 +16,7 @@ from dnsflow import (
     dns_step,
     functional_value,
     inner_product_l2,
+    laplacian,
     leray_project,
     norm_l2,
     random_solenoidal_field,
@@ -22,6 +24,7 @@ from dnsflow import (
     taylor_green_field,
 )
 from dnsflow import projection
+from dnsflow.scheme import energy_terms
 
 from conftest import failing_poisson_cg, random_pinned_velocity
 
@@ -181,6 +184,45 @@ def test_step_result_invariants_dirichlet(dirichlet32):
     # stationarity: the projected residual of the step equation
     assert res.el_residual < 1e-8
     assert abs(res.p.mean()) < 1e-12
+
+
+def test_step_records_its_diagnostics(small_run):
+    cfg = small_run.cfg
+    for v_prev, r in zip(small_run.snapshots, small_run.results):
+        assert r.max_divergence == float(np.max(np.abs(divergence(r.v).data)))
+        assert (r.kinetic_shifted, r.dirichlet) == energy_terms(r.v, r.w, cfg.h)
+        assert r.functional_value == r.kinetic_shifted + 0.5 * cfg.nu * r.dirichlet
+        assert r.functional_value == functional_value(
+            r.v, v_prev, cfg.h, cfg.nu, cfg.interp_order)
+
+
+def _two_projection_pressure(v, w, h, nu):
+    """Reference: the direct path's pressure from a Leray split of its
+    own residual h grad(p) = w - v + h nu lap(v)."""
+    resid = (w - v) * (1.0 / h) + nu * laplacian(v)
+    return leray_project(resid).potential.demeaned()
+
+
+def _two_projection_el_residual(v, w, h, nu):
+    resid = (v - w) * (1.0 / h) - nu * laplacian(v)
+    return norm_l2(leray_project(resid).solenoidal)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda b: b.value)
+def test_direct_path_shares_one_projection(bc):
+    # p and the EL residual come from one split of the step residual; they
+    # must equal the two separate projections of it and of its negative
+    spec = GridSpec(16, bc=bc)
+    cfg = DnsConfig(h=0.0125, T=0.025, grid=spec, nu=0.7,
+                    path=SolvePath.DIRECT_MINIMIZE, cross_check=True,
+                    minimizer_tol=1e-8, minimizer_max_iters=2000)
+    traj = run(random_solenoidal_field(spec, seed=23), cfg)
+    for r in traj.results:
+        assert r.path_disagreement is not None
+        assert np.array_equal(
+            r.p.data, _two_projection_pressure(r.v, r.w, cfg.h, cfg.nu).data)
+        assert r.el_residual == _two_projection_el_residual(r.v, r.w, cfg.h,
+                                                            cfg.nu)
 
 
 def test_direct_minimize_dirichlet_consistent(dirichlet32):
