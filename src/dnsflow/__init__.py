@@ -37,8 +37,6 @@ from .scheme import (
 from .analysis import (
     AnalyticVectorField,
     EnergyLedger,
-    InterpolantMode,
-    TimeInterpolant,
     build_energy_ledger,
     check_cumulative_estimate,
     check_step_inequality,

@@ -3,7 +3,9 @@
 Everything here is read-only over completed trajectories: the per-step
 energy inequality and its cumulative exponential bound, the gradient
 scaling monitor, the material-derivative quadrature identity, the
-time interpolants and the discrete weak-form residual.
+largest step increment (the gap between the piecewise-constant and
+piecewise-linear time interpolants) and the discrete weak-form
+residual.
 
 Weak-form test functions are separable, phi = eta(t) curl psi(x): a
 ``TestFunction`` holds only the stream modes of psi, and the time bump
@@ -15,7 +17,6 @@ takes every snapshot's inner products against all phi in one pass.
 
 from __future__ import annotations
 
-import enum
 import io
 import math
 from dataclasses import dataclass
@@ -315,45 +316,7 @@ def material_derivative_identity(field: AnalyticVectorField, h: float,
 
 
 # ---------------------------------------------------------------------------
-# time interpolants
-
-class InterpolantMode(enum.Enum):
-    PIECEWISE_CONSTANT = "piecewise_constant"
-    PIECEWISE_LINEAR = "piecewise_linear"
-
-
-@dataclass(frozen=True)
-class TimeInterpolant:
-    """Sampler over (0, T] for the stored snapshot sequence.
-
-    Piecewise constant returns v_n on (t_{n-1}, t_n]; piecewise linear
-    returns the convex combination matching v_n at the nodes.
-    """
-
-    times: np.ndarray
-    snapshots: tuple[VelocityField, ...]
-    mode: InterpolantMode
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory,
-                        mode: InterpolantMode) -> "TimeInterpolant":
-        return cls(np.asarray(traj.times, dtype=np.float64),
-                   tuple(traj.snapshots), mode)
-
-    def __call__(self, t: float) -> VelocityField:
-        times = self.times
-        if t < times[0] - 1e-14 or t > times[-1] + 1e-14:
-            raise ValueError(f"time {t} outside [{times[0]}, {times[-1]}]")
-        if t <= times[0]:
-            return self.snapshots[0]
-        n = int(np.searchsorted(times, t, side="left"))
-        n = min(max(n, 1), len(times) - 1)
-        if self.mode is InterpolantMode.PIECEWISE_CONSTANT:
-            return self.snapshots[n]
-        h = times[n] - times[n - 1]
-        theta = (t - times[n - 1]) / h
-        return self.snapshots[n] * theta + self.snapshots[n - 1] * (1.0 - theta)
-
+# time increments
 
 def max_step_increment(traj: Trajectory) -> float:
     """max_n |v_n - v_{n-1}|_L2, the gap between the two interpolants."""

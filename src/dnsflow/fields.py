@@ -287,6 +287,17 @@ def _spectral_kit(spec: GridSpec):
     return KX, KY, K2
 
 
+def _parseval_norm_sq(spec: GridSpec, f_hat: np.ndarray) -> float:
+    """Rectangle-rule integral of |f|^2 (summed over leading axes) from
+    f's rfft2 half-spectrum: each column but ky = 0 and Nyquist counts
+    twice, for its conjugate."""
+    nx, ny = spec.cells
+    col = np.full(ny // 2 + 1, 2.0)
+    col[0] = col[-1] = 1.0
+    power = f_hat.real ** 2 + f_hat.imag ** 2
+    return float(spec.spacing ** 2 / (nx * ny) * np.sum(col * power))
+
+
 def _spectral_ddx(spec: GridSpec, data: np.ndarray, axis: int) -> np.ndarray:
     KX, KY, _ = _spectral_kit(spec)
     K = KX if axis == 0 else KY

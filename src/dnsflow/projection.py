@@ -29,6 +29,7 @@ from .fields import (
     ScalarField,
     VelocityField,
     _fd_laplacian,
+    _parseval_norm_sq,
     _spectral_kit,
     divergence,
     quadrature_weights,
@@ -53,6 +54,10 @@ class HelmholtzParts:
 
 @dataclass(frozen=True)
 class StokesInfo:
+    """``momentum_residual`` is the residual of the solved system, the
+    L2 norm of v - h nu lap(v) + h grad(p) - w for the returned v and p:
+    interior rows weighted dx^2 on the box, Parseval on the torus."""
+
     converged: bool
     outer_iterations: int
     max_divergence: float
@@ -120,16 +125,20 @@ def _stokes_periodic(w: VelocityField, h: float, nu: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_hat = np.where(K2 > 0.0, div_hat / (-K2), 0.0)
         p_hat = np.where(K2 > 0.0, div_hat / (-h * K2), 0.0)
-    pu_hat = wu_hat - 1j * KX * phi_hat
-    pv_hat = wv_hat - 1j * KY * phi_hat
     sym = 1.0 + h * nu * K2
-    v = VelocityField(spec, np.stack([
-        np.fft.irfft2(pu_hat / sym, s=shape),
-        np.fft.irfft2(pv_hat / sym, s=shape),
-    ]))
+    vu_hat = (wu_hat - 1j * KX * phi_hat) / sym
+    vv_hat = (wv_hat - 1j * KY * phi_hat) / sym
+    v = VelocityField(spec, np.stack([np.fft.irfft2(vu_hat, s=shape),
+                                      np.fft.irfft2(vv_hat, s=shape)]))
     p = ScalarField(spec, np.fft.irfft2(p_hat, s=shape)).demeaned()
+    # the operator is formed afresh, not taken from sym, so the residual
+    # checks the division as well as the pressure
+    op = 1.0 + h * nu * (KX ** 2 + KY ** 2)
+    mom_hat = np.stack([vu_hat * op + 1j * h * KX * p_hat - wu_hat,
+                        vv_hat * op + 1j * h * KY * p_hat - wv_hat])
+    mom_res = math.sqrt(_parseval_norm_sq(spec, mom_hat))
     return v, p, StokesInfo(True, 0, float(np.max(np.abs(divergence(v).data))),
-                            0.0)
+                            mom_res)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +174,14 @@ def _pin_walls(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _leray_dirichlet(u: VelocityField, rel_tol: float,
-                     max_iters: int | None) -> HelmholtzParts:
+_POISSON_REL_TOL = 1e-10
+_POISSON_ITERS_PER_CELL = 100
+
+
+def _leray_dirichlet(u: VelocityField) -> HelmholtzParts:
     spec = u.spec
     grad_i, grad_t, w = _dirichlet_ops(spec)
-    if max_iters is None:
-        max_iters = 100 * max(spec.cells)
+    max_iters = _POISSON_ITERS_PER_CELL * max(spec.cells)
     b = grad_t(u.data[0], u.data[1])
 
     def apply_l(p):
@@ -182,8 +193,8 @@ def _leray_dirichlet(u: VelocityField, rel_tol: float,
     umax = float(np.max(np.abs(u.data)))
     floor = (64.0 * np.finfo(float).eps * spec.spacing * umax
              * math.sqrt(spec.node_count))
-    phi, k, ok = _cg(apply_l, b, np.zeros_like(b), max_iters, rel_tol,
-                     abs_tol=floor)
+    phi, k, ok = _cg(apply_l, b, np.zeros_like(b), max_iters,
+                     _POISSON_REL_TOL, abs_tol=floor)
     if not ok:
         res = float(np.sqrt(np.sum((b - apply_l(phi)) ** 2)))
         raise ProjectionError("Neumann Poisson CG did not converge", res, k)
@@ -284,17 +295,18 @@ class StokesSolver:
 # ---------------------------------------------------------------------------
 # public entry points
 
-def leray_project(u: VelocityField, rel_tol: float = 1e-10,
-                  max_iters: int | None = None) -> HelmholtzParts:
+def leray_project(u: VelocityField) -> HelmholtzParts:
     """Split u into a divergence-free part plus a gradient.
 
     The potential solves the discrete Poisson problem driven by the
     divergence of u (spectral division on the torus, Neumann CG on the
-    box); the solenoidal part is u minus its gradient.
+    box); the solenoidal part is u minus its gradient. The box CG stops
+    at relative residual 1e-10 and raises ProjectionError after 100
+    iterations per cell of the longer axis.
     """
     if u.spec.is_periodic:
         return _leray_periodic(u)
-    return _leray_dirichlet(u, rel_tol, max_iters)
+    return _leray_dirichlet(u)
 
 
 def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0,

@@ -105,6 +105,12 @@ class StepResult:
     ``max_divergence`` is max |div v|. ``stokes_outer`` counts the outer
     Uzawa iterations of the implicit Stokes solve that produced v: 0 on
     the periodic FFT path and on the direct-minimize path.
+
+    ``el_residual`` is the norm of the solenoidal part of (v - w)/h -
+    nu lap(v) on the direct-minimize path (from the split that gives p).
+    On the Euler-Lagrange path it is the Stokes ``momentum_residual / h``,
+    the norm of (v - w)/h - nu lap(v) + grad(p), an upper bound of the
+    former: the Leray projector is orthogonal and removes grad(p).
     """
 
     v: VelocityField
@@ -225,6 +231,10 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
             raise SolverFailure(
                 f"implicit Stokes solve hit the iteration cap "
                 f"(max divergence {info.max_divergence:.3e})")
+        if not math.isfinite(info.momentum_residual):
+            # finite fields whose residual overflows cannot be certified
+            raise NonFiniteFieldError(
+                "implicit Stokes momentum residual is non-finite")
         return v, p, info
 
     def direct():
@@ -238,9 +248,16 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
     if cfg.path is SolvePath.EULER_LAGRANGE:
         v, p, info = euler_lagrange()
         outer, max_div = info.outer_iterations, info.max_divergence
+        el_res = info.momentum_residual / cfg.h
     else:
         v = direct()
         outer, max_div = 0, float(np.max(np.abs(divergence(v).data)))
+        # Leray split of the step residual (v - w)/h - nu lap(v): its
+        # solenoidal part vanishes at the minimizer and its potential is
+        # -p, since h grad(p) = w - v + h nu lap(v)
+        split = leray_project((v - w) * (1.0 / cfg.h) - cfg.nu * laplacian(v))
+        p = (split.potential * -1.0).demeaned()
+        el_res = norm_l2(split.solenoidal)
 
     gap = None
     if cfg.cross_check:
@@ -249,18 +266,12 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
         gap = norm_l2(v - v_other)
 
     kinetic, dirichlet = energy_terms(v, w, cfg.h)
-    # Leray split of the step residual (v - w)/h - nu lap(v): its solenoidal
-    # part vanishes at the minimizer and its potential is -p, since
-    # h grad(p) = w - v + h nu lap(v)
-    split = leray_project((v - w) * (1.0 / cfg.h) - cfg.nu * laplacian(v))
-    if cfg.path is SolvePath.DIRECT_MINIMIZE:
-        p = (split.potential * -1.0).demeaned()
     return StepResult(
         v=v, p=p, w=w,
         kinetic_shifted=kinetic,
         dirichlet=dirichlet,
         functional_value=kinetic + 0.5 * cfg.nu * dirichlet,
-        el_residual=norm_l2(split.solenoidal),
+        el_residual=el_res,
         max_divergence=max_div,
         path_disagreement=gap,
         stokes_outer=outer,

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from dnsflow import (
     AnalyticVectorField,
@@ -11,9 +9,7 @@ from dnsflow import (
     EnergyLedger,
     GridSpec,
     InterpOrder,
-    InterpolantMode,
     TaylorGreenOracle,
-    TimeInterpolant,
     VelocityField,
     build_energy_ledger,
     check_cumulative_estimate,
@@ -258,55 +254,7 @@ def test_material_derivative_validates_args(periodic32):
 
 
 # ---------------------------------------------------------------------------
-# time interpolants
-
-def test_piecewise_constant_returns_right_endpoint(tg_mini_run):
-    interp = TimeInterpolant.from_trajectory(tg_mini_run,
-                                             InterpolantMode.PIECEWISE_CONSTANT)
-    h = tg_mini_run.cfg.h
-    v = interp(0.4 * h)
-    assert np.array_equal(v.data, tg_mini_run.snapshots[1].data)
-    v = interp(h)
-    assert np.array_equal(v.data, tg_mini_run.snapshots[1].data)
-    assert np.array_equal(interp(0.0).data, tg_mini_run.snapshots[0].data)
-
-
-def test_piecewise_linear_matches_nodes_and_blends(tg_mini_run):
-    interp = TimeInterpolant.from_trajectory(tg_mini_run,
-                                             InterpolantMode.PIECEWISE_LINEAR)
-    h = tg_mini_run.cfg.h
-    for n in range(len(tg_mini_run.snapshots)):
-        assert norm_l2(interp(n * h) - tg_mini_run.snapshots[n]) < 1e-13
-    blend = interp(1.25 * h)
-    expect = (tg_mini_run.snapshots[1] * 0.75 + tg_mini_run.snapshots[2] * 0.25)
-    assert norm_l2(blend - expect) < 1e-13
-
-
-@settings(max_examples=20, deadline=None)
-@given(frac=st.floats(1e-6, 1.0))
-def test_interpolant_consistency_bound(frac):
-    spec = GridSpec(16)
-    a, _ = taylor_green_field(0.0, spec)
-    cfg = DnsConfig(h=0.05, T=0.15, grid=spec)
-    traj = run(a, cfg)
-    lin = TimeInterpolant.from_trajectory(traj, InterpolantMode.PIECEWISE_LINEAR)
-    const = TimeInterpolant.from_trajectory(traj,
-                                            InterpolantMode.PIECEWISE_CONSTANT)
-    n = 2
-    t = (n - 1 + frac) * cfg.h
-    gap = norm_l2(lin(t) - const(t))
-    step = norm_l2(traj.snapshots[n] - traj.snapshots[n - 1])
-    assert gap <= step * (1.0 + 1e-12)
-
-
-def test_interpolant_rejects_out_of_range(tg_mini_run):
-    interp = TimeInterpolant.from_trajectory(tg_mini_run,
-                                             InterpolantMode.PIECEWISE_LINEAR)
-    with pytest.raises(ValueError):
-        interp(-0.1)
-    with pytest.raises(ValueError):
-        interp(tg_mini_run.final_time + 0.1)
-
+# time increments
 
 def test_max_step_increment(tg_mini_run):
     m = max_step_increment(tg_mini_run)

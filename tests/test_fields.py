@@ -17,7 +17,7 @@ from dnsflow import (
     laplacian,
     norm_l2,
 )
-from dnsflow.fields import _fd_partial, quadrature_weights
+from dnsflow.fields import _fd_partial, _parseval_norm_sq, quadrature_weights
 
 from conftest import random_scalar, random_velocity
 
@@ -211,6 +211,20 @@ def test_inner_product_sin_mode(periodic64):
     fld = VelocityField.from_function(
         periodic64, lambda x, y: (np.sin(x), np.zeros_like(x)))
     assert abs(inner_product_l2(fld, fld) - 2.0 * math.pi ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(16),
+    GridSpec((16, 32), extent=(math.pi, TWO_PI)),
+], ids=["16x16", "16x32"])
+def test_parseval_norm_matches_quadrature(spec):
+    # white noise fills every column, the ky = 0 and Nyquist ones included
+    data = np.random.default_rng(5).normal(size=(2,) + spec.node_shape)
+    v = VelocityField(spec, data)
+    parseval = _parseval_norm_sq(spec, np.fft.rfft2(data))
+    assert parseval == pytest.approx(inner_product_l2(v, v), rel=1e-13)
+    assert _parseval_norm_sq(spec, np.fft.rfft2(data[0])) == pytest.approx(
+        float(np.sum(quadrature_weights(spec) * data[0] ** 2)), rel=1e-13)
 
 
 def test_inner_product_spec_mismatch(periodic32, periodic64):

@@ -277,7 +277,9 @@ def _assert_one_line_reason(capsys, prefix):
 def test_cli_projection_failure_exits_3_with_step(tmp_path, capsys,
                                                   monkeypatch):
     monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
-    cfg = BOX_CFG.replace("kind = random_solenoidal", "kind = zero")
+    # the direct path projects every step; the Euler-Lagrange path does not
+    cfg = BOX_CFG.replace("kind = random_solenoidal",
+                          "kind = zero\n[scheme]\npath = direct_minimize")
     code = main(["run", "--config", _write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "out")])
     assert code == 3

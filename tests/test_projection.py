@@ -23,10 +23,15 @@ from dnsflow import (
     stream_bump_field,
     taylor_green_field,
 )
+from dnsflow import projection
 from dnsflow.fields import _fd_laplacian
 from dnsflow.projection import _cg
 
-from conftest import random_pinned_velocity, random_velocity
+from conftest import (
+    failing_poisson_cg,
+    random_pinned_velocity,
+    random_velocity,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +113,11 @@ def test_dirichlet_projection_absorbs_gradient(dirichlet32):
     assert np.max(np.abs(interior)) < 1e-9
 
 
-def test_dirichlet_projection_iteration_cap(dirichlet32):
+def test_dirichlet_projection_iteration_cap(dirichlet32, monkeypatch):
     u = random_pinned_velocity(dirichlet32, 3)
+    monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
     with pytest.raises(ProjectionError):
-        leray_project(u, max_iters=2)
+        leray_project(u)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +156,12 @@ def test_stokes_momentum_residual_periodic(periodic32):
     from dnsflow import laplacian
     h = 0.02
     w = random_velocity(periodic32, 9)
-    v, p, _ = solve_implicit_stokes(w, h)
+    v, p, info = solve_implicit_stokes(w, h)
     resid = v - laplacian(v) * h + gradient(p) * h - w
     assert norm_l2(resid) < 1e-11 * max(norm_l2(w), 1.0)
+    # the solve's own Parseval residual is the same quantity
+    assert (abs(info.momentum_residual - norm_l2(resid))
+            <= 1e-12 * max(norm_l2(w), 1.0))
     assert np.max(np.abs(divergence(v).data)) < 1e-11
 
 

@@ -23,7 +23,7 @@ from dnsflow import (
     run,
     taylor_green_field,
 )
-from dnsflow import projection
+from dnsflow import projection, scheme
 from dnsflow.scheme import energy_terms
 
 from conftest import failing_poisson_cg, random_pinned_velocity
@@ -181,7 +181,7 @@ def test_step_result_invariants_dirichlet(dirichlet32):
     res = dns_step(a, cfg)
     assert res.v.is_boundary_compliant()
     assert np.max(np.abs(divergence(res.v).data)) < 1e-8
-    # stationarity: the projected residual of the step equation
+    # stationarity: the residual of the solved Stokes system, over h
     assert res.el_residual < 1e-8
     assert abs(res.p.mean()) < 1e-12
 
@@ -206,6 +206,42 @@ def _two_projection_pressure(v, w, h, nu):
 def _two_projection_el_residual(v, w, h, nu):
     resid = (v - w) * (1.0 / h) - nu * laplacian(v)
     return norm_l2(leray_project(resid).solenoidal)
+
+
+def _assert_el_residual_near_split(results, cfg):
+    # the el_residual gates of the step invariant tests: 1e-9 on the
+    # torus, 1e-8 on the box
+    tol = 1e-9 if cfg.grid.is_periodic else 1e-8
+    for r in results:
+        split = _two_projection_el_residual(r.v, r.w, cfg.h, cfg.nu)
+        assert abs(r.el_residual - split) <= tol
+
+
+def test_el_residual_matches_leray_split(small_run):
+    # the Euler-Lagrange path reports its solve's momentum residual / h,
+    # which bounds the split of (v - w)/h - nu lap(v) from above; on the
+    # direct path the two are the same split
+    _assert_el_residual_near_split(small_run.results, small_run.cfg)
+
+
+def test_el_residual_matches_leray_split_box64():
+    spec = GridSpec(64, bc=BoundaryCondition.DIRICHLET_ZERO)
+    cfg = DnsConfig(h=0.0125, T=0.0125, grid=spec)
+    traj = run(random_solenoidal_field(spec, seed=41), cfg)
+    _assert_el_residual_near_split(traj.results, cfg)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda b: b.value)
+def test_el_step_runs_no_leray_split(bc, monkeypatch):
+    def no_split(u):
+        raise AssertionError("leray_project called on the Euler-Lagrange path")
+
+    monkeypatch.setattr(scheme, "leray_project", no_split)
+    monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
+    spec = GridSpec(16, bc=bc)
+    cfg = DnsConfig(h=0.0125, T=0.0125, grid=spec, nu=0.7)
+    res = dns_step(random_solenoidal_field(spec, seed=5), cfg)
+    assert res.el_residual < 1e-8
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda b: b.value)
@@ -325,7 +361,9 @@ def test_run_wraps_projection_error_with_step_index(dirichlet32, monkeypatch,
                                                     path):
     a = leray_project(random_solenoidal_field(dirichlet32, seed=2)).solenoidal
     monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
-    cfg = DnsConfig(h=0.0125, T=0.05, grid=dirichlet32, path=path)
+    # an Euler-Lagrange step projects only in its direct-path cross-check
+    cfg = DnsConfig(h=0.0125, T=0.05, grid=dirichlet32, path=path,
+                    cross_check=True)
     with pytest.raises(SolverFailure) as err:
         run(a, cfg)
     assert err.value.step == 1
