@@ -140,19 +140,25 @@ class StepInequalityReport:
     all_hold: bool
 
 
+def _terms_finite(r: LedgerRow) -> bool:
+    return all(map(math.isfinite, (r.kinetic_shifted, r.kinetic_plain,
+                                   r.dirichlet, r.dirichlet_prev, r.fitted_c)))
+
+
 def check_step_inequality(ledger: EnergyLedger) -> StepInequalityReport:
     """Per-step dissipation bound with the plain velocity increment.
 
     A step holds when a finite C >= 0 makes
     kinetic_plain + dirichlet <= (1 + C h) dirichlet_prev. A zero
     previous Dirichlet energy with a positive left side is a vacuous
-    failure: the flow generated energy from nothing.
+    failure: the flow generated energy from nothing. A row with a
+    non-finite term never holds.
     """
     rows = []
     for r in ledger.rows:
         vacuous = (r.dirichlet_prev == 0.0
                    and r.kinetic_plain + r.dirichlet > 0.0)
-        holds = math.isfinite(r.fitted_c) and not vacuous
+        holds = _terms_finite(r) and not vacuous
         rows.append(StepInequalityRow(n=r.n, holds=holds, fitted_c=r.fitted_c,
                                       vacuous_failure=vacuous))
     max_c = max((r.fitted_c for r in rows), default=0.0)
@@ -174,7 +180,8 @@ def check_cumulative_estimate(ledger: EnergyLedger, T: float) -> CumulativeRepor
 
     For every n the partial sum of shifted kinetic terms plus half the
     current Dirichlet energy must stay below C' e^{C' T} times the
-    initial Dirichlet energy, with C' = max(max fitted C, 1).
+    initial Dirichlet energy, with C' = max(max fitted C, 1). It never
+    holds with a non-finite ledger term, left side or bound.
     """
     e0 = ledger.initial_dirichlet
     step_report = check_step_inequality(ledger)
@@ -188,10 +195,20 @@ def check_cumulative_estimate(ledger: EnergyLedger, T: float) -> CumulativeRepor
         max_lhs = max(max_lhs, lhs)
     if not math.isfinite(c_prime):
         return CumulativeReport(False, c_prime, math.inf, max_lhs, math.inf)
-    bound = c_prime * math.exp(c_prime * T) * e0
-    holds = max_lhs <= bound or max_lhs == 0.0
+    bound = _growth(c_prime, T) * e0
+    finite = (all(map(_terms_finite, ledger.rows))
+              and all(map(math.isfinite, (e0, max_lhs, bound))))
+    holds = finite and (max_lhs <= bound or max_lhs == 0.0)
     tightest = _tightest_constant(max_lhs, e0, T)
     return CumulativeReport(holds, c_prime, bound, max_lhs, tightest)
+
+
+def _growth(c: float, T: float) -> float:
+    """c e^{c T}, infinite where the exponential leaves the double range."""
+    try:
+        return c * math.exp(c * T)
+    except OverflowError:
+        return math.inf
 
 
 def _tightest_constant(max_lhs: float, e0: float, T: float) -> float:
@@ -201,13 +218,13 @@ def _tightest_constant(max_lhs: float, e0: float, T: float) -> float:
         return math.inf
     target = max_lhs / e0
     lo, hi = 0.0, 1.0
-    while hi * math.exp(hi * T) < target:
+    while _growth(hi, T) < target:
         hi *= 2.0
         if hi > 1e12:
             return math.inf
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid * T) < target:
+        if _growth(mid, T) < target:
             lo = mid
         else:
             hi = mid

@@ -266,6 +266,11 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
         gap = norm_l2(v - v_other)
 
     kinetic, dirichlet = energy_terms(v, w, cfg.h)
+    if not (math.isfinite(kinetic) and math.isfinite(dirichlet)):
+        # finite fields whose energy overflows cannot enter the ledger
+        raise NonFiniteFieldError(
+            f"step energy terms are non-finite (kinetic_shifted "
+            f"{kinetic:.3e}, dirichlet {dirichlet:.3e})")
     return StepResult(
         v=v, p=p, w=w,
         kinetic_shifted=kinetic,
@@ -284,9 +289,9 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     If a is not divergence-free within tolerance it is projected once
     and the fact is recorded on the trajectory. Each StepResult is
     streamed to the sinks as ``sink(step_index, result)``. Solver
-    failures, and fields that overflow to non-finite samples, are raised
-    as SolverFailure carrying the step index (0 for the initial datum
-    and its projection).
+    failures, and fields or step energy terms that overflow to
+    non-finite values, are raised as SolverFailure carrying the step
+    index (0 for the initial datum and its projection).
     """
     if a.spec != cfg.grid:
         raise ValueError("initial datum grid does not match the config")

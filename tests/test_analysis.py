@@ -121,6 +121,37 @@ def test_vacuous_failure_detected():
     assert rep.rows[0].vacuous_failure
 
 
+def _overflowed_ledger():
+    """Rows as an overflowing run leaves them: the energy terms are inf
+    and inf - inf made the fitted constant 0."""
+    inf = math.inf
+    rows = (LedgerRow(n=1, t=0.05, kinetic_shifted=1.0, kinetic_plain=1.0,
+                      dirichlet=2.0, dirichlet_prev=4.0, fitted_c=0.0),
+            LedgerRow(n=2, t=0.1, kinetic_shifted=inf, kinetic_plain=inf,
+                      dirichlet=inf, dirichlet_prev=2.0, fitted_c=0.0))
+    return EnergyLedger(rows, initial_dirichlet=4.0)
+
+
+def test_step_inequality_fails_non_finite_row():
+    rep = check_step_inequality(_overflowed_ledger())
+    assert [r.holds for r in rep.rows] == [True, False]
+    assert not rep.all_hold
+
+
+def test_cumulative_estimate_fails_non_finite_row_or_bound():
+    ledger = _overflowed_ledger()
+    assert not check_cumulative_estimate(ledger, 0.1).holds
+    first = EnergyLedger(ledger.rows[:1], initial_dirichlet=4.0)
+    assert check_cumulative_estimate(first, 0.1).holds
+    # an infinite initial energy makes the bound infinite
+    huge = EnergyLedger(first.rows, initial_dirichlet=math.inf)
+    rep = check_cumulative_estimate(huge, 0.1)
+    assert rep.bound == math.inf and not rep.holds
+    # so does a growth factor exp(C' T) beyond the double range
+    rep = check_cumulative_estimate(first, 1e3)
+    assert rep.bound == math.inf and not rep.holds
+
+
 def test_fitted_c_matches_inequality(tg_mini_run):
     ledger = build_energy_ledger(tg_mini_run)
     h = tg_mini_run.cfg.h

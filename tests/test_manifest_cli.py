@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import struct
 import textwrap
 
 import pytest
@@ -306,11 +308,14 @@ def test_cli_missing_snapshot_exits_2(tmp_path, capsys):
     assert str(missing) in line
 
 
-def _snapshot_lines(tmp_path):
+def _snapshot_parts(tmp_path):
+    """Header lines (through VECTORS) and data bytes of a v + p snapshot."""
     path = tmp_path / "good.vtk"
     v, p = bench.taylor_green_field(0.0, parse_manifest(BASE_CFG).cfg.grid)
     snapshot.write_vtk(path, v, p)
-    return path.read_text().splitlines()
+    raw = path.read_bytes()
+    end = raw.index(b"\n", raw.index(b"\nVECTORS") + 1) + 1
+    return raw[:end].decode().splitlines(), raw[end:]
 
 
 @pytest.mark.parametrize("damage, named", [
@@ -319,20 +324,29 @@ def _snapshot_lines(tmp_path):
     ("short_vectors", "VECTORS block is shorter than DIMENSIONS"),
     ("short_scalars", "SCALARS block is shorter than DIMENSIONS"),
     ("one_extent", "needs two extents"),
+    ("cut_mid_value", "VECTORS block is shorter than DIMENSIONS"),
+    ("nan_velocity", "non-finite"),
+    ("float_vectors", "BINARY VECTORS block has type float"),
 ])
 def test_cli_malformed_snapshot_exits_2(tmp_path, capsys, damage, named):
-    lines = _snapshot_lines(tmp_path)
+    lines, data = _snapshot_parts(tmp_path)
     if damage == "short_vectors":
-        lines = lines[:9 + 100]
+        data = data[:24 * 100]
     elif damage == "short_scalars":
-        lines = lines[:-3]
+        data = data[:-3 * 8]
     elif damage == "one_extent":
         lines[1] = "dnsflow bc=periodic extent=6.25"
+    elif damage == "cut_mid_value":
+        data = data[:24 * 100 + 5]
+    elif damage == "nan_velocity":
+        data = data[:8] + struct.pack(">d", math.nan) + data[16:]
+    elif damage == "float_vectors":
+        lines[-1] = "VECTORS velocity float"
     else:
         key = "DIMENSIONS" if damage == "no_dimensions" else "SPACING"
         lines = [line for line in lines if not line.startswith(key)]
     bad = tmp_path / "bad.vtk"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_bytes(("\n".join(lines) + "\n").encode() + data)
     with pytest.raises(ValueError, match=named):
         snapshot.read_vtk(bad)
     cfg = BASE_CFG.replace("kind = taylor_green",
@@ -365,6 +379,20 @@ def test_cli_verify_pairs_each_rung_with_its_own_horizon(tmp_path):
     assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
                  "--out", str(out)]) == 0
     assert "weak_residual_decreases: PASS" in (out / "verify.txt").read_text()
+
+
+def test_cli_energy_overflow_exits_3_with_step(tmp_path, capsys):
+    # samples near 1e160 are finite, their squares in the energy terms not
+    cfg = (BASE_CFG.replace("t = 0.2", "t = 0.1")
+           .replace("kind = taylor_green", "kind = random_solenoidal")
+           .replace("amplitude = 1.0", "amplitude = 1e160"))
+    out = tmp_path / "out"
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out)])
+    assert code == 3
+    line = _assert_one_line_reason(capsys, "solver failure: step 1: ")
+    assert "energy terms are non-finite" in line
+    assert not (out / "report.txt").exists()
 
 
 def test_cli_taylor_green_amplitude_overflow_exits_2(tmp_path, capsys):
