@@ -26,7 +26,6 @@ import numpy as np
 
 from .fields import (
     GridSpec,
-    VelocityField,
     advection_term,
     grad_max_norm,
     grad_norm_sq,
@@ -172,7 +171,6 @@ class CumulativeReport:
     c_prime: float
     bound: float
     max_lhs: float
-    tightest_c: float
 
 
 def check_cumulative_estimate(ledger: EnergyLedger, T: float) -> CumulativeReport:
@@ -194,13 +192,12 @@ def check_cumulative_estimate(ledger: EnergyLedger, T: float) -> CumulativeRepor
         lhs = kin_sum + 0.5 * r.dirichlet
         max_lhs = max(max_lhs, lhs)
     if not math.isfinite(c_prime):
-        return CumulativeReport(False, c_prime, math.inf, max_lhs, math.inf)
+        return CumulativeReport(False, c_prime, math.inf, max_lhs)
     bound = _growth(c_prime, T) * e0
     finite = (all(map(_terms_finite, ledger.rows))
               and all(map(math.isfinite, (e0, max_lhs, bound))))
     holds = finite and (max_lhs <= bound or max_lhs == 0.0)
-    tightest = _tightest_constant(max_lhs, e0, T)
-    return CumulativeReport(holds, c_prime, bound, max_lhs, tightest)
+    return CumulativeReport(holds, c_prime, bound, max_lhs)
 
 
 def _growth(c: float, T: float) -> float:
@@ -209,26 +206,6 @@ def _growth(c: float, T: float) -> float:
         return c * math.exp(c * T)
     except OverflowError:
         return math.inf
-
-
-def _tightest_constant(max_lhs: float, e0: float, T: float) -> float:
-    if max_lhs == 0.0:
-        return 0.0
-    if e0 == 0.0:
-        return math.inf
-    target = max_lhs / e0
-    lo, hi = 0.0, 1.0
-    while _growth(hi, T) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _growth(mid, T) < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def stable_within_factor(values: Sequence[float], factor: float = 2.0,
@@ -357,11 +334,6 @@ class TestFunction:
     """
 
     modes: tuple[tuple[int, int, float], ...]
-
-    @property
-    def label(self) -> str:
-        return "curl[" + " + ".join(f"{a:g} sin({k1}x)sin({k2}y)"
-                                    for k1, k2, a in self.modes) + "] * bump"
 
     def on_grid(self, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         """curl psi = (d psi/dy, -d psi/dx) and its Jacobian at the grid

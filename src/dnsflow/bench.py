@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import AnalyticVectorField, build_energy_ledger, check_step_inequality
-from .fields import BoundaryCondition, GridSpec, ScalarField, VelocityField, norm_l2
+from .analysis import AnalyticVectorField, check_step_inequality, ledger_from_results
+from .fields import GridSpec, ScalarField, VelocityField, norm_l2, pin_walls
 from .scheme import DnsConfig, run
 
 TWO_PI = 2.0 * math.pi
@@ -126,7 +126,6 @@ def random_solenoidal_field(spec: GridSpec, seed: int, k_min: int = 1,
     """
     rng = np.random.default_rng(seed)
     X, Y = spec.mesh()
-    psi = np.zeros(spec.node_shape)
     psi_x = np.zeros(spec.node_shape)
     psi_y = np.zeros(spec.node_shape)
     if spec.is_periodic:
@@ -138,7 +137,6 @@ def random_solenoidal_field(spec: GridSpec, seed: int, k_min: int = 1,
                 amp = rng.normal() / max(k2, 1)
                 ph = rng.uniform(0.0, TWO_PI)
                 arg = kx * X + ky * Y + ph
-                psi += amp * np.cos(arg)
                 psi_x += -amp * kx * np.sin(arg)
                 psi_y += -amp * ky * np.sin(arg)
     else:
@@ -150,7 +148,6 @@ def random_solenoidal_field(spec: GridSpec, seed: int, k_min: int = 1,
                 ay = math.pi * my / ly
                 sx2 = np.sin(ax * X) ** 2
                 sy2 = np.sin(ay * Y) ** 2
-                psi += amp * sx2 * sy2
                 psi_x += amp * 2.0 * ax * np.sin(ax * X) * np.cos(ax * X) * sy2
                 psi_y += amp * 2.0 * ay * sx2 * np.sin(ay * Y) * np.cos(ay * Y)
     u = psi_y
@@ -159,11 +156,7 @@ def random_solenoidal_field(spec: GridSpec, seed: int, k_min: int = 1,
     if scale > 0.0:
         u = u * (amplitude / scale)
         v = v * (amplitude / scale)
-    data = np.stack([u, v])
-    if spec.bc is BoundaryCondition.DIRICHLET_ZERO:
-        data[:, 0, :] = data[:, -1, :] = 0.0
-        data[:, :, 0] = data[:, :, -1] = 0.0
-    return VelocityField(spec, data)
+    return VelocityField(spec, pin_walls(spec, np.stack([u, v])))
 
 
 def stream_bump_field(spec: GridSpec, amplitude: float = 1.0) -> VelocityField:
@@ -236,8 +229,7 @@ def _run_rung(cfg: DnsConfig, oracle: TaylorGreenOracle) -> ConvergenceRow:
     t_cmp = traj.final_time
     exact, _ = taylor_green_field(t_cmp, cfg.grid, oracle)
     err = norm_l2(traj.snapshots[-1] - exact)
-    ledger = build_energy_ledger(traj)
-    max_c = check_step_inequality(ledger).max_fitted_c
+    max_c = check_step_inequality(ledger_from_results(traj)).max_fitted_c
     return ConvergenceRow(h=cfg.h, cells=cfg.grid.cells[0], l2_error=err,
                           order=None, max_fitted_c=max_c, runtime_s=runtime,
                           compare_time=t_cmp)

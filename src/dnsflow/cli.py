@@ -80,11 +80,18 @@ def _ladder_configs(man: RunManifest) -> list[DnsConfig]:
             for h in sorted(man.ladder_hs, reverse=True)]
 
 
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """Worker threads that ignore numpy's floating-point warnings, as
+    ``main`` does on its own thread: numpy's error state is per thread."""
+    return ThreadPoolExecutor(threads, initializer=np.seterr,
+                              initargs=("ignore",))
+
+
 def _run_ladder(man: RunManifest, a: VelocityField,
                 configs) -> list[Trajectory]:
     """Run every rung from the one (immutable) initial datum a."""
     if man.threads > 1:
-        with ThreadPoolExecutor(max_workers=man.threads) as pool:
+        with _pool(man.threads) as pool:
             return list(pool.map(lambda cfg: run(a, cfg), configs))
     return [run(a, cfg) for cfg in configs]
 
@@ -252,7 +259,7 @@ def cmd_converge(man: RunManifest) -> int:
                           "Taylor-Green oracle; set initial kind accordingly")
     cells = man.ladder_cells or (man.cfg.grid.cells[0],)
     oracle = _oracle(man)
-    pool = ThreadPoolExecutor(man.threads) if man.threads > 1 else None
+    pool = _pool(man.threads) if man.threads > 1 else None
     # the study's ValueErrors are about its inputs: the grids, the rungs'
     # h and whether the oracle fits the grid
     try:

@@ -25,17 +25,19 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def parse_enum(enum_cls, text: str, what: str):
+    """The member of ``enum_cls`` whose value is ``text``, ignoring case
+    and surrounding blanks; ValueError ``unknown <what> <text>`` if none."""
+    key = text.strip().lower()
+    for member in enum_cls:
+        if member.value == key:
+            return member
+    raise ValueError(f"unknown {what} {text!r}")
+
+
 class BoundaryCondition(enum.Enum):
     PERIODIC = "periodic"
     DIRICHLET_ZERO = "dirichlet"
-
-    @classmethod
-    def parse(cls, text: str) -> "BoundaryCondition":
-        key = text.strip().lower()
-        for bc in cls:
-            if bc.value == key:
-                return bc
-        raise ValueError(f"unknown boundary condition {text!r}")
 
 
 class NonFiniteFieldError(ValueError):
@@ -222,11 +224,7 @@ class VelocityField:
         u, v = fn(X, Y)
         data = np.stack([np.asarray(u, dtype=np.float64),
                          np.asarray(v, dtype=np.float64)])
-        if spec.bc is BoundaryCondition.DIRICHLET_ZERO:
-            data = data.copy()
-            data[:, 0, :] = data[:, -1, :] = 0.0
-            data[:, :, 0] = data[:, :, -1] = 0.0
-        return cls(spec, data)
+        return cls(spec, pin_walls(spec, data))
 
     def is_boundary_compliant(self) -> bool:
         if self.spec.is_periodic:
@@ -258,6 +256,15 @@ class VelocityField:
 def _check_same_spec(a, b) -> None:
     if a.spec != b.spec:
         raise ValueError("fields live on different grids")
+
+
+def pin_walls(spec: GridSpec, data: np.ndarray) -> np.ndarray:
+    """Zero the wall slices of the trailing two axes in place on the
+    dirichlet backend (the torus has no walls); returns ``data``."""
+    if spec.bc is BoundaryCondition.DIRICHLET_ZERO:
+        data[..., 0, :] = data[..., -1, :] = 0.0
+        data[..., :, 0] = data[..., :, -1] = 0.0
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +303,6 @@ def _parseval_norm_sq(spec: GridSpec, f_hat: np.ndarray) -> float:
     col[0] = col[-1] = 1.0
     power = f_hat.real ** 2 + f_hat.imag ** 2
     return float(spec.spacing ** 2 / (nx * ny) * np.sum(col * power))
-
-
-def _spectral_ddx(spec: GridSpec, data: np.ndarray, axis: int) -> np.ndarray:
-    KX, KY, _ = _spectral_kit(spec)
-    K = KX if axis == 0 else KY
-    return np.fft.irfft2(1j * K * np.fft.rfft2(data), s=data.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +350,17 @@ def _fd_laplacian(spec: GridSpec, data: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # public operators
 
-def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
-    spec = f.spec
+def _partials(spec: GridSpec, data: np.ndarray) -> np.ndarray:
+    """x and y derivatives of each leading slice of ``data``, shape
+    ``(*lead, 2, *node_shape)``: one batched transform (periodic) or
+    stencil pass (dirichlet) for all slices."""
     if spec.is_periodic:
-        return ScalarField(spec, _spectral_ddx(spec, f.data, axis))
-    return ScalarField(spec, _fd_partial(f.data, axis, spec.spacing))
+        KX, KY, _ = _spectral_kit(spec)
+        ik = 1j * np.stack([KX, KY])
+        return np.fft.irfft2(ik * np.fft.rfft2(data)[..., None, :, :],
+                             s=spec.node_shape)
+    return np.stack([_fd_partial(data, -2, spec.spacing),
+                     _fd_partial(data, -1, spec.spacing)], axis=-3)
 
 
 def gradient(f: ScalarField) -> VelocityField:
@@ -361,15 +368,16 @@ def gradient(f: ScalarField) -> VelocityField:
 
     The result is not constrained to vanish on the walls.
     """
-    gx = partial_derivative(f, 0)
-    gy = partial_derivative(f, 1)
-    return VelocityField(f.spec, np.stack([gx.data, gy.data]))
+    return VelocityField(f.spec, _partials(f.spec, f.data))
 
 
 def divergence(v: VelocityField) -> ScalarField:
     spec = v.spec
     if spec.is_periodic:
-        out = _spectral_ddx(spec, v.u, 0) + _spectral_ddx(spec, v.v, 1)
+        KX, KY, _ = _spectral_kit(spec)
+        shape = spec.node_shape
+        out = (np.fft.irfft2(1j * KX * np.fft.rfft2(v.u), s=shape)
+               + np.fft.irfft2(1j * KY * np.fft.rfft2(v.v), s=shape))
         return ScalarField(spec, out)
     return ScalarField(spec, _fd_divergence(spec, v.u, v.v))
 
@@ -416,16 +424,9 @@ def norm_l2(a: VelocityField) -> float:
 
 def velocity_jacobian(v: VelocityField) -> np.ndarray:
     """Samples of the Jacobian, ``J[c, a] = d v_c / d x_a``, shape
-    ``(2, 2, *node_shape)``; both components go through one batched
-    transform (periodic) or stencil pass (dirichlet)."""
-    spec = v.spec
-    if spec.is_periodic:
-        KX, KY, _ = _spectral_kit(spec)
-        vhat = np.fft.rfft2(v.data)
-        ik = 1j * np.stack([KX, KY])
-        return np.fft.irfft2(ik[None] * vhat[:, None], s=spec.node_shape)
-    return np.stack([_fd_partial(v.data, 1, spec.spacing),
-                     _fd_partial(v.data, 2, spec.spacing)], axis=1)
+    ``(2, 2, *node_shape)``; row c is the :func:`gradient` of v_c, and
+    both rows come from one pass of the same kernel."""
+    return _partials(v.spec, v.data)
 
 
 def grad_norm_sq(v: VelocityField) -> float:

@@ -23,14 +23,6 @@ class InterpOrder(enum.Enum):
     LINEAR = "linear"
     CUBIC = "cubic"
 
-    @classmethod
-    def parse(cls, text: str) -> "InterpOrder":
-        key = text.strip().lower()
-        for o in cls:
-            if o.value == key:
-                return o
-        raise ValueError(f"unknown interpolation order {text!r}")
-
 
 def _cubic_weights(t: np.ndarray):
     """Lagrange weights on the stencil {-1, 0, 1, 2} at offset t in [0, 1]."""

@@ -11,8 +11,9 @@ Sections and keys:
     [output]  cadence
     [ladder]  h (comma list), cells (comma list, optional)
 
-Everything has a default except [time] h and T. The parsed manifest
-re-serializes to a canonical form (sorted sections, full precision).
+Everything has a default except [time] h and T. Every [ladder] rung
+is checked when the file is parsed: its h against the other [time]
+and [scheme] settings, its cell count as a grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .fields import TWO_PI, BoundaryCondition, GridSpec
+from .fields import TWO_PI, BoundaryCondition, GridSpec, parse_enum
 from .interpolate import InterpOrder
 from .scheme import DnsConfig, SolvePath
 
@@ -119,14 +120,15 @@ def _get_bool(sec: dict, key: str, default: bool) -> bool:
     raise ConfigError(f"key {key!r}: {sec[key]!r} is not a boolean")
 
 
-def _get_float_list(sec: dict, key: str) -> tuple[float, ...]:
+def _get_list(sec: dict, key: str, kind=float) -> tuple:
     if key not in sec:
         return ()
     try:
-        values = tuple(float(tok) for tok in sec[key].split(",")
+        values = tuple(kind(tok) for tok in sec[key].split(",")
                        if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a comma list of numbers") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"key {key!r}: expected a comma list of {noun}") from exc
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"key {key!r}: {sec[key]!r} has non-finite entries")
     return values
@@ -143,12 +145,9 @@ def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
     grid_sec = sections.get("grid", {})
     cells = _get_int(grid_sec, "cells", 64)
     extent = _get_float(grid_sec, "extent", TWO_PI)
-    bc_text = grid_sec.get("bc", "periodic")
     try:
-        bc = BoundaryCondition.parse(bc_text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
+        bc = parse_enum(BoundaryCondition, grid_sec.get("bc", "periodic"),
+                        "boundary condition")
         grid = GridSpec(cells, extent, bc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -159,8 +158,10 @@ def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
 
     scheme_sec = sections.get("scheme", {})
     try:
-        interp = InterpOrder.parse(scheme_sec.get("interp", "linear"))
-        path = SolvePath.parse(scheme_sec.get("path", "euler_lagrange"))
+        interp = parse_enum(InterpOrder, scheme_sec.get("interp", "linear"),
+                            "interpolation order")
+        path = parse_enum(SolvePath, scheme_sec.get("path", "euler_lagrange"),
+                          "solve path")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
@@ -186,13 +187,18 @@ def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
     cadence = _get_int(out_sec, "cadence", 1)
 
     ladder_sec = sections.get("ladder", {})
-    ladder_hs = _get_float_list(ladder_sec, "h")
+    ladder_hs = _get_list(ladder_sec, "h")
     for rung_h in ladder_hs:
         try:
             replace(cfg, h=rung_h)
         except ValueError as exc:
             raise ConfigError(f"[ladder] h = {rung_h:g}: {exc}") from exc
-    ladder_cells = tuple(int(c) for c in _get_float_list(ladder_sec, "cells"))
+    ladder_cells = _get_list(ladder_sec, "cells", int)
+    for rung_cells in ladder_cells:
+        try:
+            GridSpec(rung_cells, extent, bc)
+        except ValueError as exc:
+            raise ConfigError(f"[ladder] cells = {rung_cells}: {exc}") from exc
 
     return RunManifest(cfg=cfg, initial=initial, out_dir=out_dir,
                        cadence=cadence, seed=seed, threads=threads,
@@ -207,39 +213,3 @@ def load_manifest(path, out_dir: str = "out", seed: int = 0,
     return parse_manifest(p.read_text(), out_dir=out_dir, seed=seed,
                           threads=threads)
 
-
-def canonical_text(man: RunManifest) -> str:
-    """Serialize back to the canonical config form (parse round-trips)."""
-    cfg = man.cfg
-    lines = [
-        "[grid]",
-        f"cells = {cfg.grid.cells[0]}",
-        f"extent = {cfg.grid.extent[0]:.17g}",
-        f"bc = {cfg.grid.bc.value}",
-        "",
-        "[time]",
-        f"h = {cfg.h:.17g}",
-        f"t = {cfg.T:.17g}",
-        "",
-        "[scheme]",
-        f"interp = {cfg.interp_order.value}",
-        f"path = {cfg.path.value}",
-        f"nu = {cfg.nu:.17g}",
-        f"minimizer_tol = {cfg.minimizer_tol:.17g}",
-        f"minimizer_max_iters = {cfg.minimizer_max_iters}",
-        f"cross_check = {'true' if cfg.cross_check else 'false'}",
-        f"div_tol = {cfg.div_tol:.17g}",
-        "",
-        "[initial]",
-        f"kind = {man.initial.kind}",
-        f"amplitude = {man.initial.amplitude:.17g}",
-    ]
-    if man.initial.file:
-        lines.append(f"file = {man.initial.file}")
-    lines += ["", "[output]", f"cadence = {man.cadence}"]
-    if man.ladder_hs:
-        lines += ["", "[ladder]",
-                  "h = " + ", ".join(f"{h:.17g}" for h in man.ladder_hs)]
-        if man.ladder_cells:
-            lines.append("cells = " + ", ".join(str(c) for c in man.ladder_cells))
-    return "\n".join(lines) + "\n"

@@ -32,6 +32,7 @@ from .fields import (
     _parseval_norm_sq,
     _spectral_kit,
     divergence,
+    pin_walls,
     quadrature_weights,
 )
 
@@ -169,11 +170,6 @@ def _dirichlet_ops(spec: GridSpec):
     return grad_interior, grad_t_weighted, w
 
 
-def _pin_walls(arr: np.ndarray) -> np.ndarray:
-    arr[0, :] = arr[-1, :] = arr[:, 0] = arr[:, -1] = 0.0
-    return arr
-
-
 _POISSON_REL_TOL = 1e-10
 _POISSON_ITERS_PER_CELL = 100
 
@@ -199,9 +195,7 @@ def _leray_dirichlet(u: VelocityField) -> HelmholtzParts:
         res = float(np.sqrt(np.sum((b - apply_l(phi)) ** 2)))
         raise ProjectionError("Neumann Poisson CG did not converge", res, k)
     gx, gy = grad_i(phi)
-    sol = np.stack([u.data[0] - gx, u.data[1] - gy])
-    _pin_walls(sol[0])
-    _pin_walls(sol[1])
+    sol = pin_walls(spec, np.stack([u.data[0] - gx, u.data[1] - gy]))
     return HelmholtzParts(VelocityField(spec, sol),
                           ScalarField(spec, phi).demeaned())
 
@@ -228,14 +222,14 @@ class StokesSolver:
     """
 
     def __init__(self, spec: GridSpec, h: float, nu: float = 1.0,
-                 div_tol: float = 1e-9, max_outer: int | None = None):
+                 div_tol: float = 1e-9):
         if not spec.bc is BoundaryCondition.DIRICHLET_ZERO:
             raise ValueError("StokesSolver context is for the dirichlet backend")
         self.spec = spec
         self.h = float(h)
         self.nu = float(nu)
         self.div_tol = div_tol
-        self.max_outer = max_outer if max_outer is not None else 10 * max(spec.cells)
+        self.max_outer = 10 * max(spec.cells)
         self._grad_i, self._grad_t, self._w = _dirichlet_ops(spec)
         self._p = np.zeros(spec.node_shape)
         # always 0, the Helmholtz solve being direct; kept for callers

@@ -30,6 +30,7 @@ from .fields import (
     inner_product_l2,
     laplacian,
     norm_l2,
+    pin_walls,
 )
 from .interpolate import InterpOrder, sample_offgrid
 from .projection import (
@@ -43,14 +44,6 @@ from .projection import (
 class SolvePath(enum.Enum):
     EULER_LAGRANGE = "euler_lagrange"
     DIRECT_MINIMIZE = "direct_minimize"
-
-    @classmethod
-    def parse(cls, text: str) -> "SolvePath":
-        key = text.strip().lower()
-        for p in cls:
-            if p.value == key:
-                return p
-        raise ValueError(f"unknown solve path {text!r}")
 
 
 class SolverFailure(RuntimeError):
@@ -91,6 +84,10 @@ class DnsConfig:
             raise ValueError("floor(T/h) must be at least 1")
         if self.path is SolvePath.DIRECT_MINIMIZE and self.minimizer_tol <= 0.0:
             raise ValueError("minimizer_tol must be positive")
+        if self.minimizer_max_iters < 1:
+            raise ValueError("minimizer_max_iters must be at least 1")
+        if self.div_tol <= 0.0:
+            raise ValueError("div_tol must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -157,12 +154,9 @@ def backtrace(v_prev: VelocityField, h: float,
     pts = np.stack([X - h * v_prev.data[0], Y - h * v_prev.data[1]], axis=-1)
     vals = sample_offgrid(v_prev, pts, order)
     data = np.stack([vals[..., 0], vals[..., 1]])
-    if spec.bc is BoundaryCondition.DIRICHLET_ZERO:
-        # wall nodes do not move (v_prev vanishes there), so w is pinned
-        # exactly; drop the interpolation dust
-        data[:, 0, :] = data[:, -1, :] = 0.0
-        data[:, :, 0] = data[:, :, -1] = 0.0
-    return VelocityField(spec, data)
+    # wall nodes do not move (v_prev vanishes there), so w is pinned
+    # exactly; drop the interpolation dust
+    return VelocityField(spec, pin_walls(spec, data))
 
 
 def functional_value(v: VelocityField, v_prev: VelocityField, h: float,

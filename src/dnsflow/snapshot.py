@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import BoundaryCondition, GridSpec, ScalarField, VelocityField
+from .fields import (
+    BoundaryCondition,
+    GridSpec,
+    ScalarField,
+    VelocityField,
+    parse_enum,
+)
 
 _DOUBLE = np.dtype(">f8")
 
@@ -26,17 +32,14 @@ def _fmt(x: float) -> str:
 
 
 def write_vtk(path, velocity: VelocityField,
-              pressure: ScalarField | None = None,
-              title: str | None = None) -> None:
+              pressure: ScalarField | None = None) -> None:
     spec = velocity.spec
     nx, ny = spec.node_shape
     dx = spec.spacing
-    if title is None:
-        title = (f"dnsflow bc={spec.bc.value} "
-                 f"extent={_fmt(spec.extent[0])},{_fmt(spec.extent[1])}")
     header = "\n".join([
         "# vtk DataFile Version 3.0",
-        title,
+        f"dnsflow bc={spec.bc.value} "
+        f"extent={_fmt(spec.extent[0])},{_fmt(spec.extent[1])}",
         "BINARY",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {nx} {ny} 1",
@@ -61,7 +64,7 @@ def _spec_from_header(title: str, nx: int, ny: int, dx: float) -> GridSpec:
     extent = None
     for token in title.split():
         if token.startswith("bc="):
-            bc = BoundaryCondition.parse(token[3:])
+            bc = parse_enum(BoundaryCondition, token[3:], "boundary condition")
         elif token.startswith("extent="):
             parts = token[7:].split(",")
             if len(parts) != 2:

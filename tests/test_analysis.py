@@ -193,7 +193,6 @@ def test_cumulative_zero_trajectory(zero_run):
     rep = check_cumulative_estimate(build_energy_ledger(zero_run), 0.2)
     assert rep.holds
     assert rep.max_lhs == 0.0
-    assert rep.tightest_c == 0.0
 
 
 def test_cumulative_taylor_green(tg_mini_run):
@@ -202,10 +201,6 @@ def test_cumulative_taylor_green(tg_mini_run):
     assert rep.holds
     assert rep.c_prime == 1.0            # C = 0 for a dissipating flow
     assert rep.max_lhs <= rep.bound
-    # the tightest constant reproduces the left side
-    T = tg_mini_run.final_time
-    assert rep.tightest_c * math.exp(rep.tightest_c * T) * ledger.initial_dirichlet \
-        == pytest.approx(rep.max_lhs, rel=1e-9)
 
 
 def test_cumulative_single_step_reduces_to_first_row(periodic32):
@@ -302,7 +297,6 @@ def test_test_function_library(periodic32):
     assert len(phis) >= 5
     assert len({phi.modes for phi in phis}) == len(phis)
     for phi in phis:
-        assert phi.label.endswith("* bump")
         val, jac = phi.on_grid(periodic32)
         assert val.shape == (2, 32, 32)
         assert jac.shape == (2, 2, 32, 32)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from dnsflow import (
     stream_bump_field,
     taylor_green_field,
 )
+from dnsflow import analysis
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,6 +173,22 @@ def test_study_deterministic_numeric_columns(periodic32):
     for r1, r2 in zip(t1.rows, t2.rows):
         assert r1.l2_error == r2.l2_error
         assert r1.max_fitted_c == r2.max_fitted_c
+
+
+def test_study_ledger_reuses_step_records(periodic32, monkeypatch):
+    """Each rung's max fitted C comes from the run's own step records: no
+    back-trace is redone after the run."""
+    base = DnsConfig(h=0.05, T=0.1, grid=periodic32,
+                     interp_order=InterpOrder.CUBIC)
+    ref = convergence_study(base, hs=(0.05, 0.025), cells_list=(16, 32))
+
+    def no_backtrace(*args, **kwargs):
+        raise AssertionError("the study recomputed a back-trace")
+
+    monkeypatch.setattr(analysis, "backtrace", no_backtrace)
+    table = convergence_study(base, hs=(0.05, 0.025), cells_list=(16, 32))
+    assert ([dataclasses.replace(r, runtime_s=0.0) for r in table.rows]
+            == [dataclasses.replace(r, runtime_s=0.0) for r in ref.rows])
 
 
 def test_non_dividing_h_compares_at_floor_time(periodic32):

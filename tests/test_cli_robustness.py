@@ -72,3 +72,4 @@ def test_cli_exit_codes_without_traceback(text, command, threads):
                          "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert "RuntimeWarning" not in err.getvalue()

@@ -17,7 +17,12 @@ from dnsflow import (
     laplacian,
     norm_l2,
 )
-from dnsflow.fields import _fd_partial, _parseval_norm_sq, quadrature_weights
+from dnsflow.fields import (
+    _fd_partial,
+    _parseval_norm_sq,
+    quadrature_weights,
+    velocity_jacobian,
+)
 
 from conftest import random_scalar, random_velocity
 
@@ -104,6 +109,17 @@ def test_gradient_exact_on_linear_dirichlet(dirichlet32):
     # one-sided second-order closures are exact on linears too
     assert np.max(np.abs(g.data[0] - 1.0)) < 1e-13
     assert np.max(np.abs(g.data[1])) < 1e-13
+
+
+@pytest.mark.parametrize("spec_name", ["periodic32", "dirichlet32"])
+def test_gradient_is_jacobian_row(spec_name, request):
+    """One derivative kernel: the gradient of each velocity component is
+    bitwise the matching row of the velocity Jacobian."""
+    spec = request.getfixturevalue(spec_name)
+    v = random_velocity(spec, 11)
+    jac = velocity_jacobian(v)
+    for c in range(2):
+        assert np.array_equal(gradient(v.component(c)).data, jac[c])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from dnsflow import bench, projection, snapshot
 from dnsflow.cli import _ladder_configs, main
 from dnsflow.manifest import (
     ConfigError,
-    canonical_text,
     load_manifest,
     parse_manifest,
 )
@@ -60,14 +59,6 @@ def test_parse_basic():
 def test_parse_strips_comments_and_blank_lines():
     man = parse_manifest("# top comment\n[time]\nh = 0.1  # step\nt = 0.2\n")
     assert man.cfg.h == 0.1
-
-
-def test_canonical_round_trip():
-    man = parse_manifest(BASE_CFG, out_dir="somewhere", seed=42, threads=2)
-    text = canonical_text(man)
-    again = parse_manifest(text, out_dir="somewhere", seed=42, threads=2)
-    assert again == man
-    assert canonical_text(again) == text
 
 
 @pytest.mark.parametrize("mangle", [
@@ -415,3 +406,58 @@ def test_cli_non_finite_field_exits_3_with_step(tmp_path, capsys, amplitude,
     assert code == 3
     line = _assert_one_line_reason(capsys, f"solver failure: step {step}: ")
     assert "non-finite" in line
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("h = 0.1, 0.05, 0.025", "h = 0.1\ncells = 16.9, 8.2", "integers"),
+    ("h = 0.1, 0.05, 0.025", "h = 0.1\ncells = 16, 7", "cells = 7"),
+    ("path = euler_lagrange", "path = euler_lagrange\ndiv_tol = 0",
+     "div_tol"),
+    ("path = euler_lagrange", "path = euler_lagrange\ndiv_tol = -1",
+     "div_tol"),
+    ("path = euler_lagrange",
+     "path = direct_minimize\nminimizer_max_iters = 0", "minimizer_max_iters"),
+], ids=["float-cells", "small-cells", "zero-div-tol", "negative-div-tol",
+        "zero-max-iters"])
+@pytest.mark.parametrize("command", ["run", "verify", "converge"])
+def test_cli_unusable_settings_exit_2(tmp_path, capsys, old, new, named,
+                                     command):
+    """Ladder cell counts and solver tolerances are checked as the config
+    is read, before any rung runs."""
+    out = tmp_path / "out"
+    code = main([command, "--config",
+                 _write_cfg(tmp_path, BASE_CFG.replace(old, new)),
+                 "--out", str(out)])
+    assert code == 2
+    assert named in _assert_one_line_reason(capsys, "config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind, amplitude", [
+    ("verify", "random_solenoidal", "1e200"),
+    ("converge", "taylor_green", "1e154"),
+])
+def test_cli_thread_workers_report_failures_in_one_line(tmp_path, capsys,
+                                                        command, kind,
+                                                        amplitude):
+    """Overflowing rungs run on worker threads stay as quiet as on the
+    main thread: one line, no numpy warning."""
+    cfg = textwrap.dedent(f"""\
+        [grid]
+        cells = 8
+
+        [time]
+        h = 0.1
+        t = 0.2
+
+        [initial]
+        kind = {kind}
+        amplitude = {amplitude}
+
+        [ladder]
+        h = 0.1, 0.05
+    """)
+    code = main([command, "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert code == 3
+    _assert_one_line_reason(capsys, "solver failure: step 1: ")

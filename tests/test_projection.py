@@ -199,7 +199,8 @@ def test_stokes_dirichlet_solves_system(dirichlet32):
 def test_stokes_dirichlet_cap_returns_best_iterate(dirichlet32):
     h = 0.0125
     w = leray_project(stream_bump_field(dirichlet32)).solenoidal
-    solver = StokesSolver(dirichlet32, h, max_outer=1)
+    solver = StokesSolver(dirichlet32, h)
+    solver.max_outer = 1
     v, p, info = solver.solve(w)
     assert not info.converged
     assert info.outer_iterations == 1
