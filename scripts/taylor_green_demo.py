@@ -8,16 +8,13 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 from dnsflow import (
     DnsConfig,
     GridSpec,
     InterpOrder,
-    build_energy_ledger,
     check_cumulative_estimate,
     check_step_inequality,
-    divergence,
+    ledger_from_results,
     ledger_to_csv,
     norm_l2,
     run,
@@ -43,9 +40,8 @@ def main() -> int:
 
     exact, _ = taylor_green_field(traj.final_time, grid)
     err = norm_l2(traj.snapshots[-1] - exact)
-    max_div = max(float(np.max(np.abs(divergence(v).data)))
-                  for v in traj.snapshots[1:])
-    ledger = build_energy_ledger(traj)
+    max_div = max(r.max_divergence for r in traj.results)
+    ledger = ledger_from_results(traj)
     step_rep = check_step_inequality(ledger)
     cum = check_cumulative_estimate(ledger, traj.final_time)
 

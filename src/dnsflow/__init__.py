@@ -21,7 +21,6 @@ from .fields import (
 from .interpolate import InterpOrder, sample_offgrid
 from .projection import (
     ProjectionError,
-    StokesSolver,
     leray_project,
     solve_implicit_stokes,
 )

@@ -1,7 +1,7 @@
 """Command-line entry point: run, verify and converge subcommands.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 solver failure.
+Exit codes: 0 success, 1 verification failure, 2 usage, config or I/O
+error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ def _build_initial(man: RunManifest) -> VelocityField:
 def _ladder_configs(man: RunManifest) -> list[DnsConfig]:
     if not man.ladder_hs:
         raise ConfigError("this subcommand needs a [ladder] section with h = ...")
+    if man.ladder_cells:
+        raise ConfigError("[ladder] cells is read only by converge; this "
+                          "subcommand runs every rung on [grid] cells")
     return [dataclasses.replace(man.cfg, h=h)
             for h in sorted(man.ladder_hs, reverse=True)]
 
@@ -97,9 +100,9 @@ def _run_ladder(man: RunManifest, a: VelocityField,
 
 
 def cmd_run(man: RunManifest) -> int:
+    a = _build_initial(man)
     out = Path(man.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    a = _build_initial(man)
     cfg = man.cfg
 
     def snapshot_sink(n: int, result) -> None:
@@ -228,9 +231,9 @@ def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str,
 
 
 def cmd_verify(man: RunManifest, inject_fault: int | None = None) -> int:
+    configs = _ladder_configs(man)
     out = Path(man.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    configs = _ladder_configs(man)
     trajs = _run_ladder(man, _build_initial(man), configs)
     if inject_fault is not None:
         traj = trajs[0]
@@ -250,13 +253,13 @@ def cmd_verify(man: RunManifest, inject_fault: int | None = None) -> int:
 
 
 def cmd_converge(man: RunManifest) -> int:
-    out = Path(man.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not man.ladder_hs:
         raise ConfigError("converge needs a [ladder] section with h = ...")
     if man.initial.kind != "taylor_green":
         raise ConfigError("the convergence study compares against the "
                           "Taylor-Green oracle; set initial kind accordingly")
+    out = Path(man.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     cells = man.ladder_cells or (man.cfg.grid.cells[0],)
     oracle = _oracle(man)
     pool = _pool(man.threads) if man.threads > 1 else None
@@ -337,6 +340,10 @@ def main(argv=None) -> int:
     except NonFiniteFieldError as exc:
         print(f"solver failure: post-run analysis: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        # the output directory or a file in it cannot be made or written
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

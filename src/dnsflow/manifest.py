@@ -11,9 +11,10 @@ Sections and keys:
     [output]  cadence
     [ladder]  h (comma list), cells (comma list, optional)
 
-Everything has a default except [time] h and T. Every [ladder] rung
-is checked when the file is parsed: its h against the other [time]
-and [scheme] settings, its cell count as a grid.
+Any other section or key is an error. Everything has a default except
+[time] h and T. Every [ladder] rung is checked when the file is parsed:
+its h against the other [time] and [scheme] settings, its cell count as
+a grid.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ from .scheme import DnsConfig, SolvePath
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+# the sections and keys of the module docstring, lower case as parsed
+_SECTION_KEYS = {
+    "grid": {"cells", "extent", "bc"}, "time": {"h", "t"},
+    "scheme": {"interp", "path", "nu", "minimizer_tol", "minimizer_max_iters",
+               "cross_check", "div_tol"},
+    "initial": {"kind", "amplitude", "file"}, "output": {"cadence"},
+    "ladder": {"h", "cells"},
+}
 
 
 @dataclass(frozen=True)
@@ -137,10 +148,13 @@ def _get_list(sec: dict, key: str, kind=float) -> tuple:
 def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
                    threads: int = 1) -> RunManifest:
     sections = _parse_sections(text)
-    unknown = set(sections) - {"grid", "time", "scheme", "initial", "output",
-                               "ladder"}
+    unknown = set(sections) - set(_SECTION_KEYS)
     if unknown:
         raise ConfigError(f"unknown sections: {', '.join(sorted(unknown))}")
+    for name, sec in sections.items():
+        if unknown := sorted(set(sec) - _SECTION_KEYS[name]):
+            raise ConfigError(f"unknown keys in [{name}]: "
+                              + ", ".join(unknown))
 
     grid_sec = sections.get("grid", {})
     cells = _get_int(grid_sec, "cells", 64)

@@ -12,7 +12,8 @@ h G^T W (I - h nu L)^{-1} G is symmetric positive semidefinite, so the
 outer Uzawa iteration is a plain conjugate-gradient loop. With the walls
 pinned, the interior 5-point Helmholtz operator I - h nu L is diagonal
 in the sine basis, so each application of its inverse is an exact
-DST-I solve (fast Poisson solver; Buzbee, Golub & Nielson 1970).
+DST-I solve (fast Poisson solver; Buzbee, Golub & Nielson 1970). A
+solve keeps no state; run() starts each from the previous pressure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import (
-    BoundaryCondition,
     GridSpec,
     ScalarField,
     VelocityField,
@@ -213,77 +213,59 @@ def _dst1(a: np.ndarray) -> np.ndarray:
     return -np.fft.rfft(ext)[..., 1:n].imag
 
 
-class StokesSolver:
-    """Reusable solver context for the dirichlet implicit step.
+_UZAWA_ITERS_PER_CELL = 10
 
-    Owns the warm-started pressure iterate and the sine-basis symbol of
-    the Helmholtz inverse; one context must not be shared mutably across
-    threads.
-    """
 
-    def __init__(self, spec: GridSpec, h: float, nu: float = 1.0,
-                 div_tol: float = 1e-9):
-        if not spec.bc is BoundaryCondition.DIRICHLET_ZERO:
-            raise ValueError("StokesSolver context is for the dirichlet backend")
-        self.spec = spec
-        self.h = float(h)
-        self.nu = float(nu)
-        self.div_tol = div_tol
-        self.max_outer = 10 * max(spec.cells)
-        self._grad_i, self._grad_t, self._w = _dirichlet_ops(spec)
-        self._p = np.zeros(spec.node_shape)
-        # always 0, the Helmholtz solve being direct; kept for callers
-        # that read inner iteration counts (perfbench's trace hook)
-        self.total_inner = 0
-        n0, n1 = spec.cells
-        dx2 = spec.spacing ** 2
-        lam0 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n0) / n0)) / dx2
-        lam1 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n1) / n1)) / dx2
-        # indexed (k1, k0): the solve divides between the two axis passes
-        self._inv_symbol = 1.0 / (4.0 * n0 * n1 * (
-            1.0 + self.h * self.nu * (lam1[:, None] + lam0[None, :])))
+@lru_cache(maxsize=32)
+def _helmholtz_inverse(spec: GridSpec, h: float, nu: float):
+    """(I - h nu L)^{-1} on the interior nodes as an exact DST-I solve;
+    it takes f of shape (..., n0 + 1, n1 + 1), ignores f's wall values
+    and pins the result's walls to zero."""
+    n0, n1 = spec.cells
+    lam0, lam1 = ((2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n))
+                  / spec.spacing ** 2 for n in spec.cells)
+    # indexed (k1, k0): the solve divides between the two axis passes
+    inv_symbol = 1.0 / (4.0 * n0 * n1 * (
+        1.0 + h * nu * (lam1[:, None] + lam0[None, :])))
 
-    def _ainv(self, f):
-        """(I - h nu L)^{-1} on the interior nodes, walls pinned to zero.
-
-        f has shape (..., n0 + 1, n1 + 1); its wall values are ignored.
-        """
+    def ainv(f):
         coef = _dst1(_dst1(f[..., 1:-1, 1:-1]).swapaxes(-1, -2))
-        sol = _dst1(_dst1(coef * self._inv_symbol).swapaxes(-1, -2))
         out = np.zeros(f.shape)
-        out[..., 1:-1, 1:-1] = sol
+        out[..., 1:-1, 1:-1] = _dst1(_dst1(coef * inv_symbol).swapaxes(-1, -2))
         return out
 
-    def _schur(self, p):
-        a = self._ainv(np.stack(self._grad_i(p)))
-        return self.h * self._grad_t(a[0], a[1])
+    return ainv
 
-    def solve(self, w_field: VelocityField):
-        spec = self.spec
-        h = self.h
-        a = self._ainv(w_field.data)
-        b = self._grad_t(a[0], a[1])
 
-        def div_small(r):
-            # r = W_s * (adjoint divergence of the current velocity)
-            return float(np.max(np.abs(r / self._w))) <= self.div_tol
+def _stokes_dirichlet(w: VelocityField, h: float, nu: float,
+                      div_tol: float, p0: ScalarField | None):
+    spec = w.spec
+    grad_i, grad_t, weights = _dirichlet_ops(spec)
+    ainv = _helmholtz_inverse(spec, h, nu)
 
-        p, outer, ok = _cg(self._schur, b, self._p, self.max_outer,
-                           stop_fn=div_small)
-        self._p = p.copy()
-        gx, gy = self._grad_i(p)
-        vel = self._ainv(w_field.data - h * np.stack([gx, gy]))
-        v = VelocityField(spec, vel)
-        vu, vv = vel
-        p_field = ScalarField(spec, p).demeaned()
-        wu, wv = w_field.data
-        mom = (vu - h * self.nu * _fd_laplacian(spec, vu) + h * gx - wu,
-               vv - h * self.nu * _fd_laplacian(spec, vv) + h * gy - wv)
-        mom_res = float(np.sqrt(np.sum(
-            self._w[1:-1, 1:-1] * (mom[0][1:-1, 1:-1] ** 2
-                                   + mom[1][1:-1, 1:-1] ** 2))))
-        max_div = float(np.max(np.abs(divergence(v).data)))
-        return v, p_field, StokesInfo(bool(ok), outer, max_div, mom_res)
+    def schur(p):
+        a = ainv(np.stack(grad_i(p)))
+        return h * grad_t(a[0], a[1])
+
+    def div_small(r):
+        # r = W_s * (adjoint divergence of the current velocity)
+        return float(np.max(np.abs(r / weights))) <= div_tol
+
+    a = ainv(w.data)
+    x0 = np.zeros(spec.node_shape) if p0 is None else p0.data
+    p, outer, ok = _cg(schur, grad_t(a[0], a[1]), x0,
+                       _UZAWA_ITERS_PER_CELL * max(spec.cells),
+                       stop_fn=div_small)
+    hg = h * np.stack(grad_i(p))
+    vel = ainv(w.data - hg)
+    v = VelocityField(spec, vel)
+    lap = np.stack([_fd_laplacian(spec, c) for c in vel])
+    mom = (vel - h * nu * lap + hg - w.data)[:, 1:-1, 1:-1]
+    mom_res = float(np.sqrt(np.sum(weights[1:-1, 1:-1]
+                                   * np.sum(mom ** 2, axis=0))))
+    max_div = float(np.max(np.abs(divergence(v).data)))
+    return (v, ScalarField(spec, p).demeaned(),
+            StokesInfo(bool(ok), outer, max_div, mom_res))
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +285,22 @@ def leray_project(u: VelocityField) -> HelmholtzParts:
     return _leray_dirichlet(u)
 
 
-def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0,
-                          solver: StokesSolver | None = None,
+def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0, *,
+                          div_tol: float = 1e-9,
+                          p0: ScalarField | None = None,
                           ) -> tuple[VelocityField, ScalarField, StokesInfo]:
     """Solve v - h nu lap(v) + h grad(p) = w with div(v) = 0.
 
     Periodic: exact in one pass, mode by mode. Dirichlet: CG-accelerated
-    Uzawa iteration on the pressure, each velocity solve an exact DST-I
-    Helmholtz inverse; on hitting the iteration cap the best iterate is
-    returned with ``info.converged`` False.
+    Uzawa iteration on the pressure from ``p0`` (zero if None) to
+    max |div v| <= ``div_tol``, each velocity solve an exact DST-I
+    Helmholtz inverse; after 10 outer iterations per cell of the longer
+    axis the last iterate is returned with ``info.converged`` False.
     """
     if h <= 0.0:
         raise ValueError("time step h must be positive")
+    if p0 is not None and p0.spec != w.spec:
+        raise ValueError("warm-start pressure lives on a different grid")
     if w.spec.is_periodic:
         return _stokes_periodic(w, h, nu)
-    if solver is None:
-        solver = StokesSolver(w.spec, h, nu)
-    if solver.h != h or solver.nu != nu or solver.spec != w.spec:
-        raise ValueError("solver context does not match this solve")
-    return solver.solve(w)
+    return _stokes_dirichlet(w, h, nu, div_tol, p0)

@@ -6,9 +6,9 @@ Each step picks the next velocity as the minimizer of
 
 over discretely divergence-free fields. Two routes are implemented: the
 Euler-Lagrange linear solve (production path, an implicit Stokes system
-for the back-traced field) and direct minimization by projected
-conjugate gradients (oracle path). The functional is convex, so the two
-must agree; a cross-check mode measures their gap.
+for the back-traced field) and direct minimization by conjugate
+gradients on divergence-free fields (oracle path). The functional is
+convex, so the two must agree; a cross-check mode measures their gap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    BoundaryCondition,
     GridSpec,
     NonFiniteFieldError,
     ScalarField,
@@ -35,7 +34,7 @@ from .fields import (
 from .interpolate import InterpOrder, sample_offgrid
 from .projection import (
     ProjectionError,
-    StokesSolver,
+    _cg,
     leray_project,
     solve_implicit_stokes,
 )
@@ -175,52 +174,35 @@ def energy_terms(v: VelocityField, w: VelocityField,
     return inner_product_l2(d, d) / (2.0 * h), grad_norm_sq(v)
 
 
-def _minimize_projected_cg(w: VelocityField, h: float, nu: float,
-                           tol: float, max_iters: int):
-    """Projected CG for the quadratic functional over solenoidal fields.
+def _minimize_projected_cg(w: VelocityField, cfg: DnsConfig):
+    """CG on P H P, H v = v/h - nu lap(v) and P the Leray projector, from
+    b = P(w/h): every direction lies in the range of P, so an iteration
+    projects once; the final iterate is projected once more."""
+    spec, h, nu = w.spec, cfg.h, cfg.nu
 
-    Hessian application: H v = v/h - nu lap(v); every iterate and
-    residual is re-projected onto the divergence-free subspace.
-    """
-    spec = w.spec
+    def hess(d: np.ndarray) -> np.ndarray:
+        f = VelocityField(spec, d)
+        return leray_project(f * (1.0 / h) - nu * laplacian(f)).solenoidal.data
 
-    def hess(f: VelocityField) -> VelocityField:
-        return f * (1.0 / h) - nu * laplacian(f)
-
-    def project(f: VelocityField) -> VelocityField:
-        return leray_project(f).solenoidal
-
-    b = project(w * (1.0 / h))
-    x = VelocityField.zeros(spec)
-    r = b
-    d = r
-    rs = inner_product_l2(r, r)
-    b_norm = math.sqrt(max(inner_product_l2(b, b), 0.0))
-    if b_norm == 0.0:
-        return x, 0, True
-    k = 0
-    while math.sqrt(rs) > tol * b_norm and k < max_iters:
-        hd = project(hess(d))
-        dhd = inner_product_l2(d, hd)
-        if dhd <= 0.0:
-            break
-        alpha = rs / dhd
-        x = project(x + d * alpha)
-        r = project(r - hd * alpha)
-        rs_new = inner_product_l2(r, r)
-        d = r + d * (rs_new / rs)
-        rs = rs_new
-        k += 1
-    return x, k, math.sqrt(rs) <= tol * b_norm
+    b = leray_project(w * (1.0 / h)).solenoidal.data
+    x, k, ok = _cg(hess, b, np.zeros_like(b), cfg.minimizer_max_iters,
+                   rel_tol=cfg.minimizer_tol)
+    if not ok:
+        raise SolverFailure(
+            f"projected CG minimizer did not converge in {k} iterations")
+    return leray_project(VelocityField(spec, x)).solenoidal
 
 
 def dns_step(v_prev: VelocityField, cfg: DnsConfig,
-             solver: StokesSolver | None = None) -> StepResult:
-    """Advance one step; v_prev is assumed divergence-free."""
+             p_prev: ScalarField | None = None) -> StepResult:
+    """Advance one step; v_prev is assumed divergence-free. ``p_prev``,
+    the previous step's pressure, starts the box Stokes solve (zero if
+    None) and moves v and p only within the solve's tolerance."""
     w = backtrace(v_prev, cfg.h, cfg.interp_order)
 
     def euler_lagrange():
-        v, p, info = solve_implicit_stokes(w, cfg.h, cfg.nu, solver=solver)
+        v, p, info = solve_implicit_stokes(w, cfg.h, cfg.nu,
+                                           div_tol=cfg.div_tol, p0=p_prev)
         if not info.converged:
             raise SolverFailure(
                 f"implicit Stokes solve hit the iteration cap "
@@ -231,20 +213,12 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
                 "implicit Stokes momentum residual is non-finite")
         return v, p, info
 
-    def direct():
-        v, iters, ok = _minimize_projected_cg(
-            w, cfg.h, cfg.nu, cfg.minimizer_tol, cfg.minimizer_max_iters)
-        if not ok:
-            raise SolverFailure(
-                f"projected CG minimizer did not converge in {iters} iterations")
-        return v
-
     if cfg.path is SolvePath.EULER_LAGRANGE:
         v, p, info = euler_lagrange()
         outer, max_div = info.outer_iterations, info.max_divergence
         el_res = info.momentum_residual / cfg.h
     else:
-        v = direct()
+        v = _minimize_projected_cg(w, cfg)
         outer, max_div = 0, float(np.max(np.abs(divergence(v).data)))
         # Leray split of the step residual (v - w)/h - nu lap(v): its
         # solenoidal part vanishes at the minimizer and its potential is
@@ -255,7 +229,8 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
 
     gap = None
     if cfg.cross_check:
-        v_other = (direct() if cfg.path is SolvePath.EULER_LAGRANGE
+        v_other = (_minimize_projected_cg(w, cfg)
+                   if cfg.path is SolvePath.EULER_LAGRANGE
                    else euler_lagrange()[0])
         gap = norm_l2(v - v_other)
 
@@ -281,8 +256,9 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     """Iterate dns_step from the initial datum a.
 
     If a is not divergence-free within tolerance it is projected once
-    and the fact is recorded on the trajectory. Each StepResult is
-    streamed to the sinks as ``sink(step_index, result)``. Solver
+    and the fact is recorded on the trajectory. Each step's pressure
+    starts the next step's Stokes solve, and each StepResult is streamed
+    to the sinks as ``sink(step_index, result)``. Solver
     failures, and fields or step energy terms that overflow to
     non-finite values, are raised as SolverFailure carrying the step
     index (0 for the initial datum and its projection).
@@ -300,21 +276,17 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     except ProjectionError as exc:
         raise SolverFailure(f"initial projection: {exc}", step=0) from exc
 
-    solver = None
-    if a.spec.bc is BoundaryCondition.DIRICHLET_ZERO:
-        solver = StokesSolver(cfg.grid, cfg.h, cfg.nu, div_tol=cfg.div_tol)
-
     traj = Trajectory(cfg=cfg, snapshots=[a], results=[],
                       projected_initial=projected)
-    v = a
+    v, p = a, None
     for n in range(1, cfg.n_steps + 1):
         try:
-            result = dns_step(v, cfg, solver=solver)
+            result = dns_step(v, cfg, p_prev=p)
         except (SolverFailure, ProjectionError, NonFiniteFieldError) as exc:
             raise SolverFailure(str(exc), step=n) from exc
         traj.snapshots.append(result.v)
         traj.results.append(result)
         for sink in sinks:
             sink(n, result)
-        v = result.v
+        v, p = result.v, result.p
     return traj

@@ -1,7 +1,7 @@
 """Malformed and extreme configs reach the user as an exit code.
 
 Every command must end with one of the documented exit codes (0 ok,
-1 verification failed, 2 usage/config error, 3 solver failure) and never
+1 verification failed, 2 usage/config/I/O error, 3 solver failure) and never
 with an exception escaping ``main``, which a user would see as a raw
 traceback. Grids stay at 8-16 cells and runs at one or two steps.
 """

@@ -461,3 +461,49 @@ def test_cli_thread_workers_report_failures_in_one_line(tmp_path, capsys,
                  "--out", str(tmp_path / "out"), "--threads", "2"])
     assert code == 3
     _assert_one_line_reason(capsys, "solver failure: step 1: ")
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("[scheme]", "interpp = cubic", "interpp"),
+    ("[scheme]", "div_tols = 0", "div_tols"),
+    ("[grid]", "cell = 8", "cell"),
+    ("[ladder]", "hs = 0.1", "hs"),
+])
+def test_cli_unknown_key_exits_2(tmp_path, capsys, section, line, key):
+    # a misspelled key must not run with the default it meant to change
+    cfg = BASE_CFG.replace(section, f"{section}\n{line}")
+    code = main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    msg = _assert_one_line_reason(capsys, "config error: ")
+    assert section in msg and key in msg
+    assert not (tmp_path / "out" / "verify.txt").exists()
+
+
+def test_cli_verify_rejects_ladder_cells(tmp_path, capsys):
+    cfg = BASE_CFG.replace("cells = 16", "cells = 8").replace(
+        "h = 0.1, 0.05, 0.025", "h = 0.1, 0.05\ncells = 16, 32")
+    code = main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    msg = _assert_one_line_reason(capsys, "config error: ")
+    assert "[ladder] cells" in msg and "converge" in msg
+    assert not (tmp_path / "out").exists()
+    # converge still reads the list
+    assert main(["converge", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "conv")]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "converge"])
+@pytest.mark.parametrize("below_file", [False, True],
+                         ids=["out-is-file", "out-below-file"])
+def test_cli_unusable_out_exits_2(tmp_path, capsys, command, below_file):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below_file else blocker
+    code = main([command, "--config", _write_cfg(tmp_path),
+                 "--out", str(out)])
+    assert code == 2
+    msg = _assert_one_line_reason(capsys, "i/o error: ")
+    assert str(out) in msg
+    assert blocker.read_text() == "not a directory\n"

@@ -9,7 +9,6 @@ from dnsflow import (
     GridSpec,
     ProjectionError,
     ScalarField,
-    StokesSolver,
     VelocityField,
     divergence,
     grad_norm_sq,
@@ -196,40 +195,52 @@ def test_stokes_dirichlet_solves_system(dirichlet32):
     assert info.momentum_residual < 1e-8 * max(norm_l2(w), 1.0)
 
 
-def test_stokes_dirichlet_cap_returns_best_iterate(dirichlet32):
+def test_stokes_dirichlet_cap_returns_last_iterate(dirichlet32, monkeypatch):
+    # force the cap by letting the Uzawa loop (the CG with a stop rule)
+    # run a single outer iteration
+    def one_outer(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0,
+                  stop_fn=None):
+        if stop_fn is not None:
+            max_iters = 1
+        return _cg(apply_a, b, x0, max_iters, rel_tol, abs_tol, stop_fn)
+
     h = 0.0125
     w = leray_project(stream_bump_field(dirichlet32)).solenoidal
-    solver = StokesSolver(dirichlet32, h)
-    solver.max_outer = 1
-    v, p, info = solver.solve(w)
+    monkeypatch.setattr(projection, "_cg", one_outer)
+    v, p, info = solve_implicit_stokes(w, h)
     assert not info.converged
     assert info.outer_iterations == 1
     assert np.all(np.isfinite(v.data))
-    assert solver.total_inner == 0
+    assert info.max_divergence == float(np.max(np.abs(divergence(v).data)))
+    # v is the velocity of the returned pressure iterate
+    ainv = projection._helmholtz_inverse(dirichlet32, h, 1.0)
+    assert np.allclose(v.data, ainv(w.data - h * gradient(p).data),
+                       rtol=0.0, atol=1e-12)
 
 
-def test_stokes_solver_context_mismatch(dirichlet32):
-    solver = StokesSolver(dirichlet32, 0.1)
+def test_stokes_warm_start_must_match_grid(dirichlet32):
+    w = stream_bump_field(dirichlet32)
     with pytest.raises(ValueError):
-        solve_implicit_stokes(stream_bump_field(dirichlet32), 0.2,
-                              solver=solver)
-    with pytest.raises(ValueError):
-        StokesSolver(GridSpec(16), 0.1)
+        solve_implicit_stokes(w, 0.1, p0=ScalarField.zeros(GridSpec(
+            16, bc=BoundaryCondition.DIRICHLET_ZERO)))
+    with pytest.raises(TypeError):
+        # the tolerance and the starting pressure are keyword-only
+        solve_implicit_stokes(w, 0.1, 1.0, 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # exact DST-I Helmholtz inverse against the CG reference
 
-def _cg_ainv(solver, f):
+def _cg_ainv(spec, h, nu, f):
     """Reference (I - h nu L)^{-1}: CG on the interior 5-point operator,
     one component at a time, walls of the result pinned to zero."""
     def helmholtz(x):
-        return x - solver.h * solver.nu * _fd_laplacian(solver.spec, x)
+        return x - h * nu * _fd_laplacian(spec, x)
 
     out = np.zeros(f.shape)
     for idx in np.ndindex(f.shape[:-2]):
         sol, _, ok = _cg(helmholtz, f[idx], np.zeros(f.shape[-2:]),
-                         50 * max(solver.spec.cells), 1e-14)
+                         50 * max(spec.cells), 1e-14)
         assert ok
         out[idx][1:-1, 1:-1] = sol[1:-1, 1:-1]
     return out
@@ -245,17 +256,18 @@ BOX_GRIDS = [
 
 @pytest.mark.parametrize("spec", BOX_GRIDS, ids=["32x32", "16x32"])
 def test_helmholtz_inverse_matches_cg_reference(spec):
-    solver = StokesSolver(spec, 0.0125, nu=0.7)
+    h, nu = 0.0125, 0.7
+    ainv = projection._helmholtz_inverse(spec, h, nu)
     rng = np.random.default_rng(11)
     f = np.zeros((2,) + spec.node_shape)
     f[:, 1:-1, 1:-1] = rng.normal(size=f[:, 1:-1, 1:-1].shape)
-    ref = _cg_ainv(solver, f)
-    batched = solver._ainv(f)
+    ref = _cg_ainv(spec, h, nu, f)
+    batched = ainv(f)
     assert np.all(batched[:, [0, -1], :] == 0.0)
     assert np.all(batched[:, :, [0, -1]] == 0.0)
     assert np.linalg.norm(batched - ref) < 1e-12 * np.linalg.norm(ref)
     for c in range(2):
-        single = solver._ainv(f[c])
+        single = ainv(f[c])
         assert single.shape == spec.node_shape
         assert (np.linalg.norm(single - ref[c])
                 < 1e-12 * np.linalg.norm(ref[c]))
@@ -275,7 +287,8 @@ def test_box_run_matches_cg_reference(monkeypatch):
     a = random_solenoidal_field(spec, seed=3)
     cfg = DnsConfig(h=0.0125, T=0.05, grid=spec)
     fast = run(a, cfg)
-    monkeypatch.setattr(StokesSolver, "_ainv", _cg_ainv)
+    monkeypatch.setattr(projection, "_helmholtz_inverse",
+                        lambda spec, h, nu: lambda f: _cg_ainv(spec, h, nu, f))
     ref = run(a, cfg)
     assert len(fast.results) == len(ref.results) == 4
     v_fast, v_ref = fast.snapshots[-1], ref.snapshots[-1]

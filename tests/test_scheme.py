@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dnsflow import (
     GridSpec,
     InterpOrder,
     SolvePath,
+    ScalarField,
     SolverFailure,
     TaylorGreenOracle,
     VelocityField,
@@ -261,6 +264,67 @@ def test_direct_path_shares_one_projection(bc):
                                                             cfg.nu)
 
 
+def _field_level_projected_cg(w, h, nu, tol, max_iters):
+    """The direct path's former minimizer, kept as the reference: CG on
+    VelocityFields with trapezoid inner products, the iterate and the
+    residual re-projected every iteration."""
+
+    def hess(f):
+        return f * (1.0 / h) - nu * laplacian(f)
+
+    def project(f):
+        return leray_project(f).solenoidal
+
+    b = project(w * (1.0 / h))
+    x = VelocityField.zeros(w.spec)
+    r = b
+    d = r
+    rs = inner_product_l2(r, r)
+    b_norm = math.sqrt(max(inner_product_l2(b, b), 0.0))
+    if b_norm == 0.0:
+        return x, 0, True
+    k = 0
+    while math.sqrt(rs) > tol * b_norm and k < max_iters:
+        hd = project(hess(d))
+        dhd = inner_product_l2(d, hd)
+        if dhd <= 0.0:
+            break
+        alpha = rs / dhd
+        x = project(x + d * alpha)
+        r = project(r - hd * alpha)
+        rs_new = inner_product_l2(r, r)
+        d = r + d * (rs_new / rs)
+        rs = rs_new
+        k += 1
+    return x, k, math.sqrt(rs) <= tol * b_norm
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda b: b.value)
+def test_direct_minimizer_matches_field_level_loop(bc, monkeypatch):
+    # one projection per iteration on the shared CG loop is the former
+    # loop in exact arithmetic: every iterate vanishes on the walls, so
+    # the trapezoid inner product is dx^2 times the plain sum
+    spec = GridSpec(32, bc=bc)
+    h, nu = 0.0125, 0.7
+    w = backtrace(random_solenoidal_field(spec, seed=29), h)
+    real_project = scheme.leray_project
+    for tol in (1e-8, 1e-10):
+        cfg = DnsConfig(h=h, T=h, grid=spec, nu=nu,
+                        path=SolvePath.DIRECT_MINIMIZE, minimizer_tol=tol,
+                        minimizer_max_iters=2000)
+        calls = []
+        monkeypatch.setattr(scheme, "leray_project",
+                            lambda u: calls.append(1) or real_project(u))
+        v = scheme._minimize_projected_cg(w, cfg)
+        monkeypatch.undo()
+        v_ref, k_ref, ok_ref = _field_level_projected_cg(w, h, nu, tol, 2000)
+        assert ok_ref
+        # the same iteration count: one projection per iteration, plus
+        # b, the initial residual and the final iterate
+        assert len(calls) == k_ref + 3
+        assert norm_l2(v - v_ref) < 1e-10 * norm_l2(v_ref)
+
+
 def test_direct_minimize_dirichlet_consistent(dirichlet32):
     # the dirichlet Euler-Lagrange operator (five-point stencil) and the
     # functional's exact Hessian differ at truncation level on the
@@ -378,6 +442,70 @@ def test_run_wraps_initial_projection_error(dirichlet32, monkeypatch):
         run(a, cfg)
     assert err.value.step == 0
     assert isinstance(err.value.__cause__, ProjectionError)
+
+
+def test_dns_step_honours_div_tol(dirichlet32):
+    # the step hands the config's tolerance to the box Stokes solve: no
+    # iterate reaches max |div v| <= 1e-30 before the outer cap
+    a = leray_project(random_solenoidal_field(dirichlet32, seed=2)).solenoidal
+    with pytest.raises(SolverFailure):
+        dns_step(a, DnsConfig(h=0.0125, T=0.0125, grid=dirichlet32,
+                              div_tol=1e-30))
+
+
+def _uzawa_carrying_raw_iterate(real_cg):
+    """Stand-in for projection._cg that starts every Uzawa loop (the CG
+    with a stop rule) from the previous loop's final, not yet demeaned,
+    pressure iterate: the warm start of the former stateful solver."""
+    state = {}
+
+    def cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0,
+           stop_fn=None):
+        if stop_fn is not None and "p" in state:
+            x0 = state["p"]
+        x, k, ok = real_cg(apply_a, b, x0, max_iters, rel_tol, abs_tol,
+                           stop_fn)
+        if stop_fn is not None:
+            state["p"] = x.copy()
+        return x, k, ok
+
+    return cg
+
+
+def test_box_warm_start_bounded_against_former_solver(monkeypatch):
+    # run() starts each box Stokes solve from the previous step's demeaned
+    # pressure; the former solver started it from its raw iterate. The
+    # Schur operator ignores constants, so only roundoff may separate them
+    # (benchmark box64 case: 64^2, seed 41, 4 steps)
+    spec = GridSpec(64, bc=BoundaryCondition.DIRICHLET_ZERO)
+    cfg = DnsConfig(h=0.0125, T=0.05, grid=spec)
+    a = random_solenoidal_field(spec, seed=41)
+    warm = run(a, cfg)
+    monkeypatch.setattr(projection, "_cg",
+                        _uzawa_carrying_raw_iterate(projection._cg))
+    former = run(a, cfg)
+    monkeypatch.undo()
+    v = warm.snapshots[0]
+    for r_warm, r_former in zip(warm.results, former.results, strict=True):
+        assert r_warm.stokes_outer == r_former.stokes_outer
+        assert norm_l2(r_warm.v - r_former.v) <= 1e-13 * norm_l2(r_former.v)
+        assert (np.linalg.norm(r_warm.p.data - r_former.p.data)
+                <= 1e-11 * np.linalg.norm(r_former.p.data))
+        # a cold start (zero pressure on every step) stops elsewhere
+        # within the divergence tolerance: ~2e-10 in v and ~6e-8 in p
+        cold = dns_step(v, cfg)
+        v = cold.v
+        assert norm_l2(r_warm.v - cold.v) <= 1e-8 * norm_l2(cold.v)
+        assert (np.linalg.norm(r_warm.p.data - cold.p.data)
+                <= 1e-6 * np.linalg.norm(cold.p.data))
+
+
+def test_dns_step_rejects_pressure_on_another_grid(dirichlet32):
+    a = random_solenoidal_field(dirichlet32, seed=2)
+    other = ScalarField.zeros(GridSpec(16, bc=BoundaryCondition.DIRICHLET_ZERO))
+    with pytest.raises(ValueError):
+        dns_step(a, DnsConfig(h=0.0125, T=0.0125, grid=dirichlet32),
+                 p_prev=other)
 
 
 def test_step_records_stokes_outer_count(periodic32, dirichlet32):
