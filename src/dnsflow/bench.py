@@ -15,10 +15,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import AnalyticVectorField, check_step_inequality, ledger_from_results
-from .fields import GridSpec, ScalarField, VelocityField, norm_l2, pin_walls
+from .fields import (
+    TWO_PI,
+    GridSpec,
+    ScalarField,
+    VelocityField,
+    norm_l2,
+    pin_walls,
+)
 from .scheme import DnsConfig, run
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

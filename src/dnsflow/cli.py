@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -25,7 +24,7 @@ from .fields import (
     norm_l2,
 )
 from .manifest import ConfigError, RunManifest, load_manifest
-from .scheme import DnsConfig, SolverFailure, Trajectory, run
+from .scheme import DIV_FREE_BOUND, DnsConfig, SolverFailure, Trajectory, run
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -144,6 +143,9 @@ def cmd_run(man: RunManifest) -> int:
         f"stokes_outer_total = {sum(outers)}",
         f"stokes_outer_max = {max(outers)}",
     ]
+    if cfg.cross_check:
+        gap = max(r.path_disagreement for r in traj.results)
+        report.append(f"max_path_disagreement = {gap:.6e}")
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
     return EXIT_OK
@@ -154,7 +156,7 @@ def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str,
     cfg = man.cfg
     checks: list[tuple[str, bool, str]] = []
     periodic = cfg.grid.bc is BoundaryCondition.PERIODIC
-    div_bound = 1e-10 if periodic else 1e-8
+    div_bound = DIV_FREE_BOUND[cfg.grid.bc]
 
     worst_div = 0.0
     for traj in trajs:
@@ -292,9 +294,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="ladder fan-out width (default 1; env "
-                            "DNS_FLOW_THREADS as fallback)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="ladder fan-out width (default 1)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random initial data")
         if name == "verify":
@@ -305,24 +306,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_threads() -> int:
-    text = os.environ.get("DNS_FLOW_THREADS", "") or "1"
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"DNS_FLOW_THREADS must be an integer, "
-                          f"got {text!r}") from None
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        threads = args.threads if args.threads is not None else _env_threads()
         man = load_manifest(args.config, out_dir=args.out, seed=args.seed,
-                            threads=threads)
+                            threads=args.threads)
         # fields reject non-finite samples and that failure is reported in
         # one line below; numpy's overflow warnings would only repeat it
         with np.errstate(all="ignore"):

@@ -4,8 +4,7 @@ Sections and keys:
 
     [grid]    cells, extent, bc
     [time]    h, T
-    [scheme]  interp, path, nu, minimizer_tol, minimizer_max_iters,
-              cross_check, div_tol
+    [scheme]  interp, path, nu, minimizer_tol, cross_check, div_tol
     [initial] kind (taylor_green | zero | random_solenoidal | stream_bump
               | snapshot), amplitude, file
     [output]  cadence
@@ -35,8 +34,8 @@ class ConfigError(ValueError):
 # the sections and keys of the module docstring, lower case as parsed
 _SECTION_KEYS = {
     "grid": {"cells", "extent", "bc"}, "time": {"h", "t"},
-    "scheme": {"interp", "path", "nu", "minimizer_tol", "minimizer_max_iters",
-               "cross_check", "div_tol"},
+    "scheme": {"interp", "path", "nu", "minimizer_tol", "cross_check",
+               "div_tol"},
     "initial": {"kind", "amplitude", "file"}, "output": {"cadence"},
     "ladder": {"h", "cells"},
 }
@@ -183,7 +182,6 @@ def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
             h=h, T=T, grid=grid, interp_order=interp, path=path,
             nu=_get_float(scheme_sec, "nu", 1.0),
             minimizer_tol=_get_float(scheme_sec, "minimizer_tol", 1e-10),
-            minimizer_max_iters=_get_int(scheme_sec, "minimizer_max_iters", 500),
             cross_check=_get_bool(scheme_sec, "cross_check", False),
             div_tol=_get_float(scheme_sec, "div_tol", 1e-9),
         )

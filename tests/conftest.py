@@ -46,8 +46,7 @@ def small_run(request):
     bc, path, order = request.param
     spec = GridSpec(16, bc=bc)
     cfg = DnsConfig(h=0.0125, T=0.05, grid=spec, interp_order=order,
-                    path=path, nu=0.7, minimizer_tol=1e-8,
-                    minimizer_max_iters=2000)
+                    path=path, nu=0.7, minimizer_tol=1e-8)
     return run(random_solenoidal_field(spec, seed=17), cfg)
 
 

@@ -8,10 +8,8 @@ traceback. Grids stay at 8-16 cells and runs at one or two steps.
 
 import contextlib
 import io
-import os
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -62,14 +60,11 @@ def test_cli_exit_codes_without_traceback(text, command, threads):
         cfg = Path(tmp) / "fuzz.cfg"
         cfg.write_text(text.replace("{missing}", str(Path(tmp) / "no.vtk")))
         err = io.StringIO()
-        env = {} if threads is None else {"DNS_FLOW_THREADS": threads}
-        with mock.patch.dict(os.environ, env), \
-                contextlib.redirect_stdout(io.StringIO()), \
+        flags = [] if threads is None else ["--threads", threads]
+        with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            if threads is None:
-                os.environ.pop("DNS_FLOW_THREADS", None)
             code = main([command, "--config", str(cfg),
-                         "--out", str(Path(tmp) / "out")])
+                         "--out", str(Path(tmp) / "out"), *flags])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()

@@ -188,11 +188,11 @@ def test_cli_verify_flags_corrupted_trajectory(tmp_path):
     assert "FAIL" in (out / "verify.txt").read_text()
 
 
-def test_cli_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("DNS_FLOW_THREADS", "2")
+def test_cli_converge_on_two_threads(tmp_path):
     path = _write_cfg(tmp_path)
     out = tmp_path / "conv_threads"
-    assert main(["converge", "--config", path, "--out", str(out)]) == 0
+    assert main(["converge", "--config", path, "--out", str(out),
+                 "--threads", "2"]) == 0
     assert (out / "convergence.csv").exists()
 
 
@@ -244,6 +244,24 @@ BOX_CFG = textwrap.dedent("""\
 """)
 
 
+def test_cli_run_reports_path_disagreement_only_when_cross_checked(tmp_path):
+    plain = tmp_path / "plain"
+    assert main(["run", "--config", _write_cfg(tmp_path),
+                 "--out", str(plain)]) == 0
+    assert "max_path_disagreement" not in (plain / "report.txt").read_text()
+    checked = tmp_path / "checked"
+    cfg = BASE_CFG.replace("path = euler_lagrange",
+                           "path = euler_lagrange\ncross_check = true")
+    assert main(["run", "--config", _write_cfg(tmp_path, cfg, name="cc.cfg"),
+                 "--out", str(checked)]) == 0
+    lines = (checked / "report.txt").read_text().splitlines()
+    assert lines[:-1] == (plain / "report.txt").read_text().splitlines()
+    assert lines[-1].startswith("max_path_disagreement = ")
+    assert 0.0 <= float(lines[-1].split(" = ")[1]) < 1e-8
+    assert ((checked / "ledger.csv").read_text()
+            == (plain / "ledger.csv").read_text())
+
+
 def test_cli_run_reports_stokes_outer_counts(tmp_path):
     out = tmp_path / "box"
     assert main(["run", "--config", _write_cfg(tmp_path, BOX_CFG),
@@ -279,13 +297,13 @@ def test_cli_projection_failure_exits_3_with_step(tmp_path, capsys,
     _assert_one_line_reason(capsys, "solver failure: step 1: ")
 
 
-def test_cli_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DNS_FLOW_THREADS", "abc")
+def test_cli_bad_threads_exits_2(tmp_path, capsys):
     code = main(["run", "--config", _write_cfg(tmp_path),
-                 "--out", str(tmp_path / "out")])
+                 "--out", str(tmp_path / "out"), "--threads", "abc"])
     assert code == 2
-    line = _assert_one_line_reason(capsys, "config error: ")
-    assert "DNS_FLOW_THREADS" in line
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--threads" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_snapshot_exits_2(tmp_path, capsys):
@@ -416,9 +434,10 @@ def test_cli_non_finite_field_exits_3_with_step(tmp_path, capsys, amplitude,
     ("path = euler_lagrange", "path = euler_lagrange\ndiv_tol = -1",
      "div_tol"),
     ("path = euler_lagrange",
-     "path = direct_minimize\nminimizer_max_iters = 0", "minimizer_max_iters"),
+     "path = euler_lagrange\ncross_check = true\nminimizer_tol = 0",
+     "minimizer_tol"),
 ], ids=["float-cells", "small-cells", "zero-div-tol", "negative-div-tol",
-        "zero-max-iters"])
+        "cross-check-zero-minimizer-tol"])
 @pytest.mark.parametrize("command", ["run", "verify", "converge"])
 def test_cli_unusable_settings_exit_2(tmp_path, capsys, old, new, named,
                                      command):
@@ -468,6 +487,8 @@ def test_cli_thread_workers_report_failures_in_one_line(tmp_path, capsys,
     ("[scheme]", "div_tols = 0", "div_tols"),
     ("[grid]", "cell = 8", "cell"),
     ("[ladder]", "hs = 0.1", "hs"),
+    # the minimizer's iteration cap follows the grid; it is not a setting
+    ("[scheme]", "minimizer_max_iters = 0", "minimizer_max_iters"),
 ])
 def test_cli_unknown_key_exits_2(tmp_path, capsys, section, line, key):
     # a misspelled key must not run with the default it meant to change

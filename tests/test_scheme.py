@@ -254,7 +254,7 @@ def test_direct_path_shares_one_projection(bc):
     spec = GridSpec(16, bc=bc)
     cfg = DnsConfig(h=0.0125, T=0.025, grid=spec, nu=0.7,
                     path=SolvePath.DIRECT_MINIMIZE, cross_check=True,
-                    minimizer_tol=1e-8, minimizer_max_iters=2000)
+                    minimizer_tol=1e-8)
     traj = run(random_solenoidal_field(spec, seed=23), cfg)
     for r in traj.results:
         assert r.path_disagreement is not None
@@ -310,8 +310,7 @@ def test_direct_minimizer_matches_field_level_loop(bc, monkeypatch):
     real_project = scheme.leray_project
     for tol in (1e-8, 1e-10):
         cfg = DnsConfig(h=h, T=h, grid=spec, nu=nu,
-                        path=SolvePath.DIRECT_MINIMIZE, minimizer_tol=tol,
-                        minimizer_max_iters=2000)
+                        path=SolvePath.DIRECT_MINIMIZE, minimizer_tol=tol)
         calls = []
         monkeypatch.setattr(scheme, "leray_project",
                             lambda u: calls.append(1) or real_project(u))
@@ -335,11 +334,19 @@ def test_direct_minimize_dirichlet_consistent(dirichlet32):
     el = dns_step(a, DnsConfig(h=h, T=h, grid=dirichlet32))
     dm = dns_step(a, DnsConfig(h=h, T=h, grid=dirichlet32,
                                path=SolvePath.DIRECT_MINIMIZE,
-                               minimizer_tol=1e-8,
-                               minimizer_max_iters=2000))
+                               minimizer_tol=1e-8))
     rel = norm_l2(el.v - dm.v) / max(norm_l2(el.v), 1e-300)
     assert rel < 0.05
     assert dm.functional_value <= el.functional_value * (1.0 + 1e-6)
+
+
+def test_minimizer_cap_raises_solver_failure(periodic32, monkeypatch):
+    # the cap is per cell of the longer axis: 1 x 32 iterations is too few
+    monkeypatch.setattr(scheme, "_MINIMIZER_ITERS_PER_CELL", 1)
+    cfg = DnsConfig(h=0.1, T=0.1, grid=periodic32,
+                    path=SolvePath.DIRECT_MINIMIZE)
+    with pytest.raises(SolverFailure, match="did not converge in 32 "):
+        dns_step(random_solenoidal_field(periodic32, seed=3), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +522,7 @@ def test_step_records_stokes_outer_count(periodic32, dirichlet32):
     assert el.stokes_outer > 0
     dm = dns_step(box, DnsConfig(h=h, T=h, grid=dirichlet32,
                                  path=SolvePath.DIRECT_MINIMIZE,
-                                 minimizer_tol=1e-8,
-                                 minimizer_max_iters=2000))
+                                 minimizer_tol=1e-8))
     assert dm.stokes_outer == 0
     tg, _ = taylor_green_field(0.0, periodic32)
     assert dns_step(tg, DnsConfig(h=h, T=h, grid=periodic32)).stokes_outer == 0
@@ -532,3 +538,6 @@ def test_config_validation(periodic32):
     with pytest.raises(ValueError):
         DnsConfig(h=0.1, T=1.0, grid=periodic32,
                   path=SolvePath.DIRECT_MINIMIZE, minimizer_tol=0.0)
+    with pytest.raises(ValueError):   # the cross-check runs the minimizer too
+        DnsConfig(h=0.1, T=1.0, grid=periodic32, cross_check=True,
+                  minimizer_tol=0.0)
