@@ -436,8 +436,11 @@ def test_cli_non_finite_field_exits_3_with_step(tmp_path, capsys, amplitude,
     ("path = euler_lagrange",
      "path = euler_lagrange\ncross_check = true\nminimizer_tol = 0",
      "minimizer_tol"),
+    # the key is gone (the cap follows the grid): rejected as unknown
+    ("path = euler_lagrange",
+     "path = direct_minimize\nminimizer_max_iters = 0", "minimizer_max_iters"),
 ], ids=["float-cells", "small-cells", "zero-div-tol", "negative-div-tol",
-        "cross-check-zero-minimizer-tol"])
+        "cross-check-zero-minimizer-tol", "zero-max-iters"])
 @pytest.mark.parametrize("command", ["run", "verify", "converge"])
 def test_cli_unusable_settings_exit_2(tmp_path, capsys, old, new, named,
                                      command):
