@@ -282,8 +282,20 @@ def cmd_converge(man: RunManifest) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for main to report in one line, where argparse
+    would print its usage block and exit; subparsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dnsflow",
         description="Variational time-discrete incompressible flow solver")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -309,7 +321,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
+        # --help prints and exits 0
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         man = load_manifest(args.config, out_dir=args.out, seed=args.seed,

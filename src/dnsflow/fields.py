@@ -338,12 +338,13 @@ def _fd_divergence(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _fd_laplacian(spec: GridSpec, data: np.ndarray) -> np.ndarray:
-    """Five-point stencil on interior nodes; wall rows return 0."""
+    """Five-point stencil on interior nodes of each leading slice of
+    ``data``; wall rows return 0."""
     dx2 = spec.spacing ** 2
     out = np.zeros_like(data)
-    out[1:-1, 1:-1] = (data[2:, 1:-1] + data[:-2, 1:-1]
-                       + data[1:-1, 2:] + data[1:-1, :-2]
-                       - 4.0 * data[1:-1, 1:-1]) / dx2
+    out[..., 1:-1, 1:-1] = (data[..., 2:, 1:-1] + data[..., :-2, 1:-1]
+                            + data[..., 1:-1, 2:] + data[..., 1:-1, :-2]
+                            - 4.0 * data[..., 1:-1, 1:-1]) / dx2
     return out
 
 
@@ -391,8 +392,7 @@ def laplacian(v: VelocityField) -> VelocityField:
             for c in range(2)
         ])
         return VelocityField(spec, out)
-    return VelocityField(spec, np.stack([_fd_laplacian(spec, v.data[c])
-                                         for c in range(2)]))
+    return VelocityField(spec, _fd_laplacian(spec, v.data))
 
 
 @lru_cache(maxsize=32)

@@ -7,13 +7,21 @@ Dirichlet backend: the velocity unknowns live on interior nodes (walls
 pinned to zero) and the pressure on all nodes. The divergence constraint
 is enforced through the weighted adjoint of the interior central
 gradient, which coincides with the public divergence operator at every
-node for wall-pinned fields. The pressure Schur complement
-h G^T W (I - h nu L)^{-1} G is symmetric positive semidefinite, so the
-outer Uzawa iteration is a plain conjugate-gradient loop. With the walls
-pinned, the interior 5-point Helmholtz operator I - h nu L is diagonal
-in the sine basis, so each application of its inverse is an exact
-DST-I solve (fast Poisson solver; Buzbee, Golub & Nielson 1970). A
-solve keeps no state; run() starts each from the previous pressure.
+node for wall-pinned fields. With the walls pinned, the interior
+5-point Helmholtz operator A = I - h nu lap is diagonal in the sine
+basis, so each application of its inverse is an exact DST-I solve (fast
+Poisson solver; Buzbee, Golub & Nielson 1970). Both box solves are
+preconditioned conjugate-gradient loops on one fast Poisson
+pseudo-inverse: the Neumann operator G^T W G splits into four parity
+sub-lattices, on each of which the grid-graph Laplacian is diagonal in
+the tensor DCT-II basis (Strang, SIAM Rev. 41, 1999). The Leray
+projection preconditions its Neumann Poisson CG with that pseudo-inverse
+directly. The outer Uzawa CG on the pressure Schur complement
+h G^T W A^{-1} G (symmetric positive semidefinite) uses the
+least-squares-commutator (BFBt) preconditioner built on it, with A
+applied by its stencil (Elman, SIAM J. Sci. Comput. 20, 1999); the
+iteration counts of both stop growing with the grid. A solve keeps no
+state; run() starts each from the previous pressure.
 """
 
 from __future__ import annotations
@@ -65,38 +73,49 @@ class StokesInfo:
     momentum_residual: float
 
 
-def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0, stop_fn=None):
-    """Hand-rolled CG; returns (x, iterations, converged). Stops on
-    ``stop_fn(r)`` if given, else on |r| <= max(rel_tol |b|, abs_tol)."""
+def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0, stop_fn=None,
+        precond=None):
+    """Hand-rolled (preconditioned) CG; returns (x, iterations, converged).
+    Stops on ``stop_fn(r)`` if given, else on |r| <= max(rel_tol |b|,
+    abs_tol). ``precond`` applies a symmetric positive semidefinite M^-1
+    (identity if None); the loop gives up, unconverged, once r.M^-1 r or
+    d.Ad is no longer positive."""
     x = x0.copy()
     r = b - apply_a(x)
     b_norm = float(np.sqrt(np.sum(b * b)))
     if b_norm == 0.0:
         return np.zeros_like(b), 0, True
     tol = max(rel_tol * b_norm, abs_tol)
-    d = r.copy()
-    rs = float(np.sum(r * r))
+
+    def small(rz):
+        if stop_fn is not None:
+            return stop_fn(r)
+        rr = rz if precond is None else float(np.sum(r * r))
+        return np.sqrt(rr) <= tol
+
+    z = r if precond is None else precond(r)
+    d = z.copy()
+    rz = float(np.sum(r * z))
     k = 0
     while k < max_iters:
-        if stop_fn is not None:
-            if stop_fn(r):
-                return x, k, True
-        elif np.sqrt(rs) <= tol:
+        if small(rz):
             return x, k, True
+        if not rz > 0.0:
+            break
         ad = apply_a(d)
         dad = float(np.sum(d * ad))
         if dad <= 0.0:
             break
-        alpha = rs / dad
+        alpha = rz / dad
         x += alpha * d
         r -= alpha * ad
-        rs_new = float(np.sum(r * r))
-        d = r + (rs_new / rs) * d
-        rs = rs_new
+        if precond is not None:
+            z = precond(r)
+        rz_new = float(np.sum(r * z))
+        d = z + (rz_new / rz) * d
+        rz = rz_new
         k += 1
-    done = (stop_fn(r) if stop_fn is not None
-            else np.sqrt(rs) <= tol)
-    return x, k, bool(done)
+    return x, k, bool(small(rz))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +189,63 @@ def _dirichlet_ops(spec: GridSpec):
     return grad_interior, grad_t_weighted, w
 
 
+def _path_dct(m: int):
+    """Orthonormal DCT-II basis (columns) and eigenvalues of the Laplacian
+    of the path graph on m nodes."""
+    k = np.arange(m)
+    basis = np.cos(np.pi * np.outer(np.arange(m) + 0.5, k) / m)
+    basis /= np.sqrt(np.sum(basis * basis, axis=0))
+    return basis, 2.0 - 2.0 * np.cos(np.pi * k / m)
+
+
+@lru_cache(maxsize=32)
+def _neumann_pinv(spec: GridSpec):
+    """M = P Lg^+ P, a fast symmetric positive semidefinite approximation of
+    the pseudo-inverse of the box Neumann operator L = G^T W G.
+
+    L couples a node only to nodes two apart, so it splits into the four
+    (i mod 2, j mod 2) sub-lattices. On each one it is 1/4 of the
+    grid-graph Laplacian Lg minus the edges along the wall lines; Lg is
+    diagonal in the tensor DCT-II basis (Strang 1999), so Lg^+ costs two
+    small matrix products each way. P is the orthogonal projector onto
+    range(G^T), whose complement, the null space of G, holds the four
+    corners (no interior central difference touches them) and one
+    constant per sub-lattice. P keeps the null-space part of a CG iterate
+    where the start put it.
+    """
+    nx, ny = spec.node_shape
+    corners = (np.array([0, 0, -1, -1]), np.array([0, -1, 0, -1]))
+    blocks, null = [], []
+    for a in (0, 1):
+        for b in (0, 1):
+            sub = (slice(a, None, 2), slice(b, None, 2))
+            cx, lx = _path_dct(len(range(a, nx, 2)))
+            cy, ly = _path_dct(len(range(b, ny, 2)))
+            lam = 0.25 * (lx[:, None] + ly[None, :])
+            lam[0, 0] = np.inf  # the sub-lattice constant: pseudo-inverse 0
+            blocks.append((sub, cx, cy, 1.0 / lam))
+            const = np.zeros(spec.node_shape)
+            const[sub] = 1.0
+            const[corners] = 0.0
+            null.append(const / np.linalg.norm(const))
+    for i, j in zip(*corners):
+        null.append(np.zeros(spec.node_shape))
+        null[-1][i, j] = 1.0
+    # orthonormal null-space basis, one row per vector
+    null = np.reshape(null, (8, -1))
+
+    def project(x):
+        return x - (null.T @ (null @ x.ravel())).reshape(x.shape)
+
+    def pinv(r):
+        q = project(r)
+        for sub, cx, cy, inv_lam in blocks:
+            q[sub] = cx @ ((cx.T @ q[sub] @ cy) * inv_lam) @ cy.T
+        return project(q)
+
+    return pinv
+
+
 _POISSON_REL_TOL = 1e-10
 _POISSON_ITERS_PER_CELL = 100
 
@@ -190,7 +266,8 @@ def _leray_dirichlet(u: VelocityField) -> HelmholtzParts:
     floor = (64.0 * np.finfo(float).eps * spec.spacing * umax
              * math.sqrt(spec.node_count))
     phi, k, ok = _cg(apply_l, b, np.zeros_like(b), max_iters,
-                     _POISSON_REL_TOL, abs_tol=floor)
+                     _POISSON_REL_TOL, abs_tol=floor,
+                     precond=_neumann_pinv(spec))
     if not ok:
         res = float(np.sqrt(np.sum((b - apply_l(phi)) ** 2)))
         raise ProjectionError("Neumann Poisson CG did not converge", res, k)
@@ -251,15 +328,24 @@ def _stokes_dirichlet(w: VelocityField, h: float, nu: float,
         # r = W_s * (adjoint divergence of the current velocity)
         return float(np.max(np.abs(r / weights))) <= div_tol
 
+    pinv = _neumann_pinv(spec)
+
+    def bfbt(r):
+        # least-squares commutator: S^-1 ~ L^+ G^T W A G L^+ / h, with
+        # A = I - h nu lap applied by its stencil, not inverted
+        g = np.stack(grad_i(pinv(r)))
+        ag = g - h * nu * _fd_laplacian(spec, g)
+        return pinv(grad_t(ag[0], ag[1])) * (1.0 / h)
+
     a = ainv(w.data)
     x0 = np.zeros(spec.node_shape) if p0 is None else p0.data
     p, outer, ok = _cg(schur, grad_t(a[0], a[1]), x0,
                        _UZAWA_ITERS_PER_CELL * max(spec.cells),
-                       stop_fn=div_small)
+                       stop_fn=div_small, precond=bfbt)
     hg = h * np.stack(grad_i(p))
     vel = ainv(w.data - hg)
     v = VelocityField(spec, vel)
-    lap = np.stack([_fd_laplacian(spec, c) for c in vel])
+    lap = _fd_laplacian(spec, vel)
     mom = (vel - h * nu * lap + hg - w.data)[:, 1:-1, 1:-1]
     mom_res = float(np.sqrt(np.sum(weights[1:-1, 1:-1]
                                    * np.sum(mom ** 2, axis=0))))
@@ -276,9 +362,11 @@ def leray_project(u: VelocityField) -> HelmholtzParts:
 
     The potential solves the discrete Poisson problem driven by the
     divergence of u (spectral division on the torus, Neumann CG on the
-    box); the solenoidal part is u minus its gradient. The box CG stops
-    at relative residual 1e-10 and raises ProjectionError after 100
-    iterations per cell of the longer axis.
+    box); the solenoidal part is u minus its gradient. The box CG is
+    preconditioned by the parity-split DCT pseudo-inverse, takes about
+    20 iterations whatever the grid, stops at relative residual 1e-10
+    and raises ProjectionError after 100 iterations per cell of the
+    longer axis.
     """
     if u.spec.is_periodic:
         return _leray_periodic(u)
@@ -291,8 +379,9 @@ def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0, *,
                           ) -> tuple[VelocityField, ScalarField, StokesInfo]:
     """Solve v - h nu lap(v) + h grad(p) = w with div(v) = 0.
 
-    Periodic: exact in one pass, mode by mode. Dirichlet: CG-accelerated
-    Uzawa iteration on the pressure from ``p0`` (zero if None) to
+    Periodic: exact in one pass, mode by mode. Dirichlet: Uzawa
+    iteration on the pressure, accelerated by CG with the least-squares-
+    commutator preconditioner, from ``p0`` (zero if None) to
     max |div v| <= ``div_tol``, each velocity solve an exact DST-I
     Helmholtz inverse; after 10 outer iterations per cell of the longer
     axis the last iterate is returned with ``info.converged`` False.

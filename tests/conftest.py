@@ -87,11 +87,12 @@ def random_pinned_velocity(spec: GridSpec, seed: int) -> VelocityField:
 
 
 def failing_poisson_cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0,
-                       stop_fn=None):
+                       stop_fn=None, precond=None):
     """Stand-in for projection._cg: every Neumann Poisson CG reports
     non-convergence after two iterations; the Uzawa loop (the only caller
     with a stop rule) keeps the real CG."""
     if stop_fn is not None:
-        return _real_cg(apply_a, b, x0, max_iters, stop_fn=stop_fn)
-    x, k, _ = _real_cg(apply_a, b, x0, 2, rel_tol, abs_tol)
+        return _real_cg(apply_a, b, x0, max_iters, stop_fn=stop_fn,
+                        precond=precond)
+    x, k, _ = _real_cg(apply_a, b, x0, 2, rel_tol, abs_tol, precond=precond)
     return x, k, False

@@ -141,8 +141,16 @@ def test_cli_missing_config_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_cli_usage_error_exits_2():
+def test_cli_usage_error_exits_2(capsys):
+    # one line, not argparse's usage block; subparsers report alike
     assert main(["frobnicate"]) == 2
+    line = _assert_one_line_reason(capsys, "usage error: dnsflow: ")
+    assert "frobnicate" in line
+    assert main(["run", "--config", "configs/box.cfg", "--threads",
+                 "abc"]) == 2
+    line = _assert_one_line_reason(capsys, "usage error: dnsflow run: ")
+    assert "--threads" in line
+    assert main(["run", "--help"]) == 0
 
 
 def test_cli_converge_single_rung(tmp_path):
@@ -275,6 +283,33 @@ def test_cli_run_reports_stokes_outer_counts(tmp_path):
     text = (periodic / "report.txt").read_text()
     assert "stokes_outer_total = 0\n" in text
     assert "stokes_outer_max = 0\n" in text
+
+
+def test_cli_box64_outer_counts(tmp_path):
+    # benchmark box64 case (64^2, extent 2 pi, seed 41, 4 steps): the
+    # unpreconditioned Uzawa loop took 658 outer iterations, 182 at most
+    # in one step; the least-squares-commutator one takes 178 and 49
+    cfg = textwrap.dedent("""\
+        [grid]
+        cells = 64
+        extent = 6.283185307179586
+        bc = dirichlet
+        [time]
+        h = 0.0125
+        t = 0.05
+        [initial]
+        kind = random_solenoidal
+        [output]
+        cadence = 1000000
+        """)
+    out = tmp_path / "box64"
+    assert main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out), "--seed", "41"]) == 0
+    report = dict(line.split(" = ", 1)
+                  for line in (out / "report.txt").read_text().splitlines())
+    assert int(report["stokes_outer_total"]) <= 220
+    assert int(report["stokes_outer_max"]) <= 60
+    assert float(report["max_divergence"]) < 1e-8
 
 
 def _assert_one_line_reason(capsys, prefix):

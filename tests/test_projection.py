@@ -199,10 +199,11 @@ def test_stokes_dirichlet_cap_returns_last_iterate(dirichlet32, monkeypatch):
     # force the cap by letting the Uzawa loop (the CG with a stop rule)
     # run a single outer iteration
     def one_outer(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0,
-                  stop_fn=None):
+                  stop_fn=None, precond=None):
         if stop_fn is not None:
             max_iters = 1
-        return _cg(apply_a, b, x0, max_iters, rel_tol, abs_tol, stop_fn)
+        return _cg(apply_a, b, x0, max_iters, rel_tol, abs_tol, stop_fn,
+                   precond)
 
     h = 0.0125
     w = leray_project(stream_bump_field(dirichlet32)).solenoidal
@@ -296,3 +297,148 @@ def test_box_run_matches_cg_reference(monkeypatch):
     for r_fast, r_ref in zip(fast.results, ref.results):
         assert r_fast.stokes_outer > 0
         assert abs(r_fast.stokes_outer - r_ref.stokes_outer) <= 1
+
+
+# ---------------------------------------------------------------------------
+# preconditioned CG and the parity-split Neumann preconditioner
+
+def test_cg_stops_when_preconditioned_residual_vanishes():
+    # r.M^-1 r <= 0 ends the loop unconverged, as d.Ad <= 0 does; a
+    # preconditioner orthogonal to r would otherwise divide by zero
+    b = np.array([1.0, 2.0])
+    for precond in (np.zeros_like, lambda r: np.array([-r[1], r[0]])):
+        x, k, ok = _cg(lambda x: 2.0 * x, b, np.zeros(2), 50, 1e-12,
+                       precond=precond)
+        assert (k, ok) == (0, False)
+        assert np.all(x == 0.0)
+
+
+def _dense(op, shape):
+    eye = np.eye(int(np.prod(shape)))
+    return np.stack([op(e.reshape(shape)).ravel() for e in eye], axis=1)
+
+
+# node counts per axis 9 / 12 / 17 / 34 / (9, 12): sub-lattices of odd
+# and even sizes, and a grid whose two axes must not swap
+NEUMANN_GRIDS = [GridSpec(c, extent=e, bc=BoundaryCondition.DIRICHLET_ZERO)
+                 for c, e in ((8, 8.0), (11, 11.0), (16, 16.0), (33, 33.0),
+                              ((8, 11), (8.0, 11.0)))]
+CORNERS = (np.array([0, 0, -1, -1]), np.array([0, -1, 0, -1]))
+PARITIES = [(slice(a, None, 2), slice(b, None, 2))
+            for a in (0, 1) for b in (0, 1)]
+
+
+@pytest.mark.parametrize("spec", NEUMANN_GRIDS,
+                         ids=["8", "11", "16", "33", "8x11"])
+def test_neumann_pinv_properties(spec):
+    pinv = projection._neumann_pinv(spec)
+    grad_i, grad_t, _ = projection._dirichlet_ops(spec)
+
+    def apply_l(p):
+        return grad_t(*grad_i(p))
+
+    shape = spec.node_shape
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2,) + shape)
+    mx, my = pinv(x), pinv(y)
+    assert (abs(np.sum(x * my) - np.sum(mx * y))
+            <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(my))
+    # the output lies in range(G^T): zero at the corners, zero sum on
+    # each parity sub-lattice
+    assert np.all(mx[CORNERS] == 0.0)
+    for sub in PARITIES:
+        assert abs(np.sum(mx[sub])) <= 1e-12 * np.sum(np.abs(mx))
+    # positive semidefinite, with L's 8-dimensional null space: one
+    # constant per sub-lattice and the four corners
+    m = _dense(pinv, shape)
+    lap = _dense(apply_l, shape)
+    ev = np.linalg.eigvalsh(0.5 * (m + m.T))
+    assert ev[0] >= -1e-12 * ev[-1]
+    ev_l, vec_l = np.linalg.eigh(lap)
+    in_range = ev_l > 1e-10 * ev_l[-1]
+    rank = m.shape[0] - 8
+    assert np.sum(ev > 1e-10 * ev[-1]) == rank == np.sum(in_range)
+    # M inverts L on range(G^T) fields that vanish on the walls: no wall-
+    # line edge (the edges L lacks from the grid-graph Laplacian) sees them
+    z = rng.normal(size=shape)
+    wall = np.zeros(shape, dtype=bool)
+    wall[[0, -1], :] = wall[:, [0, -1]] = True
+    z[wall] = 0.0
+    for sub in PARITIES:
+        zs, inner = z[sub], ~wall[sub]
+        zs[inner] -= np.mean(zs[inner])
+    assert np.linalg.norm(pinv(apply_l(z)) - z) <= 1e-12 * np.linalg.norm(z)
+    # elsewhere M L differs from the projector onto range(G^T) only
+    # through the wall-line edges: rank at most their count
+    range_l = vec_l[:, in_range]
+    defect = m @ lap - range_l @ range_l.T
+    sv = np.linalg.svd(defect, compute_uv=False)
+    wall_edges = 2 * (shape[0] + shape[1] - 4)
+    assert np.sum(sv > 1e-10 * sv[0]) <= wall_edges < rank
+
+
+def _cg_without_precond(monkeypatch):
+    real = projection._cg
+
+    def plain(*args, precond=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "_cg", plain)
+
+
+BOX64 = GridSpec(64, bc=BoundaryCondition.DIRICHLET_ZERO)
+
+
+def test_preconditioned_leray_matches_plain_cg(monkeypatch):
+    # benchmark box64 initial datum (64^2, seed 41): the two gradient
+    # parts agree to ~7e-11 relative
+    u = random_solenoidal_field(BOX64, seed=41)
+    fast = u - leray_project(u).solenoidal
+    _cg_without_precond(monkeypatch)
+    ref = u - leray_project(u).solenoidal
+    assert norm_l2(fast - ref) <= 1e-9 * norm_l2(ref)
+
+
+def test_preconditioned_stokes_matches_plain_uzawa(monkeypatch):
+    # both stop inside the divergence tolerance, at different iterates:
+    # measured ~9e-11 relative in v and ~1e-8 in the demeaned pressure
+    w = leray_project(random_solenoidal_field(BOX64, seed=41)).solenoidal
+    v, p, info = solve_implicit_stokes(w, 0.0125)
+    _cg_without_precond(monkeypatch)
+    v_ref, p_ref, info_ref = solve_implicit_stokes(w, 0.0125)
+    assert info.converged and info_ref.converged
+    assert info.outer_iterations < info_ref.outer_iterations
+    assert norm_l2(v - v_ref) <= 1e-8 * norm_l2(v_ref)
+    assert (np.linalg.norm(p.data - p_ref.data)
+            <= 1e-6 * np.linalg.norm(p_ref.data))
+
+
+def _counting_cg(monkeypatch):
+    """Record (has stop rule, iterations) of every projection._cg call."""
+    real, calls = projection._cg, []
+
+    def cg(*args, **kwargs):
+        x, k, ok = real(*args, **kwargs)
+        calls.append((kwargs.get("stop_fn") is not None, k))
+        return x, k, ok
+
+    monkeypatch.setattr(projection, "_cg", cg)
+    return calls
+
+
+def test_box_iteration_counts_do_not_grow_with_grid(monkeypatch):
+    # unpreconditioned: Neumann CG 73 / 138 / 270 and Uzawa 102 / 199 /
+    # 348 at 32^2 / 64^2 / 128^2; preconditioned, 15 / 20 / 22 and
+    # 43 / 58 / 78 (extent 1, h = 1/80)
+    calls = _counting_cg(monkeypatch)
+    uzawa = []
+    for n in (32, 64, 128):
+        spec = GridSpec(n, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
+        w = leray_project(random_solenoidal_field(spec, seed=41)).solenoidal
+        _, _, info = solve_implicit_stokes(w, 1.0 / 80.0)
+        assert info.converged
+        uzawa.append(info.outer_iterations)
+    neumann = [k for has_stop, k in calls if not has_stop]
+    assert len(neumann) == 3
+    assert max(neumann) <= 25
+    assert uzawa[2] <= 2 * uzawa[0]

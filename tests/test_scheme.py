@@ -467,11 +467,11 @@ def _uzawa_carrying_raw_iterate(real_cg):
     state = {}
 
     def cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0,
-           stop_fn=None):
+           stop_fn=None, precond=None):
         if stop_fn is not None and "p" in state:
             x0 = state["p"]
         x, k, ok = real_cg(apply_a, b, x0, max_iters, rel_tol, abs_tol,
-                           stop_fn)
+                           stop_fn, precond)
         if stop_fn is not None:
             state["p"] = x.copy()
         return x, k, ok
