@@ -156,13 +156,16 @@ def backtrace(v_prev: VelocityField, h: float,
     if h <= 0.0:
         raise ValueError("time step h must be positive")
     spec = v_prev.spec
-    X, Y = spec.mesh()
-    pts = np.stack([X - h * v_prev.data[0], Y - h * v_prev.data[1]], axis=-1)
-    vals = sample_offgrid(v_prev, pts, order)
-    data = np.stack([vals[..., 0], vals[..., 1]])
+    # departure points stored component-major, so each coordinate (and
+    # each component the sampler returns, which keeps this layout) is
+    # contiguous; the sampler sees them through a (..., 2) view
+    pts = h * v_prev.data
+    np.subtract(spec.axis_nodes(0)[:, None], pts[0], out=pts[0])
+    np.subtract(spec.axis_nodes(1)[None, :], pts[1], out=pts[1])
+    vals = sample_offgrid(v_prev, np.moveaxis(pts, 0, -1), order)
     # wall nodes do not move (v_prev vanishes there), so w is pinned
     # exactly; drop the interpolation dust
-    return VelocityField(spec, pin_walls(spec, data))
+    return VelocityField(spec, pin_walls(spec, np.moveaxis(vals, -1, 0)))
 
 
 def functional_value(v: VelocityField, v_prev: VelocityField, h: float,

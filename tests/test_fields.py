@@ -20,6 +20,8 @@ from dnsflow import (
 from dnsflow.fields import (
     _fd_partial,
     _parseval_norm_sq,
+    _partials,
+    _spectral_kit,
     quadrature_weights,
     velocity_jacobian,
 )
@@ -241,6 +243,69 @@ def test_parseval_norm_matches_quadrature(spec):
     assert parseval == pytest.approx(inner_product_l2(v, v), rel=1e-13)
     assert _parseval_norm_sq(spec, np.fft.rfft2(data[0])) == pytest.approx(
         float(np.sum(quadrature_weights(spec) * data[0] ** 2)), rel=1e-13)
+
+
+TORUS_SPECS = [GridSpec(16), GridSpec((16, 32), extent=(math.pi, TWO_PI))]
+TORUS_IDS = ["16x16", "16x32"]
+
+
+# Reference: the torus operators before Parseval and the one-transform
+# divergence, kept verbatim. All slices went through one batched
+# transform, the Dirichlet energy was the rectangle rule on that
+# Jacobian, and the divergence summed two inverse transforms.
+
+def _old_partials(spec, data):
+    KX, KY, _ = _spectral_kit(spec)
+    ik = 1j * np.stack([KX, KY])
+    return np.fft.irfft2(ik * np.fft.rfft2(data)[..., None, :, :],
+                         s=spec.node_shape)
+
+
+def _old_grad_norm_sq(v):
+    jac = _old_partials(v.spec, v.data)
+    return float(np.sum(quadrature_weights(v.spec) * np.sum(jac * jac,
+                                                            axis=(0, 1))))
+
+
+def _old_divergence(v):
+    spec = v.spec
+    KX, KY, _ = _spectral_kit(spec)
+    shape = spec.node_shape
+    return (np.fft.irfft2(1j * KX * np.fft.rfft2(v.u), s=shape)
+            + np.fft.irfft2(1j * KY * np.fft.rfft2(v.v), s=shape))
+
+
+def _white_noise(spec, seed):
+    data = np.random.default_rng(seed).normal(size=(2,) + spec.node_shape)
+    # every column is filled, the ky = 0 and Nyquist ones included
+    power = np.abs(np.fft.rfft2(data))
+    assert np.all(np.min(power, axis=-2) > 0.0)
+    return VelocityField(spec, data)
+
+
+@pytest.mark.parametrize("spec", TORUS_SPECS, ids=TORUS_IDS)
+def test_parseval_grad_norm_sq_matches_jacobian_quadrature(spec):
+    for seed in range(4):
+        v = _white_noise(spec, seed)
+        old = _old_grad_norm_sq(v)
+        assert abs(grad_norm_sq(v) - old) <= 1e-13 * old
+
+
+@pytest.mark.parametrize("spec", TORUS_SPECS, ids=TORUS_IDS)
+def test_one_transform_divergence_matches_two_transform_sum(spec):
+    for seed in range(4):
+        v = _white_noise(spec, seed)
+        jac = _old_partials(spec, v.data)
+        scale = max(np.max(np.abs(jac[0, 0])), np.max(np.abs(jac[1, 1])))
+        gap = np.max(np.abs(divergence(v).data - _old_divergence(v)))
+        assert gap <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 2)])
+@pytest.mark.parametrize("spec", TORUS_SPECS, ids=TORUS_IDS)
+def test_per_slice_partials_match_batched_transform(spec, lead):
+    data = np.random.default_rng(7).normal(size=lead + spec.node_shape)
+    assert np.array_equal(_partials(spec, data), _old_partials(spec, data))
 
 
 def test_inner_product_spec_mismatch(periodic32, periodic64):

@@ -190,8 +190,12 @@ def _edge_points(spec):
     L = spec.extent[0]
     dx = spec.spacing
     if spec.is_periodic:
+        # L(1 - 2^-53), the largest double below L, is the last value the
+        # masked wrap leaves alone; -0.0 (sign bit set) is wrapped to 0.0;
+        # huge values need np.mod, where an integer wrap would overflow
         xs = [-1e-300, 0.0, 1e-300, 0.5 * dx, L - 1e-12, L, 3.0 * L,
-              -3.0 * L, 3.0 * L + 0.3, -3.0 * L - 0.3]
+              -3.0 * L, 3.0 * L + 0.3, -3.0 * L - 0.3,
+              L * (1.0 - 2.0 ** -53), -0.0, 1e20, -1e20, 1e300, -1e300]
     else:
         # walls, just outside them, x = L, and the first cell inside each
         # wall, where the cubic stencil reaches the ghost layer
@@ -216,8 +220,11 @@ def test_matches_per_component_reference(order, bc):
 
 
 _COORD = st.one_of(st.floats(-4.0 * TWO_PI, 4.0 * TWO_PI),
-                   st.sampled_from([0.0, -1e-300, TWO_PI, -TWO_PI,
-                                    3.0 * TWO_PI, TWO_PI + 1e-12]))
+                   st.floats(-1e300, 1e300),
+                   st.sampled_from([0.0, -0.0, -1e-300, TWO_PI, -TWO_PI,
+                                    3.0 * TWO_PI, TWO_PI + 1e-12,
+                                    TWO_PI * (1.0 - 2.0 ** -53),
+                                    1e20, -1e20, 1e300, -1e300]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,3 +234,19 @@ _COORD = st.one_of(st.floats(-4.0 * TWO_PI, 4.0 * TWO_PI),
 def test_matches_per_component_reference_hypothesis(bc, order, seed, pts):
     fld = random_velocity(GridSpec(8, bc=bc), seed)
     _assert_matches_reference(fld, np.array(pts, dtype=np.float64), order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("bc", BCS)
+def test_result_keeps_point_layout(order, bc):
+    """Points stored component-major (a (..., 2) view of a (2, ...)
+    array) give the same samples, laid out component-major too."""
+    spec = GridSpec(16, bc=bc)
+    fld = random_velocity(spec, 3)
+    L = spec.extent[0]
+    pts = np.random.default_rng(8).uniform(-0.1 * L, 1.1 * L,
+                                           size=(12, 10, 2))
+    planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, -1, 0)), 0, -1)
+    new = sample_offgrid(fld, planar, order)
+    assert np.array_equal(new, sample_offgrid(fld, pts, order))
+    assert np.moveaxis(new, -1, 0).flags.c_contiguous

@@ -18,15 +18,18 @@ from dnsflow import (
     divergence,
     dns_step,
     functional_value,
+    grad_norm_sq,
     inner_product_l2,
     laplacian,
     leray_project,
     norm_l2,
     random_solenoidal_field,
     run,
+    sample_offgrid,
     taylor_green_field,
 )
 from dnsflow import projection, scheme
+from dnsflow.fields import pin_walls, velocity_jacobian
 from dnsflow.scheme import energy_terms
 
 from conftest import failing_poisson_cg, random_pinned_velocity
@@ -77,6 +80,26 @@ def test_backtrace_keeps_walls_pinned(dirichlet32):
     a = stream_bump_field(dirichlet32)
     w = backtrace(a, 0.1)
     assert w.is_boundary_compliant()
+
+
+@pytest.mark.parametrize("order", list(InterpOrder))
+@pytest.mark.parametrize("spec_name", ["periodic32", "dirichlet32"])
+def test_backtrace_samples_departure_points_bitwise(spec_name, order,
+                                                    request):
+    """backtrace builds its points component-major from the axis nodes;
+    the result is bitwise the sampler at the (..., 2)-stacked mesh - h v,
+    restacked and pinned, as backtrace used to form it."""
+    spec = request.getfixturevalue(spec_name)
+    v = random_pinned_velocity(spec, 13)
+    # ~1.5 cells of displacement: stencils cross the wrap and the walls
+    h = 0.3
+    X, Y = spec.mesh()
+    pts = np.stack([X - h * v.data[0], Y - h * v.data[1]], axis=-1)
+    vals = sample_offgrid(v, pts, order)
+    expected = pin_walls(spec, np.stack([vals[..., 0], vals[..., 1]]))
+    w = backtrace(v, h, order)
+    assert np.array_equal(w.data, expected)
+    assert w.data.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -541,3 +564,42 @@ def test_config_validation(periodic32):
     with pytest.raises(ValueError):   # the cross-check runs the minimizer too
         DnsConfig(h=0.1, T=1.0, grid=periodic32, cross_check=True,
                   minimizer_tol=0.0)
+
+
+class _TransformCounter:
+    """Wraps numpy.fft.rfft2 or irfft2; counts calls and the 2-D
+    transforms they run (one per slice of the leading axes)."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.transforms = fn, 0, 0
+
+    def __call__(self, a, *args, **kwargs):
+        self.calls += 1
+        self.transforms += math.prod(np.shape(a)[:-2])
+        return self.fn(a, *args, **kwargs)
+
+
+def test_torus_step_transform_count(periodic32, monkeypatch):
+    """Deterministic guard on the torus step's FFT work: the Dirichlet
+    energy comes from two forward transforms by Parseval, and a step runs
+    the Stokes solve's 2 + 3 transforms, one 2 + 1 divergence of v and
+    the energy's 2, each a single 2-D transform per call; the Jacobian
+    takes one forward and two inverse transforms per component. Restoring
+    the physical-space energy, the two-transform divergence or a batched
+    transform changes these counts."""
+    fwd = _TransformCounter(np.fft.rfft2)
+    inv = _TransformCounter(np.fft.irfft2)
+    monkeypatch.setattr(np.fft, "rfft2", fwd)
+    monkeypatch.setattr(np.fft, "irfft2", inv)
+    v, _ = taylor_green_field(0.0, periodic32)
+    grad_norm_sq(v)
+    assert (fwd.calls, fwd.transforms, inv.calls) == (2, 2, 0)
+    velocity_jacobian(v)
+    assert (fwd.calls, fwd.transforms) == (4, 4)
+    assert (inv.calls, inv.transforms) == (4, 4)
+    fwd.calls = fwd.transforms = inv.calls = inv.transforms = 0
+    h = 0.0125
+    dns_step(v, DnsConfig(h=h, T=h, grid=periodic32,
+                          interp_order=InterpOrder.CUBIC))
+    assert (fwd.calls, fwd.transforms) == (6, 6)
+    assert (inv.calls, inv.transforms) == (4, 4)
