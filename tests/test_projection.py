@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +306,118 @@ def test_box_run_matches_cg_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# sine-matrix Helmholtz inverse against the former padded-FFT form
+
+def _dst1(a: np.ndarray) -> np.ndarray:
+    """Unnormalised DST-I along the last axis: 2 sum_j a_j sin(pi j k / n).
+
+    Odd extension to length 2n and a real FFT; applying it twice
+    multiplies by 2n.
+    """
+    n = a.shape[-1] + 1
+    ext = np.zeros(a.shape[:-1] + (2 * n,))
+    ext[..., 1:n] = a
+    ext[..., n + 1:] = -a[..., ::-1]
+    return -np.fft.rfft(ext)[..., 1:n].imag
+
+
+def _fft_helmholtz_inverse(spec: GridSpec, h: float, nu: float):
+    """The former projection._helmholtz_inverse, verbatim: four padded
+    odd-extension rfft passes per apply."""
+    n0, n1 = spec.cells
+    lam0, lam1 = ((2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n))
+                  / spec.spacing ** 2 for n in spec.cells)
+    # indexed (k1, k0): the solve divides between the two axis passes
+    inv_symbol = 1.0 / (4.0 * n0 * n1 * (
+        1.0 + h * nu * (lam1[:, None] + lam0[None, :])))
+
+    def ainv(f):
+        coef = _dst1(_dst1(f[..., 1:-1, 1:-1]).swapaxes(-1, -2))
+        out = np.zeros(f.shape)
+        out[..., 1:-1, 1:-1] = _dst1(_dst1(coef * inv_symbol).swapaxes(-1, -2))
+        return out
+
+    return ainv
+
+
+BOX64 = GridSpec(64, bc=BoundaryCondition.DIRICHLET_ZERO)
+FFT_FORM_GRIDS = BOX_GRIDS + [
+    BOX64, GridSpec(128, bc=BoundaryCondition.DIRICHLET_ZERO)]
+
+
+@pytest.mark.parametrize("spec", FFT_FORM_GRIDS,
+                         ids=["32x32", "16x32", "64x64", "128x128"])
+def test_helmholtz_inverse_matches_fft_form(spec):
+    # measured <= 1.0e-15 relative
+    h, nu = 0.0125, 0.7
+    rng = np.random.default_rng(23)
+    f = np.zeros((2,) + spec.node_shape)
+    f[:, 1:-1, 1:-1] = rng.normal(size=f[:, 1:-1, 1:-1].shape)
+    new = projection._helmholtz_inverse(spec, h, nu)(f)
+    old = _fft_helmholtz_inverse(spec, h, nu)(f)
+    assert np.all(new[:, [0, -1], :] == 0.0)
+    assert np.all(new[:, :, [0, -1]] == 0.0)
+    assert np.linalg.norm(new - old) <= 1e-13 * np.linalg.norm(old)
+
+
+def _box64_run():
+    """The box64 benchmark run: 64^2 box of extent 2 pi, h = 0.0125,
+    T = 0.05, linear back-trace, random_solenoidal seed 41."""
+    a = random_solenoidal_field(BOX64, seed=41)
+    return run(a, DnsConfig(h=0.0125, T=0.05, grid=BOX64))
+
+
+def test_box64_run_matches_fft_form(monkeypatch):
+    # measured: outer counts [49, 44, 43, 42] on both, v 2.2e-15 relative
+    fast = _box64_run()
+    monkeypatch.setattr(projection, "_helmholtz_inverse",
+                        _fft_helmholtz_inverse)
+    ref = _box64_run()
+    assert len(fast.results) == len(ref.results) == 4
+    for r_fast, r_ref in zip(fast.results, ref.results):
+        assert abs(r_fast.stokes_outer - r_ref.stokes_outer) <= 1
+    v_fast, v_ref = fast.snapshots[-1], ref.snapshots[-1]
+    assert norm_l2(v_fast - v_ref) <= 1e-10 * norm_l2(v_ref)
+
+
+_BLAS_RUN = """
+import json, sys
+import numpy as np
+from dnsflow import (BoundaryCondition, DnsConfig, GridSpec,
+                     random_solenoidal_field, run)
+spec = GridSpec(128, bc=BoundaryCondition.DIRICHLET_ZERO)
+res = run(random_solenoidal_field(spec, seed=41),
+          DnsConfig(h=0.0125, T=0.05, grid=spec))
+np.save(sys.argv[1], res.snapshots[-1].data)
+print(json.dumps([r.stokes_outer for r in res.results]))
+"""
+
+
+def test_box_run_agrees_across_blas_thread_counts(tmp_path):
+    # OpenBLAS dgemm rounds differently with 1 and 2 threads on the
+    # 127-node sine matrices of a 128^2 box, so the run is bitwise
+    # reproducible only at a fixed BLAS thread count; across counts it
+    # must agree to roundoff (measured 7.7e-16 relative)
+    root = Path(__file__).resolve().parents[1]
+    counts, finals = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"v{threads}.npy"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(json.loads(proc.stdout.splitlines()[-1]))
+        finals.append(np.load(out))
+    assert len(counts[0]) == 4
+    assert counts[0] == counts[1]
+    assert (np.linalg.norm(finals[0] - finals[1])
+            <= 1e-12 * np.linalg.norm(finals[0]))
+
+
+# ---------------------------------------------------------------------------
 # preconditioned CG and the parity-split Neumann preconditioner
 
 def test_cg_stops_when_preconditioned_residual_vanishes():
@@ -335,7 +453,7 @@ def test_neumann_pinv_properties(spec):
     grad_i, grad_t, _ = projection._dirichlet_ops(spec)
 
     def apply_l(p):
-        return grad_t(*grad_i(p))
+        return grad_t(grad_i(p))
 
     shape = spec.node_shape
     rng = np.random.default_rng(5)
@@ -384,9 +502,6 @@ def _cg_without_precond(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(projection, "_cg", plain)
-
-
-BOX64 = GridSpec(64, bc=BoundaryCondition.DIRICHLET_ZERO)
 
 
 def test_preconditioned_leray_matches_plain_cg(monkeypatch):
