@@ -158,11 +158,15 @@ def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str,
     periodic = cfg.grid.bc is BoundaryCondition.PERIODIC
     div_bound = DIV_FREE_BOUND[cfg.grid.bc]
 
+    # a step's record holds max |div v| of its own v: read it while the
+    # step's snapshots are the run's own, recompute it otherwise
     worst_div = 0.0
     for traj in trajs:
-        for snap in traj.snapshots[1:]:
-            worst_div = max(worst_div,
-                            float(np.max(np.abs(divergence(snap).data))))
+        for n, snap in enumerate(traj.snapshots[1:], start=1):
+            record = traj.step_record(n)
+            div = (record.max_divergence if record is not None
+                   else float(np.max(np.abs(divergence(snap).data))))
+            worst_div = max(worst_div, div)
     checks.append(("divergence_free_steps", worst_div < div_bound,
                    f"max_divergence={worst_div:.3e} bound={div_bound:.0e}"))
 

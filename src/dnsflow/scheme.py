@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,12 +130,41 @@ class StepResult:
 
 @dataclass
 class Trajectory:
-    """The produced sequence v_0 ... v_{N_T} plus per-step records."""
+    """The produced sequence v_0 ... v_{N_T} plus per-step records.
+
+    Snapshot 0 as held at construction is remembered, so that
+    :meth:`step_record` can tell the run's own fields from later edits.
+    """
 
     cfg: DnsConfig
     snapshots: list[VelocityField]
     results: list[StepResult]
     projected_initial: bool = False
+    _initial: VelocityField | None = field(init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self):
+        self._initial = self.snapshots[0] if self.snapshots else None
+
+    def step_record(self, n: int) -> StepResult | None:
+        """The record of step n (1-based) while it still describes the
+        stored snapshots, else None.
+
+        It does while ``snapshots[n]`` is the record's own v and
+        ``snapshots[n - 1]`` is the field the step started from: the
+        previous record's v, or for n = 1 the snapshot 0 held at
+        construction. The test is identity, so any replacement of either
+        snapshot, by :meth:`replace_snapshot` or by list assignment,
+        sends the caller back to recomputing from the snapshots.
+        """
+        if not 1 <= n < len(self.snapshots) or n > len(self.results):
+            return None
+        record = self.results[n - 1]
+        start = self._initial if n == 1 else self.results[n - 2].v
+        if (self.snapshots[n] is record.v
+                and self.snapshots[n - 1] is start):
+            return record
+        return None
 
     @property
     def times(self) -> np.ndarray:

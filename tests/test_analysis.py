@@ -29,8 +29,14 @@ from dnsflow import (
 )
 from dnsflow import analysis
 from dnsflow.analysis import LedgerRow
-from dnsflow.fields import quadrature_weights, velocity_jacobian
-from dnsflow.scheme import Trajectory
+from dnsflow.fields import (
+    grad_norm_sq,
+    inner_product_l2,
+    quadrature_weights,
+    velocity_jacobian,
+)
+from dnsflow.scheme import Trajectory, energy_terms
+from dnsflow.scheme import backtrace as scheme_backtrace
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +69,124 @@ def test_zero_trajectory_ledger(zero_run):
     assert rep.max_fitted_c == 0.0
 
 
+# The ledger builder as it stood when every row was recomputed from the
+# snapshots, copied verbatim: the reference the record-reusing builder
+# must match to the bit.
+
+def _reference_assemble(traj, steps):
+    h = traj.cfg.h
+    rows = []
+    initial = dirichlet_prev = grad_norm_sq(traj.snapshots[0])
+    for n, (v, kin_s, dirichlet) in enumerate(steps, start=1):
+        dp = v - traj.snapshots[n - 1]
+        kin_p = inner_product_l2(dp, dp) / (2.0 * h)
+        c = analysis._fitted_c(kin_p, dirichlet, dirichlet_prev)
+        if math.isfinite(c):
+            c = c / h
+        rows.append(LedgerRow(n=n, t=n * h, kinetic_shifted=kin_s,
+                              kinetic_plain=kin_p, dirichlet=dirichlet,
+                              dirichlet_prev=dirichlet_prev, fitted_c=c))
+        dirichlet_prev = dirichlet
+    return EnergyLedger(tuple(rows), initial)
+
+
+def reference_ledger(traj):
+    h, order = traj.cfg.h, traj.cfg.interp_order
+    snaps = traj.snapshots
+    return _reference_assemble(traj, (
+        (v, *energy_terms(v, scheme_backtrace(v_prev, h, order), h))
+        for v_prev, v in zip(snaps, snaps[1:])))
+
+
+@pytest.fixture
+def count_backtraces(monkeypatch):
+    """Counts the ledger's back-traces through its module binding."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return scheme_backtrace(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "backtrace", counted)
+    return calls
+
+
+def _own_copy(traj):
+    # a trajectory over the same field and record objects, whose snapshot
+    # list can be edited without touching the shared fixture
+    return Trajectory(cfg=traj.cfg, snapshots=list(traj.snapshots),
+                      results=traj.results)
+
+
 def test_ledger_builders_agree(small_run):
-    # the step records and the recomputation from snapshots evaluate the
-    # same terms with the same operations: every row agrees exactly
-    fast = ledger_from_results(small_run)
-    slow = build_energy_ledger(small_run)
-    assert len(fast) == len(slow) == len(small_run.results)
-    assert fast.initial_dirichlet == slow.initial_dirichlet
-    assert fast.rows == slow.rows
+    # both public names are the one builder, and on every backend, path
+    # and order its rows from the step records equal the recomputation
+    # from the snapshots exactly
+    assert ledger_from_results is build_energy_ledger
+    ref = reference_ledger(small_run)
+    ledger = build_energy_ledger(small_run)
+    assert len(ledger) == len(ref) == len(small_run.results)
+    assert ledger.initial_dirichlet == ref.initial_dirichlet
+    assert ledger.rows == ref.rows
+
+
+def test_step_record_follows_snapshot_identity(tg_mini_run):
+    traj = _own_copy(tg_mini_run)
+    n_steps = len(traj.results)
+    for n in range(1, n_steps + 1):
+        assert traj.step_record(n) is traj.results[n - 1]
+    for n in (0, n_steps + 1):
+        assert traj.step_record(n) is None
+    # an equal field that is not the run's own object is an edit
+    traj.snapshots[3] = traj.snapshots[3] * 1.0
+    assert traj.step_record(3) is None and traj.step_record(4) is None
+    assert traj.step_record(2) is traj.results[1]
+    assert traj.step_record(5) is traj.results[4]
+
+
+def test_ledger_reuses_records_on_untouched_run(tg_mini_run,
+                                                count_backtraces):
+    ledger = build_energy_ledger(tg_mini_run)
+    assert count_backtraces == []
+    assert ledger.rows == reference_ledger(tg_mini_run).rows
+
+
+@pytest.mark.parametrize("edit", ["replace_snapshot", "assignment"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_ledger_recomputes_exactly_the_edited_steps(tg_mini_run,
+                                                    count_backtraces,
+                                                    edit, where):
+    traj = _own_copy(tg_mini_run)
+    last = len(traj.snapshots) - 1
+    k = {"first": 0, "middle": last // 2, "last": last}[where]
+    faulty = -traj.snapshots[k]
+    if edit == "replace_snapshot":
+        traj.replace_snapshot(k, faulty)
+    else:
+        traj.snapshots[k] = faulty
+    ledger = build_energy_ledger(traj)
+    # the steps touching snapshot k are k (ending there) and k + 1
+    # (starting there): each back-traces its own start once
+    touched = [n for n in (k, k + 1) if 1 <= n <= last]
+    assert len(count_backtraces) == len(touched)
+    assert [id(v) for v in count_backtraces] == [id(traj.snapshots[n - 1])
+                                                 for n in touched]
+    assert ledger.rows == reference_ledger(traj).rows
+    clean = build_energy_ledger(tg_mini_run).rows
+    for n in range(1, last + 1):
+        assert (ledger.rows[n - 1].kinetic_shifted
+                == clean[n - 1].kinetic_shifted) == (n not in touched)
+
+
+def test_ledger_without_records_recomputes_every_step(periodic32,
+                                                      count_backtraces):
+    a, _ = taylor_green_field(0.0, periodic32)
+    cfg = DnsConfig(h=0.05, T=0.2, grid=periodic32)
+    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, results=[])
+    ledger = build_energy_ledger(steady)
+    assert len(count_backtraces) == 4
+    assert len(ledger) == 4
+    assert ledger.rows == reference_ledger(steady).rows
 
 
 def test_ledger_terms_finite_nonnegative(tg_mini_run):

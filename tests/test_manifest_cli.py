@@ -3,18 +3,21 @@ import math
 import struct
 import textwrap
 
+import numpy as np
 import pytest
 
 from dnsflow import BoundaryCondition, InterpOrder, SolvePath
-from dnsflow import bench, projection, snapshot
+from dnsflow import bench, cli, projection, snapshot
 from dnsflow.cli import _ladder_configs, main
+from dnsflow.fields import divergence
 from dnsflow.manifest import (
     ConfigError,
     load_manifest,
     parse_manifest,
 )
+from dnsflow.scheme import Trajectory
 
-from conftest import failing_poisson_cg
+from conftest import failing_poisson_cg, random_velocity
 
 BASE_CFG = textwrap.dedent("""\
     [grid]
@@ -194,6 +197,61 @@ def test_cli_verify_flags_corrupted_trajectory(tmp_path):
                  "--inject-fault", "2"])
     assert code != 0
     assert "FAIL" in (out / "verify.txt").read_text()
+
+
+@pytest.mark.parametrize("fault", [0, 1, 2], ids=["first", "middle", "last"])
+def test_cli_verify_flags_fault_at_each_end(tmp_path, fault):
+    # the first rung (h = 0.1, T = 0.2) stores snapshots 0, 1 and 2; a
+    # fault at either end touches one step, in the middle two
+    path = _write_cfg(tmp_path)
+    out = tmp_path / "verify"
+    code = main(["verify", "--config", path, "--out", str(out),
+                 "--inject-fault", str(fault)])
+    assert code == 1
+    assert "FAIL" in (out / "verify.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def torus_ladder():
+    man = parse_manifest(BASE_CFG)
+    trajs = cli._run_ladder(man, cli._build_initial(man),
+                            _ladder_configs(man))
+    return man, trajs
+
+
+def _divergence_check(man, trajs):
+    return next(check for check in cli._verify_checks(man, trajs)
+                if check[0] == "divergence_free_steps")
+
+
+def test_verify_divergence_check_reads_step_records(torus_ladder,
+                                                    monkeypatch):
+    man, trajs = torus_ladder
+    recomputed = max(float(np.max(np.abs(divergence(snap).data)))
+                     for traj in trajs for snap in traj.snapshots[1:])
+    assert recomputed == max(r.max_divergence
+                             for traj in trajs for r in traj.results)
+    calls = []
+    monkeypatch.setattr(cli, "divergence",
+                        lambda v: calls.append(v) or divergence(v))
+    _, ok, detail = _divergence_check(man, trajs)
+    assert calls == []
+    assert ok
+    assert detail == f"max_divergence={recomputed:.3e} bound=1e-10"
+
+
+def test_verify_divergence_check_fails_on_edited_snapshot(torus_ladder):
+    man, trajs = torus_ladder
+    first = trajs[0]
+    edited = Trajectory(cfg=first.cfg, snapshots=list(first.snapshots),
+                        results=first.results)
+    bad = random_velocity(first.cfg.grid, seed=3)
+    edited.snapshots[1] = bad
+    bad_div = float(np.max(np.abs(divergence(bad).data)))
+    assert bad_div > 1e-3
+    _, ok, detail = _divergence_check(man, [edited, *trajs[1:]])
+    assert not ok
+    assert detail == f"max_divergence={bad_div:.3e} bound=1e-10"
 
 
 def test_cli_converge_on_two_threads(tmp_path):

@@ -3,9 +3,10 @@
 `perfbench/child.py --trace 1` replaces module attributes such as
 `analysis.ledger_from_results` and `analysis.backtrace` with span
 recorders via `getattr`, so renaming or dropping one breaks traced
-benchmark runs and nothing else. These tests run the child on two tiny
+benchmark runs and nothing else. These tests run the child on tiny
 commands and check that the wrapped functions still exist and are
-called.
+called, and that the ledger back-traces only the steps whose snapshots
+were edited after the run.
 """
 
 import json
@@ -43,7 +44,7 @@ h = 0.025, 0.0125
 """
 
 
-def _traced(tmp_path, command, config_text):
+def _traced(tmp_path, command, config_text, *extra, code=0):
     cfg = tmp_path / "case.cfg"
     cfg.write_text(config_text)
     record = tmp_path / "record.json"
@@ -53,9 +54,9 @@ def _traced(tmp_path, command, config_text):
         [sys.executable, str(ROOT / "perfbench" / "child.py"), "--trace", "1",
          "--record", str(record), "--run-id", "contract", "--",
          command, "--config", str(cfg), "--out", str(tmp_path / "out"),
-         "--seed", "1"],
+         "--seed", "1", *extra],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return json.loads(record.read_text())["spans"]
 
 
@@ -69,6 +70,23 @@ def test_traced_child_finds_every_layer_hook(tmp_path, command, config,
     assert {ledger, "scheme.backtrace", "projection.solve_implicit_stokes",
             "interpolate.sample_offgrid"} <= {s["name"] for s in spans}
     if command == "verify":
-        # the ledger's back-traces go through the analysis module binding
-        assert any(s["name"] == "scheme.backtrace" and s["parent"] >= 0
-                   and spans[s["parent"]]["name"] == ledger for s in spans)
+        # a clean ladder's ledger reads every step's own record: it runs
+        # no back-trace of its own
+        ledger_spans = {i for i, s in enumerate(spans) if s["name"] == ledger}
+        assert ledger_spans
+        assert not any(s["name"] == "scheme.backtrace"
+                       and s["parent"] in ledger_spans for s in spans)
+
+
+def test_traced_child_sees_ledger_backtraces_after_fault(tmp_path):
+    # a faulted snapshot sends the ledger back to recomputing the steps
+    # it touches, through the analysis module binding: snapshot 1 of the
+    # first rung starts step 2 and ends step 1. The faulted ladder fails
+    # verification (exit 1)
+    spans = _traced(tmp_path, "verify", TORUS_VERIFY, "--inject-fault", "1",
+                    code=1)
+    ledger = "analysis.build_energy_ledger"
+    under_ledger = [s for s in spans if s["name"] == "scheme.backtrace"
+                    and s["parent"] >= 0
+                    and spans[s["parent"]]["name"] == ledger]
+    assert len(under_ledger) == 2
