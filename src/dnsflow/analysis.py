@@ -16,8 +16,13 @@ Weak-form test functions are separable, phi = eta(t) curl psi(x): a
 ``TestFunction`` holds only the stream modes of psi, and the time bump
 eta is laid on the horizon T of the trajectory it tests, so phi is
 divergence-free and vanishes at t = 0 and t = T by construction.
-``weak_residual(traj, phis)`` evaluates psi and D psi once per grid and
-takes every snapshot's inner products against all phi in one pass.
+
+``snapshot_pass`` walks a trajectory's snapshots once and takes one
+velocity Jacobian per snapshot. It reduces that Jacobian to max |Dv|
+for the gradient monitor and, given the weighted psi and D psi grids,
+to every snapshot's weak-form inner products against all phi at once.
+``monitor_assumption_a`` and ``weak_residual`` take its results from a
+caller that holds them, and make their own pass otherwise.
 """
 
 from __future__ import annotations
@@ -243,15 +248,20 @@ class GradientScalingReport:
     within_assumption: bool  # alpha <= 0.5 + 0.1
 
 
-def monitor_assumption_a(trajectories: Sequence[Trajectory]) -> GradientScalingReport:
-    """Fit max_n |Dv_n|_inf ~ h^(-alpha) across an h-ladder of runs."""
+def monitor_assumption_a(trajectories: Sequence[Trajectory],
+                         max_gradients: Sequence[float] | None = None,
+                         ) -> GradientScalingReport:
+    """Fit max_n |Dv_n|_inf ~ h^(-alpha) across an h-ladder of runs.
+
+    ``max_gradients[k]`` is trajectory k's :attr:`SnapshotPass.max_gradient`,
+    for callers that already hold it.
+    """
     if len(trajectories) < 2:
         raise ValueError("need at least two runs to fit a scaling exponent")
-    hs = []
-    grads = []
-    for traj in trajectories:
-        hs.append(traj.cfg.h)
-        grads.append(max(grad_max_norm(v) for v in traj.snapshots[1:]))
+    if max_gradients is None:
+        max_gradients = [snapshot_pass(t).max_gradient for t in trajectories]
+    hs = [traj.cfg.h for traj in trajectories]
+    grads = list(max_gradients)
     if max(grads) <= 1e-14:
         alpha = 0.0
     else:
@@ -375,14 +385,69 @@ def default_test_functions() -> list[TestFunction]:
     return [TestFunction(modes) for modes in mode_sets]
 
 
+def weighted_test_grids(phis: Sequence[TestFunction],
+                        spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """curl psi and its Jacobian of every phi at the grid nodes, times the
+    quadrature weights: shapes ``(len(phis), 2 * nodes)`` and
+    ``(len(phis), 4 * nodes)``, one row per phi."""
+    w = quadrature_weights(spec)
+    vals, jacs = zip(*(phi.on_grid(spec) for phi in phis))
+    return ((w * np.stack(vals)).reshape(len(phis), -1),
+            (w * np.stack(jacs)).reshape(len(phis), -1))
+
+
+# <v_n, psi> for n = 0..N, then <Dv_n, D psi> and <(v_n . D) v_n, psi> for
+# n = 1..N: one row per n, one column per phi
+InnerProducts = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class SnapshotPass:
+    """A trajectory's snapshots reduced in one walk, one velocity Jacobian
+    per snapshot after the first."""
+
+    max_gradient: float                    # max_{n >= 1} |Dv_n|_inf
+    inner_products: InnerProducts | None   # None without test grids
+
+
+def snapshot_pass(traj: Trajectory,
+                  grids: tuple[np.ndarray, np.ndarray] | None = None,
+                  ) -> SnapshotPass:
+    """Walk the snapshots once: each snapshot's Jacobian gives its
+    max |Dv| and, with ``grids`` from :func:`weighted_test_grids`, its
+    weak-form inner products, and is dropped before the next one is
+    taken. ``verify`` builds the grids once for every rung on its grid.
+    """
+    snaps = traj.snapshots
+    norms = []
+    v_psi, dv_dpsi, adv_psi = [], [], []
+    if grids is not None:
+        psi, dpsi = grids
+        v_psi.append(psi @ snaps[0].data.ravel())
+    for v in snaps[1:]:
+        jac = velocity_jacobian(v)
+        norms.append(grad_max_norm(v, jac))
+        if grids is not None:
+            v_psi.append(psi @ v.data.ravel())
+            dv_dpsi.append(dpsi @ jac.ravel())
+            adv_psi.append(psi @ advection_term(v, jac).data.ravel())
+        # unbind it now, or it stays alive while the next one is built
+        del jac
+    products = None
+    if grids is not None:
+        products = (np.array(v_psi), np.array(dv_dpsi), np.array(adv_psi))
+    return SnapshotPass(max(norms), products)
+
+
 @dataclass(frozen=True)
 class WeakFormReport:
     linear_residual: float      # -int <v_h, phi_t> + int <Dv_bar, Dphi>
     nonlinear_residual: float   # linear + int <(v_bar . D) v_bar, phi>
 
 
-def weak_residual(traj: Trajectory,
-                  phis: Sequence[TestFunction]) -> list[WeakFormReport]:
+def weak_residual(traj: Trajectory, phis: Sequence[TestFunction],
+                  inner_products: InnerProducts | None = None,
+                  ) -> list[WeakFormReport]:
     """Discrete weak-form residual of the trajectory against each phi.
 
     v_h and v_bar are the piecewise-linear and piecewise-constant
@@ -391,20 +456,14 @@ def weak_residual(traj: Trajectory,
     taken against all psi in one pass over the snapshots, times step
     integrals of eta, eta' theta and eta' (1 - theta), whose integrands
     have degree <= 4 in t: 3-node Gauss-Legendre is exact.
-    """
-    spec = traj.cfg.grid
-    w = quadrature_weights(spec)
-    vals, jacs = zip(*(phi.on_grid(spec) for phi in phis))
-    psi = (w * np.stack(vals)).reshape(len(phis), -1)
-    dpsi = (w * np.stack(jacs)).reshape(len(phis), -1)
 
-    v_psi, dv_dpsi, adv_psi = [psi @ traj.snapshots[0].data.ravel()], [], []
-    for v in traj.snapshots[1:]:
-        jac = velocity_jacobian(v)
-        v_psi.append(psi @ v.data.ravel())
-        dv_dpsi.append(dpsi @ jac.ravel())
-        adv_psi.append(psi @ advection_term(v, jac).data.ravel())
-    v_psi = np.array(v_psi)
+    ``inner_products`` is the :attr:`SnapshotPass.inner_products` of this
+    trajectory against ``phis``' grids, for callers that already hold it.
+    """
+    if inner_products is None:
+        grids = weighted_test_grids(phis, traj.cfg.grid)
+        inner_products = snapshot_pass(traj, grids).inner_products
+    v_psi, dv_dpsi, adv_psi = inner_products
 
     # step integrals of eta, eta' theta and eta' (1 - theta)
     T = traj.final_time
@@ -414,9 +473,9 @@ def weak_residual(traj: Trajectory,
     wq = 0.5 * traj.cfg.h * weights
     eta = (16.0 * t**2 * (T - t)**2 / T**4) @ wq
     deta = 32.0 * t * (T - t) * (T - 2.0 * t) / T**4 * wq
-    linear = (eta @ np.array(dv_dpsi) - (deta @ theta) @ v_psi[1:]
+    linear = (eta @ dv_dpsi - (deta @ theta) @ v_psi[1:]
               - (deta @ (1.0 - theta)) @ v_psi[:-1])
-    advect = eta @ np.array(adv_psi)
+    advect = eta @ adv_psi
     return [WeakFormReport(linear_residual=float(lin),
                            nonlinear_residual=float(lin + adv))
             for lin, adv in zip(linear, advect)]

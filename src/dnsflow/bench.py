@@ -47,9 +47,13 @@ class TaylorGreenOracle:
         return e * (np.cos(2.0 * x) + np.cos(2.0 * y))
 
     def jacobian(self, x, y, t: float):
+        # each trig factor once; negating a product is exact, so the
+        # (1, 1) and (0, 1) entries equal -e * cos x * cos y and
+        # -e * sin x * sin y to the bit
         e = self.amplitude * math.exp(-2.0 * self.nu * t)
-        return ((e * np.cos(x) * np.cos(y), -e * np.sin(x) * np.sin(y)),
-                (e * np.sin(x) * np.sin(y), -e * np.cos(x) * np.cos(y)))
+        cc = e * np.cos(x) * np.cos(y)
+        ss = e * np.sin(x) * np.sin(y)
+        return (cc, -ss), (ss, -cc)
 
     def laplacian(self, x, y, t: float):
         u, v = self.velocity(x, y, t)

@@ -78,8 +78,13 @@ def _ladder_configs(man: RunManifest) -> list[DnsConfig]:
     if man.ladder_cells:
         raise ConfigError("[ladder] cells is read only by converge; this "
                           "subcommand runs every rung on [grid] cells")
-    return [dataclasses.replace(man.cfg, h=h)
-            for h in sorted(man.ladder_hs, reverse=True)]
+    # the checks compare rungs: the monitor fits a line through (log h,
+    # log max|Dv|) and the increments and residuals must fall with h
+    hs = man.ladder_hs
+    if len(hs) < 2 or len(set(hs)) < len(hs):
+        raise ConfigError("[ladder] h needs two or more distinct values, none "
+                          "repeated; got h = " + ", ".join(f"{h:g}" for h in hs))
+    return [dataclasses.replace(man.cfg, h=h) for h in sorted(hs, reverse=True)]
 
 
 def _pool(threads: int) -> ThreadPoolExecutor:
@@ -188,26 +193,35 @@ def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str,
                    "; ".join(f"lhs={c.max_lhs:.3e} bound={c.bound:.3e}"
                              for c in cums)))
 
-    if len(trajs) >= 2:
-        alpha_rep = analysis.monitor_assumption_a(trajs)
-        checks.append(("gradient_scaling_monitor",
-                       math.isfinite(alpha_rep.alpha),
-                       f"alpha={alpha_rep.alpha:.4f} "
-                       f"within_sqrt_h={alpha_rep.within_assumption}"))
-
-        increments = [analysis.max_step_increment(t) for t in trajs]
-        ratios = [increments[i] / increments[i + 1]
-                  for i in range(len(increments) - 1)
-                  if increments[i + 1] > 0.0]
-        halving = bool(ratios) and all(1.5 <= r <= 2.5 for r in ratios)
-        if all(inc == 0.0 for inc in increments):
-            halving = True
-        checks.append(("interpolant_increment_halving", halving,
-                       "ratios: " + ", ".join(f"{r:.3f}" for r in ratios)))
-
+    # one walk over each rung's snapshots, one velocity Jacobian per
+    # snapshot, feeds both the gradient monitor and the weak residual;
+    # every rung shares [grid], so the test grids are built once
+    grids = None
     if periodic:
         phis = analysis.default_test_functions()
-        reports = [analysis.weak_residual(t, phis) for t in trajs]
+        grids = analysis.weighted_test_grids(phis, cfg.grid)
+    passes = [analysis.snapshot_pass(t, grids) for t in trajs]
+
+    alpha_rep = analysis.monitor_assumption_a(
+        trajs, max_gradients=[p.max_gradient for p in passes])
+    checks.append(("gradient_scaling_monitor",
+                   math.isfinite(alpha_rep.alpha),
+                   f"alpha={alpha_rep.alpha:.4f} "
+                   f"within_sqrt_h={alpha_rep.within_assumption}"))
+
+    increments = [analysis.max_step_increment(t) for t in trajs]
+    ratios = [increments[i] / increments[i + 1]
+              for i in range(len(increments) - 1)
+              if increments[i + 1] > 0.0]
+    halving = bool(ratios) and all(1.5 <= r <= 2.5 for r in ratios)
+    if all(inc == 0.0 for inc in increments):
+        halving = True
+    checks.append(("interpolant_increment_halving", halving,
+                   "ratios: " + ", ".join(f"{r:.3f}" for r in ratios)))
+
+    if periodic:
+        reports = [analysis.weak_residual(t, phis, p.inner_products)
+                   for t, p in zip(trajs, passes)]
         decreasing = True
         details = []
         for k in range(len(phis)):

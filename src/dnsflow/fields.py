@@ -462,9 +462,14 @@ def grad_norm_sq(v: VelocityField) -> float:
                                                             axis=(0, 1))))
 
 
-def grad_max_norm(v: VelocityField) -> float:
-    """Max over nodes of the Frobenius norm of the velocity Jacobian."""
-    jac = velocity_jacobian(v)
+def grad_max_norm(v: VelocityField, jac: np.ndarray | None = None) -> float:
+    """Max over nodes of the Frobenius norm of the velocity Jacobian.
+
+    ``jac`` is v's :func:`velocity_jacobian`, for callers that already
+    hold it.
+    """
+    if jac is None:
+        jac = velocity_jacobian(v)
     return float(np.sqrt(np.max(np.sum(jac * jac, axis=(0, 1)))))
 
 

@@ -32,6 +32,24 @@ def test_oracle_satisfies_momentum_equation():
     assert worst_nu < 1e-12
 
 
+def test_oracle_jacobian_is_the_closed_form_bitwise():
+    # each trig factor is taken once; the entries are the closed forms
+    # (-e) cos x cos y and (-e) sin x sin y to the bit, zero signs included
+    oracle = TaylorGreenOracle(amplitude=1.3, nu=0.7)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-10.0, 10.0, (40, 40))
+    y = rng.uniform(-10.0, 10.0, (40, 40))
+    x[0, :3] = (0.0, -0.0, math.pi / 2)
+    for t in (0.0, 0.37):
+        e = 1.3 * math.exp(-2.0 * 0.7 * t)
+        closed = ((e * np.cos(x) * np.cos(y), -e * np.sin(x) * np.sin(y)),
+                  (e * np.sin(x) * np.sin(y), -e * np.cos(x) * np.cos(y)))
+        got = oracle.jacobian(x, y, t)
+        for row, ref_row in zip(got, closed):
+            for a, b in zip(row, ref_row):
+                assert a.tobytes() == b.tobytes()
+
+
 def test_oracle_divergence_free_at_random_points():
     oracle = TaylorGreenOracle()
     rng = np.random.default_rng(5)

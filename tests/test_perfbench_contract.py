@@ -70,6 +70,10 @@ def test_traced_child_finds_every_layer_hook(tmp_path, command, config,
     assert {ledger, "scheme.backtrace", "projection.solve_implicit_stokes",
             "interpolate.sample_offgrid"} <= {s["name"] for s in spans}
     if command == "verify":
+        # the traced child wraps both by name: a verify that stopped
+        # calling them would leave their per-layer metrics empty
+        assert {"analysis.weak_residual",
+                "analysis.monitor_assumption_a"} <= {s["name"] for s in spans}
         # a clean ladder's ledger reads every step's own record: it runs
         # no back-trace of its own
         ledger_spans = {i for i, s in enumerate(spans) if s["name"] == ledger}
