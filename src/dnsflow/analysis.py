@@ -37,6 +37,7 @@ import numpy as np
 from .fields import (
     GridSpec,
     advection_term,
+    divergence,
     grad_max_norm,
     grad_norm_sq,
     inner_product_l2,
@@ -335,6 +336,22 @@ def max_step_increment(traj: Trajectory) -> float:
         norm_l2(traj.snapshots[n] - traj.snapshots[n - 1])
         for n in range(1, len(traj.snapshots))
     )
+
+
+def max_divergence(traj: Trajectory) -> float:
+    """max_n max |div v_n| over the stored snapshots after the first.
+
+    A step's record holds max |div v| of its own v: it is read while the
+    step's snapshots are the run's own (:meth:`Trajectory.step_record`),
+    and recomputed from the snapshot otherwise, as the energy ledger does.
+    """
+    worst = 0.0
+    for n, snap in enumerate(traj.snapshots[1:], start=1):
+        record = traj.step_record(n)
+        div = (record.max_divergence if record is not None
+               else float(np.max(np.abs(divergence(snap).data))))
+        worst = max(worst, div)
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -246,13 +246,13 @@ def _run_rung(cfg: DnsConfig, oracle: TaylorGreenOracle) -> ConvergenceRow:
 
 def convergence_study(base: DnsConfig, hs, cells_list=None,
                       oracle: TaylorGreenOracle | None = None,
-                      executor=None) -> ConvergenceTable:
+                      ) -> ConvergenceTable:
     """Run the scheme against the oracle over an h-ladder.
 
-    Rows are grouped by resolution and sorted by decreasing h within a
-    group; empirical orders are log2 ratios between consecutive rows of
-    the same resolution. ``executor`` (optional ``map``-style callable
-    provider) fans the independent rungs out concurrently.
+    The rungs run one after another. Rows are grouped by resolution and
+    sorted by decreasing h within a group; empirical orders are log2
+    ratios between consecutive rows of the same resolution, so neither
+    ``hs`` nor ``cells_list`` may repeat a value.
     """
     if oracle is None:
         oracle = TaylorGreenOracle(nu=base.nu)
@@ -268,10 +268,7 @@ def convergence_study(base: DnsConfig, hs, cells_list=None,
                 grid=GridSpec(cells, base.grid.extent, base.grid.bc))
         for cells in cells_list for h in hs
     ]
-    if executor is None:
-        raw = [_run_rung(cfg, oracle) for cfg in configs]
-    else:
-        raw = list(executor.map(lambda cfg: _run_rung(cfg, oracle), configs))
+    raw = [_run_rung(cfg, oracle) for cfg in configs]
     rows = []
     for i, row in enumerate(raw):
         order = None

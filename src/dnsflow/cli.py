@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ from .fields import (
     BoundaryCondition,
     NonFiniteFieldError,
     VelocityField,
-    divergence,
     norm_l2,
 )
 from .manifest import ConfigError, RunManifest, load_manifest
@@ -79,28 +77,13 @@ def _ladder_configs(man: RunManifest) -> list[DnsConfig]:
         raise ConfigError("[ladder] cells is read only by converge; this "
                           "subcommand runs every rung on [grid] cells")
     # the checks compare rungs: the monitor fits a line through (log h,
-    # log max|Dv|) and the increments and residuals must fall with h
+    # log max|Dv|) and the increments and residuals must fall with h;
+    # parse_manifest has already refused a repeated rung
     hs = man.ladder_hs
-    if len(hs) < 2 or len(set(hs)) < len(hs):
-        raise ConfigError("[ladder] h needs two or more distinct values, none "
-                          "repeated; got h = " + ", ".join(f"{h:g}" for h in hs))
+    if len(hs) < 2:
+        raise ConfigError("[ladder] h needs two or more distinct values; "
+                          "got h = " + ", ".join(f"{h:g}" for h in hs))
     return [dataclasses.replace(man.cfg, h=h) for h in sorted(hs, reverse=True)]
-
-
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """Worker threads that ignore numpy's floating-point warnings, as
-    ``main`` does on its own thread: numpy's error state is per thread."""
-    return ThreadPoolExecutor(threads, initializer=np.seterr,
-                              initargs=("ignore",))
-
-
-def _run_ladder(man: RunManifest, a: VelocityField,
-                configs) -> list[Trajectory]:
-    """Run every rung from the one (immutable) initial datum a."""
-    if man.threads > 1:
-        with _pool(man.threads) as pool:
-            return list(pool.map(lambda cfg: run(a, cfg), configs))
-    return [run(a, cfg) for cfg in configs]
 
 
 def cmd_run(man: RunManifest) -> int:
@@ -163,15 +146,7 @@ def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str,
     periodic = cfg.grid.bc is BoundaryCondition.PERIODIC
     div_bound = DIV_FREE_BOUND[cfg.grid.bc]
 
-    # a step's record holds max |div v| of its own v: read it while the
-    # step's snapshots are the run's own, recompute it otherwise
-    worst_div = 0.0
-    for traj in trajs:
-        for n, snap in enumerate(traj.snapshots[1:], start=1):
-            record = traj.step_record(n)
-            div = (record.max_divergence if record is not None
-                   else float(np.max(np.abs(divergence(snap).data))))
-            worst_div = max(worst_div, div)
+    worst_div = max(analysis.max_divergence(t) for t in trajs)
     checks.append(("divergence_free_steps", worst_div < div_bound,
                    f"max_divergence={worst_div:.3e} bound={div_bound:.0e}"))
 
@@ -254,7 +229,8 @@ def cmd_verify(man: RunManifest, inject_fault: int | None = None) -> int:
     configs = _ladder_configs(man)
     out = Path(man.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trajs = _run_ladder(man, _build_initial(man), configs)
+    a = _build_initial(man)
+    trajs = [run(a, cfg) for cfg in configs]
     if inject_fault is not None:
         traj = trajs[0]
         if not 0 <= inject_fault < len(traj.snapshots):
@@ -282,17 +258,13 @@ def cmd_converge(man: RunManifest) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cells = man.ladder_cells or (man.cfg.grid.cells[0],)
     oracle = _oracle(man)
-    pool = _pool(man.threads) if man.threads > 1 else None
     # the study's ValueErrors are about its inputs: the grids, the rungs'
     # h and whether the oracle fits the grid
     try:
         table = bench.convergence_study(man.cfg, man.ladder_hs, cells,
-                                        oracle=oracle, executor=pool)
+                                        oracle=oracle)
     except ValueError as exc:
         raise ConfigError(f"convergence study: {exc}") from None
-    finally:
-        if pool is not None:
-            pool.shutdown()
     (out / "convergence.csv").write_text(table.to_csv())
     text = table.to_text()
     (out / "convergence.txt").write_text(text)
@@ -324,8 +296,9 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="ladder fan-out width (default 1)")
+        # only perfbench/run.py passes it; goes when ROADMAP item 1 drops it
+        p.add_argument("--threads", type=int, choices=(1,),
+                       help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random initial data")
         if name == "verify":
@@ -346,8 +319,7 @@ def main(argv=None) -> int:
         # --help prints and exits 0
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        man = load_manifest(args.config, out_dir=args.out, seed=args.seed,
-                            threads=args.threads)
+        man = load_manifest(args.config, out_dir=args.out, seed=args.seed)
         # fields reject non-finite samples and that failure is reported in
         # one line below; numpy's overflow warnings would only repeat it
         with np.errstate(all="ignore"):

@@ -13,7 +13,7 @@ Sections and keys:
 Any other section or key is an error. Everything has a default except
 [time] h and T. Every [ladder] rung is checked when the file is parsed:
 its h against the other [time] and [scheme] settings, its cell count as
-a grid.
+a grid, and neither list may repeat a value.
 """
 
 from __future__ import annotations
@@ -65,15 +65,12 @@ class RunManifest:
     out_dir: str = "out"
     cadence: int = 1
     seed: int = 0
-    threads: int = 1
     ladder_hs: tuple[float, ...] = ()
     ladder_cells: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.cadence < 1:
             raise ConfigError("emission cadence must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("thread count must be >= 1")
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
@@ -144,8 +141,8 @@ def _get_list(sec: dict, key: str, kind=float) -> tuple:
     return values
 
 
-def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
-                   threads: int = 1) -> RunManifest:
+def parse_manifest(text: str, out_dir: str = "out",
+                   seed: int = 0) -> RunManifest:
     sections = _parse_sections(text)
     unknown = set(sections) - set(_SECTION_KEYS)
     if unknown:
@@ -211,17 +208,23 @@ def parse_manifest(text: str, out_dir: str = "out", seed: int = 0,
             GridSpec(rung_cells, extent, bc)
         except ValueError as exc:
             raise ConfigError(f"[ladder] cells = {rung_cells}: {exc}") from exc
+    # a repeated rung runs one case twice, and an order taken between the
+    # two divides by log2(h / h) = 0
+    for key, values in (("h", ladder_hs), ("cells", ladder_cells)):
+        if len(set(values)) < len(values):
+            raise ConfigError(
+                f"[ladder] {key} needs two or more distinct values when it "
+                f"lists more than one; got {key} = "
+                + ", ".join(f"{v:g}" for v in values))
 
     return RunManifest(cfg=cfg, initial=initial, out_dir=out_dir,
-                       cadence=cadence, seed=seed, threads=threads,
+                       cadence=cadence, seed=seed,
                        ladder_hs=ladder_hs, ladder_cells=ladder_cells)
 
 
-def load_manifest(path, out_dir: str = "out", seed: int = 0,
-                  threads: int = 1) -> RunManifest:
+def load_manifest(path, out_dir: str = "out", seed: int = 0) -> RunManifest:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {path} not found")
-    return parse_manifest(p.read_text(), out_dir=out_dir, seed=seed,
-                          threads=threads)
+    return parse_manifest(p.read_text(), out_dir=out_dir, seed=seed)
 

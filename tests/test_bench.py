@@ -17,7 +17,7 @@ from dnsflow import (
     stream_bump_field,
     taylor_green_field,
 )
-from dnsflow import analysis
+from dnsflow import analysis, bench
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,27 +135,19 @@ def mini_study():
     return convergence_study(base, hs=(0.05, 0.025, 0.0125))
 
 
-class _RecordingExecutor:
-    """A ``map`` provider that keeps the rung configs it is given."""
-
-    def __init__(self):
-        self.configs = []
-
-    def map(self, fn, configs):
-        self.configs = list(configs)
-        return map(fn, self.configs)
-
-
-def test_study_rungs_keep_every_base_field():
+def test_study_rungs_keep_every_base_field(monkeypatch):
     base = DnsConfig(h=0.1, T=0.2, grid=GridSpec(16),
                      interp_order=InterpOrder.CUBIC, nu=1.0,
                      minimizer_tol=1e-9, cross_check=True, div_tol=1e-8)
-    pool = _RecordingExecutor()
-    convergence_study(base, hs=(0.1, 0.05), cells_list=(16, 32),
-                      executor=pool)
-    assert [(c.grid.cells[0], c.h) for c in pool.configs] == [
+    configs = []
+    run_rung = bench._run_rung
+    monkeypatch.setattr(bench, "_run_rung",
+                        lambda cfg, oracle: configs.append(cfg)
+                        or run_rung(cfg, oracle))
+    convergence_study(base, hs=(0.1, 0.05), cells_list=(16, 32))
+    assert [(c.grid.cells[0], c.h) for c in configs] == [
         (16, 0.1), (16, 0.05), (32, 0.1), (32, 0.05)]
-    for cfg in pool.configs:
+    for cfg in configs:
         assert cfg.cross_check
         assert cfg == DnsConfig(h=cfg.h, T=0.2, grid=cfg.grid,
                                 interp_order=InterpOrder.CUBIC,

@@ -49,12 +49,12 @@ def _traced(tmp_path, command, config_text, *extra, code=0):
     cfg.write_text(config_text)
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("DNS_FLOW_THREADS", None)
+    # the argv of perfbench/run.py, whose --threads 1 the CLI still accepts
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), "--trace", "1",
          "--record", str(record), "--run-id", "contract", "--",
          command, "--config", str(cfg), "--out", str(tmp_path / "out"),
-         "--seed", "1", *extra],
+         "--threads", "1", "--seed", "1", *extra],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     return json.loads(record.read_text())["spans"]

@@ -39,7 +39,7 @@ from dnsflow.fields import (
     velocity_jacobian,
 )
 from dnsflow.manifest import parse_manifest
-from dnsflow.scheme import Trajectory
+from dnsflow.scheme import Trajectory, run
 
 TORUS_CFG = textwrap.dedent("""\
     [grid]
@@ -135,9 +135,8 @@ def _weak_bits(reports):
 
 def _ladder(text):
     man = parse_manifest(text)
-    trajs = cli._run_ladder(man, cli._build_initial(man),
-                            _ladder_configs(man))
-    return man, trajs
+    a = cli._build_initial(man)
+    return man, [run(a, cfg) for cfg in _ladder_configs(man)]
 
 
 @pytest.fixture(scope="module")
