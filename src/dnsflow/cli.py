@@ -54,6 +54,8 @@ def _build_initial(man: RunManifest) -> VelocityField:
             raise ConfigError(f"bad snapshot: {exc}") from None
         if v.spec != grid:
             raise ConfigError("snapshot grid does not match the [grid] section")
+        if not v.is_boundary_compliant():
+            raise ConfigError("snapshot velocity is not zero on the box walls")
         return v
     oracle = _oracle(man) if kind == "taylor_green" else None
     # a grid the generator does not support, or samples that overflow

@@ -10,7 +10,8 @@ Sections and keys:
     [output]  cadence
     [ladder]  h (comma list), cells (comma list, optional)
 
-Any other section or key is an error. Everything has a default except
+Any other section or key, and a key given twice in one section (also
+under a repeated header), is an error. Everything has a default except
 [time] h and T. Every [ladder] rung is checked when the file is parsed:
 its h against the other [time] and [scheme] settings, its cell count as
 a grid, and neither list may repeat a value.
@@ -89,7 +90,10 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = line.split("=", 1)
-        sections[current][key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: [{current}] {key} is given twice")
+        sections[current][key] = value.strip()
     return sections
 
 
@@ -226,5 +230,9 @@ def load_manifest(path, out_dir: str = "out", seed: int = 0) -> RunManifest:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {path} not found")
-    return parse_manifest(p.read_text(), out_dir=out_dir, seed=seed)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
+    return parse_manifest(text, out_dir=out_dir, seed=seed)
 

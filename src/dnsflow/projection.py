@@ -24,8 +24,10 @@ Uzawa CG on the pressure Schur complement h G^T W A^{-1} G (symmetric
 positive semidefinite) uses the least-squares-commutator (BFBt)
 preconditioner built on it, with A applied by its stencil (Elman, SIAM
 J. Sci. Comput. 20, 1999); the iteration counts of both stop growing
-with the grid. A solve keeps no state; run() starts each from the
-previous pressure.
+with the grid. No CG residual meets null(G), the four corners (which no
+interior central difference touches) and the sub-lattice constants, so
+each solve removes it once from its result. A solve keeps no state;
+run() starts each from the previous pressure.
 """
 
 from __future__ import annotations
@@ -212,50 +214,47 @@ def _path_dst(m: int):
             2.0 - 2.0 * np.cos(np.pi * k / (m + 1)))
 
 
+_PARITIES = tuple(np.s_[a::2, b::2] for a in (0, 1) for b in (0, 1))
+
+
+def _project_range_gt(x):
+    """Orthogonal projection onto range(G^T): zero the four corners and
+    subtract from each parity sub-lattice its mean over its other nodes."""
+    off_corner = np.ones(x.shape, dtype=bool)
+    off_corner[[0, 0, -1, -1], [0, -1, 0, -1]] = False
+    y = np.where(off_corner, x, 0.0)
+    for sub in _PARITIES:
+        keep = off_corner[sub]
+        y[sub][keep] -= np.mean(y[sub][keep])
+    return y
+
+
 @lru_cache(maxsize=32)
 def _neumann_pinv(spec: GridSpec):
-    """M = P Lg^+ P, a fast symmetric positive semidefinite approximation of
-    the pseudo-inverse of the box Neumann operator L = G^T W G.
+    """Lg^+, a fast symmetric positive semidefinite approximation of the
+    pseudo-inverse of the box Neumann operator L = G^T W G.
 
     L couples a node only to nodes two apart, so it splits into the four
     (i mod 2, j mod 2) sub-lattices. On each one it is 1/4 of the
     grid-graph Laplacian Lg minus the edges along the wall lines; Lg is
     diagonal in the tensor DCT-II basis (Strang 1999), so Lg^+ costs two
-    small matrix products each way. P is the orthogonal projector onto
-    range(G^T), whose complement, the null space of G, holds the four
-    corners (no interior central difference touches them) and one
-    constant per sub-lattice. P keeps the null-space part of a CG iterate
-    where the start put it.
+    small matrix products each way. Its null space is the sub-lattice
+    constants. CG residuals lie in range(G^T), so Lg^+ needs no
+    projection: null(G) reaches only the final iterate, projected once.
     """
-    nx, ny = spec.node_shape
-    corners = (np.array([0, 0, -1, -1]), np.array([0, -1, 0, -1]))
-    blocks, null = [], []
-    for a in (0, 1):
-        for b in (0, 1):
-            sub = (slice(a, None, 2), slice(b, None, 2))
-            cx, lx = _path_dct(len(range(a, nx, 2)))
-            cy, ly = _path_dct(len(range(b, ny, 2)))
-            lam = 0.25 * (lx[:, None] + ly[None, :])
-            lam[0, 0] = np.inf  # the sub-lattice constant: pseudo-inverse 0
-            blocks.append((sub, cx, cy, 1.0 / lam))
-            const = np.zeros(spec.node_shape)
-            const[sub] = 1.0
-            const[corners] = 0.0
-            null.append(const / np.linalg.norm(const))
-    for i, j in zip(*corners):
-        null.append(np.zeros(spec.node_shape))
-        null[-1][i, j] = 1.0
-    # orthonormal null-space basis, one row per vector
-    null = np.reshape(null, (8, -1))
-
-    def project(x):
-        return x - (null.T @ (null @ x.ravel())).reshape(x.shape)
+    blocks = []
+    for sub in _PARITIES:
+        (cx, lx), (cy, ly) = (_path_dct(len(range(n)[s]))
+                              for n, s in zip(spec.node_shape, sub))
+        lam = 0.25 * (lx[:, None] + ly[None, :])
+        lam[0, 0] = np.inf  # the sub-lattice constant: pseudo-inverse 0
+        blocks.append((sub, cx, cy, 1.0 / lam))
 
     def pinv(r):
-        q = project(r)
+        q = np.empty_like(r)
         for sub, cx, cy, inv_lam in blocks:
-            q[sub] = cx @ ((cx.T @ q[sub] @ cy) * inv_lam) @ cy.T
-        return project(q)
+            q[sub] = cx @ ((cx.T @ r[sub] @ cy) * inv_lam) @ cy.T
+        return q
 
     return pinv
 
@@ -284,6 +283,7 @@ def _leray_dirichlet(u: VelocityField) -> HelmholtzParts:
     if not ok:
         res = float(np.sqrt(np.sum((b - apply_l(phi)) ** 2)))
         raise ProjectionError("Neumann Poisson CG did not converge", res, k)
+    phi = _project_range_gt(phi)
     sol = pin_walls(spec, u.data - grad_i(phi))
     return HelmholtzParts(VelocityField(spec, sol),
                           ScalarField(spec, phi).demeaned())
@@ -336,6 +336,7 @@ def _stokes_dirichlet(w: VelocityField, h: float, nu: float,
     p, outer, ok = _cg(schur, grad_t(ainv(w.data)), x0,
                        _UZAWA_ITERS_PER_CELL * max(spec.cells),
                        stop_fn=div_small, precond=bfbt)
+    p = _project_range_gt(p)
     hg = h * grad_i(p)
     vel = ainv(w.data - hg)
     v = VelocityField(spec, vel)
@@ -360,7 +361,7 @@ def leray_project(u: VelocityField) -> HelmholtzParts:
     preconditioned by the parity-split DCT pseudo-inverse, takes about
     20 iterations whatever the grid, stops at relative residual 1e-10
     and raises ProjectionError after 100 iterations per cell of the
-    longer axis.
+    longer axis; its potential is projected once onto range(G^T).
     """
     if u.spec.is_periodic:
         return _leray_periodic(u)
@@ -378,7 +379,8 @@ def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0, *,
     commutator preconditioner, from ``p0`` (zero if None) to
     max |div v| <= ``div_tol``, each velocity solve an exact DST-I
     Helmholtz inverse; after 10 outer iterations per cell of the longer
-    axis the last iterate is returned with ``info.converged`` False.
+    axis the last iterate is returned with ``info.converged`` False; the
+    pressure is projected once onto range(G^T).
     """
     if h <= 0.0:
         raise ValueError("time step h must be positive")

@@ -24,6 +24,7 @@ def mostly(valid, bad):
 
 @st.composite
 def configs(draw):
+    """A config text, and whether it gives a [time] or [scheme] key twice."""
     lines = [
         "[grid]",
         f"cells = {draw(mostly(['8', '16'], ['9', '4', 'abc']))}",
@@ -46,20 +47,33 @@ def configs(draw):
                           "0.05, inf", "", "0.1, 0.1"]))
     if ladder is not None:
         lines += ["[ladder]", f"h = {ladder}"]
-    return "\n".join(lines) + "\n"
+    # under a repeated header or in one section: refused before anything
+    # runs, never read as its last value
+    twice = draw(st.sampled_from([None] * 6 + [
+        "[time]\nh = 0.1", "[time]\nt = 0.1",
+        "[scheme]\ninterp = cubic\ninterp = linear"]))
+    if twice is not None:
+        lines.append(twice)
+    return "\n".join(lines) + "\n", twice is not None
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=configs(),
+@given(case=configs(),
        command=st.sampled_from(["run", "verify", "converge"]),
        threads=st.sampled_from([None, "1", "2", "", "0", "-3", "1.5",
                                 "abc"]))
 # a repeated converge rung, whose order would divide by log2(h / h) = 0;
 # the draws above reach this combination too rarely to be relied on
-@example(text="[grid]\ncells = 8\n[time]\nh = 0.1\nt = 0.1\n[ladder]\nh = 0.1, 0.1\n",
+@example(case=("[grid]\ncells = 8\n[time]\nh = 0.1\nt = 0.1\n[ladder]\n"
+               "h = 0.1, 0.1\n", False),
          command="converge", threads=None)
-def test_cli_exit_codes_without_traceback(text, command, threads):
+# h given twice in one section, which ran at the last value, h = 0.5
+@example(case=("[grid]\ncells = 8\n[time]\nh = 0.05\nh = 0.5\nt = 1.0\n",
+               True),
+         command="run", threads=None)
+def test_cli_exit_codes_without_traceback(case, command, threads):
+    text, repeats_key = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"
         cfg.write_text(text.replace("{missing}", str(Path(tmp) / "no.vtk")))
@@ -70,5 +84,7 @@ def test_cli_exit_codes_without_traceback(text, command, threads):
             code = main([command, "--config", str(cfg),
                          "--out", str(Path(tmp) / "out"), *flags])
     assert code in (0, 1, 2, 3)
+    if repeats_key:
+        assert code == 2
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()

@@ -9,7 +9,7 @@ import pytest
 from dnsflow import BoundaryCondition, InterpOrder, SolvePath
 from dnsflow import analysis, bench, cli, projection, snapshot
 from dnsflow.cli import _ladder_configs, main
-from dnsflow.fields import divergence
+from dnsflow.fields import VelocityField, divergence
 from dnsflow.manifest import (
     ConfigError,
     load_manifest,
@@ -593,6 +593,59 @@ def test_cli_unknown_key_exits_2(tmp_path, capsys, section, line, key):
     msg = _assert_one_line_reason(capsys, "config error: ")
     assert section in msg and key in msg
     assert not (tmp_path / "out" / "verify.txt").exists()
+
+
+@pytest.mark.parametrize("section, old, new, key", [
+    # in one section: the run would take h = 0.1 from the second line
+    ("[time]", "h = 0.05", "h = 0.05\nh = 0.1", "h"),
+    # under a repeated header: a linear run would replace the cubic one
+    ("[scheme]", "[output]", "[scheme]\ninterp = linear\n\n[output]",
+     "interp"),
+], ids=["one-section", "repeated-header"])
+def test_cli_repeated_key_exits_2(tmp_path, capsys, section, old, new, key):
+    cfg = BASE_CFG.replace(old, new)
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    msg = _assert_one_line_reason(capsys, "config error: ")
+    assert f"{section} {key} is given twice" in msg
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE_CFG.encode() + b"# caf\xe9 \xff\n")
+    code = main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    msg = _assert_one_line_reason(capsys, "config error: ")
+    assert msg.endswith(f"config file {path} is not UTF-8 text")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_box_snapshot_must_vanish_on_walls(tmp_path, capsys):
+    # a uniform u = 1 passes the divergence gate unprojected, and the run
+    # would report step_inequality_holds = False, max_fitted_c = inf
+    grid = parse_manifest(BOX_CFG).cfg.grid
+    uniform = tmp_path / "uniform.vtk"
+    snapshot.write_vtk(uniform, VelocityField(
+        grid, np.stack([np.ones(grid.node_shape),
+                        np.zeros(grid.node_shape)])))
+    cfg = BOX_CFG.replace("kind = random_solenoidal",
+                          f"kind = snapshot\nfile = {uniform}")
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    msg = _assert_one_line_reason(capsys, "config error: ")
+    assert "walls" in msg
+    # a box run's own snapshots are exactly zero on the walls
+    first = tmp_path / "first"
+    assert main(["run", "--config", _write_cfg(tmp_path, BOX_CFG),
+                 "--out", str(first)]) == 0
+    cfg = BOX_CFG.replace("kind = random_solenoidal",
+                          f"kind = snapshot\nfile = {first / 'snapshot_2.vtk'}")
+    assert main(["run", "--config", _write_cfg(tmp_path, cfg, "resume.cfg"),
+                 "--out", str(tmp_path / "second")]) == 0
 
 
 def test_cli_verify_rejects_ladder_cells(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -446,21 +447,109 @@ PARITIES = [(slice(a, None, 2), slice(b, None, 2))
             for a in (0, 1) for b in (0, 1)]
 
 
+def _dense_null_projector(spec):
+    """The dense projector onto range(G^T) of the former
+    projection._neumann_pinv, verbatim: x - N^T (N x), N the orthonormal
+    8 x N null-space basis of G (one row per vector). Returns the
+    projector and N."""
+    corners = (np.array([0, 0, -1, -1]), np.array([0, -1, 0, -1]))
+    null = []
+    for a in (0, 1):
+        for b in (0, 1):
+            sub = (slice(a, None, 2), slice(b, None, 2))
+            const = np.zeros(spec.node_shape)
+            const[sub] = 1.0
+            const[corners] = 0.0
+            null.append(const / np.linalg.norm(const))
+    for i, j in zip(*corners):
+        null.append(np.zeros(spec.node_shape))
+        null[-1][i, j] = 1.0
+    # orthonormal null-space basis, one row per vector
+    null = np.reshape(null, (8, -1))
+
+    def project(x):
+        return x - (null.T @ (null @ x.ravel())).reshape(x.shape)
+
+    return project, null
+
+
+@lru_cache(maxsize=32)
+def _old_neumann_pinv(spec):
+    """The former projection._neumann_pinv, M = P Lg^+ P, verbatim but for
+    its null-space basis and projector, split out above."""
+    nx, ny = spec.node_shape
+    blocks = []
+    for a in (0, 1):
+        for b in (0, 1):
+            sub = (slice(a, None, 2), slice(b, None, 2))
+            cx, lx = projection._path_dct(len(range(a, nx, 2)))
+            cy, ly = projection._path_dct(len(range(b, ny, 2)))
+            lam = 0.25 * (lx[:, None] + ly[None, :])
+            lam[0, 0] = np.inf  # the sub-lattice constant: pseudo-inverse 0
+            blocks.append((sub, cx, cy, 1.0 / lam))
+    project, _ = _dense_null_projector(spec)
+
+    def pinv(r):
+        q = project(r)
+        for sub, cx, cy, inv_lam in blocks:
+            q[sub] = cx @ ((cx.T @ q[sub] @ cy) * inv_lam) @ cy.T
+        return project(q)
+
+    return pinv
+
+
+def _assert_symmetric(op, x, y):
+    ox, oy = op(x), op(y)
+    assert (abs(np.sum(x * oy) - np.sum(ox * y))
+            <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(oy))
+
+
 @pytest.mark.parametrize("spec", NEUMANN_GRIDS,
                          ids=["8", "11", "16", "33", "8x11"])
 def test_neumann_pinv_properties(spec):
     pinv = projection._neumann_pinv(spec)
+    project = projection._project_range_gt
     grad_i, grad_t, _ = projection._dirichlet_ops(spec)
 
     def apply_l(p):
         return grad_t(grad_i(p))
 
+    def composite(r):
+        return project(pinv(project(r)))
+
     shape = spec.node_shape
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=(2,) + shape)
-    mx, my = pinv(x), pinv(y)
-    assert (abs(np.sum(x * my) - np.sum(mx * y))
-            <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(my))
+    # pinv alone: symmetric positive semidefinite, with the four
+    # sub-lattice constants as its null space
+    _assert_symmetric(pinv, x, y)
+    g = _dense(pinv, shape)
+    ev_g = np.linalg.eigvalsh(0.5 * (g + g.T))
+    assert ev_g[0] >= -1e-12 * ev_g[-1]
+    assert np.sum(ev_g > 1e-10 * ev_g[-1]) == g.shape[0] - 4
+    for sub in PARITIES:
+        const = np.zeros(shape)
+        const[sub] = 1.0
+        assert (np.linalg.norm(pinv(const))
+                <= 1e-12 * ev_g[-1] * np.linalg.norm(const))
+    # the closed-form projector: symmetric, idempotent, zero on the eight
+    # null vectors of G, and the dense x - N^T (N x) to roundoff (all
+    # measured <= 1e-16 on these grids)
+    dense, null = _dense_null_projector(spec)
+    _assert_symmetric(project, x, y)
+    px = project(x)
+    assert np.linalg.norm(project(px) - px) <= 1e-15 * np.linalg.norm(px)
+    for vec in null:
+        assert np.max(np.abs(project(vec.reshape(shape)))) <= 1e-15
+    assert (np.linalg.norm(px - dense(x))
+            <= 1e-15 * np.linalg.norm(dense(x)))
+    # project o pinv o project is the former M = P Lg^+ P (measured
+    # <= 2.1e-16); the former test's checks of M run on it
+    m = _dense(composite, shape)
+    m_old = _dense(_old_neumann_pinv(spec), shape)
+    assert np.max(np.abs(m - m_old)) <= 1e-14 * np.max(np.abs(m_old))
+    _assert_symmetric(composite, x, y)
+    mx = composite(x)
     # the output lies in range(G^T): zero at the corners, zero sum on
     # each parity sub-lattice
     assert np.all(mx[CORNERS] == 0.0)
@@ -468,7 +557,6 @@ def test_neumann_pinv_properties(spec):
         assert abs(np.sum(mx[sub])) <= 1e-12 * np.sum(np.abs(mx))
     # positive semidefinite, with L's 8-dimensional null space: one
     # constant per sub-lattice and the four corners
-    m = _dense(pinv, shape)
     lap = _dense(apply_l, shape)
     ev = np.linalg.eigvalsh(0.5 * (m + m.T))
     assert ev[0] >= -1e-12 * ev[-1]
@@ -485,7 +573,8 @@ def test_neumann_pinv_properties(spec):
     for sub in PARITIES:
         zs, inner = z[sub], ~wall[sub]
         zs[inner] -= np.mean(zs[inner])
-    assert np.linalg.norm(pinv(apply_l(z)) - z) <= 1e-12 * np.linalg.norm(z)
+    assert (np.linalg.norm(composite(apply_l(z)) - z)
+            <= 1e-12 * np.linalg.norm(z))
     # elsewhere M L differs from the projector onto range(G^T) only
     # through the wall-line edges: rank at most their count
     range_l = vec_l[:, in_range]
@@ -493,6 +582,35 @@ def test_neumann_pinv_properties(spec):
     sv = np.linalg.svd(defect, compute_uv=False)
     wall_edges = 2 * (shape[0] + shape[1] - 4)
     assert np.sum(sv > 1e-10 * sv[0]) <= wall_edges < rank
+
+
+def test_box_runs_match_projected_pinv(monkeypatch):
+    # the former preconditioner projected before and after every pinv
+    # apply; now each solve projects its result once. Measured here:
+    # box64 outer counts [49, 44, 43, 42] on both, v 7.7e-16 and p 3.1e-14
+    # relative; unit box 128^2 [81, 79] on both, v 1.6e-12 and p 3.4e-11.
+    # Against the former code as a whole the 128^2 counts read [82, 79]
+    # (v 1.0e-12, p 5.2e-11)
+    unit128 = GridSpec(128, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
+    cases = [(BOX64, DnsConfig(h=0.0125, T=0.05, grid=BOX64)),
+             (unit128, DnsConfig(h=1.0 / 80.0, T=2.0 / 80.0, grid=unit128))]
+
+    def runs():
+        return [run(random_solenoidal_field(spec, seed=41), cfg)
+                for spec, cfg in cases]
+
+    new = runs()
+    monkeypatch.setattr(projection, "_neumann_pinv", _old_neumann_pinv)
+    old = runs()
+    for fast, ref, steps in zip(new, old, (4, 2)):
+        assert len(fast.results) == len(ref.results) == steps
+        for r_fast, r_ref in zip(fast.results, ref.results):
+            assert abs(r_fast.stokes_outer - r_ref.stokes_outer) <= 1
+        v_fast, v_ref = fast.snapshots[-1], ref.snapshots[-1]
+        assert norm_l2(v_fast - v_ref) <= 1e-10 * norm_l2(v_ref)
+        p_fast, p_ref = fast.results[-1].p.data, ref.results[-1].p.data
+        assert (np.linalg.norm(p_fast - p_ref)
+                <= 1e-8 * np.linalg.norm(p_ref))
 
 
 def _cg_without_precond(monkeypatch):
