@@ -36,6 +36,7 @@ import numpy as np
 
 from .fields import (
     GridSpec,
+    NonFiniteFieldError,
     advection_term,
     divergence,
     grad_max_norm,
@@ -484,12 +485,17 @@ def weak_residual(traj: Trajectory, phis: Sequence[TestFunction],
 
     # step integrals of eta, eta' theta and eta' (1 - theta)
     T = traj.final_time
+    try:
+        T4 = T**4
+    except OverflowError:
+        raise NonFiniteFieldError("weak residual: T**4 overflows, "
+                                  f"T = {T:g}") from None
     nodes, weights = np.polynomial.legendre.leggauss(3)
     theta = 0.5 * (nodes + 1.0)
     t = traj.times[:-1, None] + traj.cfg.h * theta
     wq = 0.5 * traj.cfg.h * weights
-    eta = (16.0 * t**2 * (T - t)**2 / T**4) @ wq
-    deta = 32.0 * t * (T - t) * (T - 2.0 * t) / T**4 * wq
+    eta = (16.0 * t**2 * (T - t)**2 / T4) @ wq
+    deta = 32.0 * t * (T - t) * (T - 2.0 * t) / T4 * wq
     linear = (eta @ dv_dpsi - (deta @ theta) @ v_psi[1:]
               - (deta @ (1.0 - theta)) @ v_psi[:-1])
     advect = eta @ adv_psi

@@ -4,16 +4,17 @@ Two backends share one node-collocated layout:
 
 * periodic: n x n nodes on [0, L) x [0, L), spectral derivatives via the
   real FFT, rectangle-rule quadrature (exact for trig polynomials below
-  the Nyquist limit). The Dirichlet energy is summed by Parseval over
-  the rfft2 half-spectra and the divergence takes one inverse transform,
-  so neither forms the Jacobian in physical space; every transform is
-  2-D, one slice per call.
+  the Nyquist limit). One cached spectral kit per grid holds the Fourier
+  symbols that the operators here and the torus solves read. The
+  Dirichlet energy is summed by Parseval over the rfft2 half-spectra and
+  the divergence takes one inverse transform, so neither forms the
+  Jacobian in physical space; every transform is 2-D, one slice per call.
 * dirichlet: (n+1) x (n+1) nodes on [0, L] x [0, L], central differences
   with one-sided closures at the walls, trapezoidal quadrature. Velocity
   samples on the walls are pinned to zero.
 
-Fields are immutable after construction; every operator is a pure
-function returning a new field.
+Both field types share one base and are immutable after construction;
+every operator is a pure function returning a new field.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class GridSpec:
         hy = self.extent[1] / self.cells[1]
         if not math.isclose(hx, hy, rel_tol=1e-12):
             raise ValueError(f"cells must be square: spacings {hx} != {hy}")
+        # * and not **, which raises on overflow
+        if not 0.0 < hx * hx < math.inf:
+            raise ValueError(f"cell size {hx:g} squared is not a positive "
+                             "finite number")
         if self.bc is BoundaryCondition.PERIODIC:
             for n in self.cells:
                 if n % 2 != 0:
@@ -119,36 +124,53 @@ class GridSpec:
         return np.meshgrid(self.axis_nodes(0), self.axis_nodes(1), indexing="ij")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
-class ScalarField:
+class _GridField:
+    """``_lead + node_shape`` finite samples, copied and frozen; sums,
+    differences and scalar multiples keep the field's type."""
+
+    spec: GridSpec
+    data: np.ndarray = dc_field(repr=False)
+
+    _lead = ()
+
+    def __post_init__(self):
+        data = np.array(self.data, dtype=np.float64, copy=True)
+        data.flags.writeable = False
+        noun = type(self).__name__.removesuffix("Field").lower()
+        shape = self._lead + self.spec.node_shape
+        if data.shape != shape:
+            raise ValueError(f"{noun} data shape {data.shape} does not "
+                             f"match {shape}")
+        if not np.all(np.isfinite(data)):
+            raise NonFiniteFieldError(f"{noun} field contains non-finite "
+                                      "samples")
+        object.__setattr__(self, "data", data)
+
+    @classmethod
+    def zeros(cls, spec: GridSpec):
+        return cls(spec, np.zeros(cls._lead + spec.node_shape))
+
+    def __add__(self, other):
+        _check_same_spec(self, other)
+        return type(self)(self.spec, self.data + other.data)
+
+    def __sub__(self, other):
+        _check_same_spec(self, other)
+        return type(self)(self.spec, self.data - other.data)
+
+    def __mul__(self, a: float):
+        return type(self)(self.spec, self.data * float(a))
+
+    __rmul__ = __mul__
+
+
+class ScalarField(_GridField):
     """Scalar samples on the grid nodes (pressure, potentials, ...).
 
     Pressure-like outputs of the solvers are normalized to zero mean
     (gauge fixing); general scalar fields carry no mean constraint.
     """
-
-    spec: GridSpec
-    data: np.ndarray = dc_field(repr=False)
-
-    def __post_init__(self):
-        data = _freeze(self.data)
-        if data.shape != self.spec.node_shape:
-            raise ValueError(f"scalar data shape {data.shape} does not match "
-                             f"grid nodes {self.spec.node_shape}")
-        if not np.all(np.isfinite(data)):
-            raise NonFiniteFieldError("scalar field contains non-finite "
-                                      "samples")
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def zeros(cls, spec: GridSpec) -> "ScalarField":
-        return cls(spec, np.zeros(spec.node_shape))
 
     @classmethod
     def from_function(cls, spec: GridSpec, fn) -> "ScalarField":
@@ -162,22 +184,8 @@ class ScalarField:
     def demeaned(self) -> "ScalarField":
         return ScalarField(self.spec, self.data - self.mean())
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_spec(self, other)
-        return ScalarField(self.spec, self.data + other.data)
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_spec(self, other)
-        return ScalarField(self.spec, self.data - other.data)
-
-    def __mul__(self, a: float) -> "ScalarField":
-        return ScalarField(self.spec, self.data * float(a))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class VelocityField:
+class VelocityField(_GridField):
     """Vector samples on the grid nodes, one array slice per component.
 
     On the dirichlet backend valid velocity fields vanish on the walls;
@@ -187,18 +195,7 @@ class VelocityField:
     raw dataclass.
     """
 
-    spec: GridSpec
-    data: np.ndarray = dc_field(repr=False)
-
-    def __post_init__(self):
-        data = _freeze(self.data)
-        if data.shape != (2,) + self.spec.node_shape:
-            raise ValueError(f"velocity data shape {data.shape} does not match "
-                             f"(2, *{self.spec.node_shape})")
-        if not np.all(np.isfinite(data)):
-            raise NonFiniteFieldError("velocity field contains non-finite "
-                                      "samples")
-        object.__setattr__(self, "data", data)
+    _lead = (2,)
 
     @property
     def u(self) -> np.ndarray:
@@ -207,10 +204,6 @@ class VelocityField:
     @property
     def v(self) -> np.ndarray:
         return self.data[1]
-
-    @classmethod
-    def zeros(cls, spec: GridSpec) -> "VelocityField":
-        return cls(spec, np.zeros((2,) + spec.node_shape))
 
     @classmethod
     def from_components(cls, spec: GridSpec, u, v) -> "VelocityField":
@@ -239,19 +232,6 @@ class VelocityField:
     def component(self, c: int) -> ScalarField:
         return ScalarField(self.spec, self.data[c])
 
-    def __add__(self, other: "VelocityField") -> "VelocityField":
-        _check_same_spec(self, other)
-        return VelocityField(self.spec, self.data + other.data)
-
-    def __sub__(self, other: "VelocityField") -> "VelocityField":
-        _check_same_spec(self, other)
-        return VelocityField(self.spec, self.data - other.data)
-
-    def __mul__(self, a: float) -> "VelocityField":
-        return VelocityField(self.spec, self.data * float(a))
-
-    __rmul__ = __mul__
-
     def __neg__(self) -> "VelocityField":
         return VelocityField(self.spec, -self.data)
 
@@ -275,7 +255,10 @@ def pin_walls(spec: GridSpec, data: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _spectral_kit(spec: GridSpec):
-    """Derivative wavenumbers for the real-FFT layout.
+    """Read-only symbols ``(ikx, iky, K2, neg_k2)`` of the real-FFT
+    layout: i kx, i ky, K2 = kx^2 + ky^2, and -K2 with +inf where K2 = 0,
+    so dividing a spectrum by it applies the inverse Laplacian and zeroes
+    those four modes.
 
     The Nyquist wavenumber is zeroed so first derivatives stay
     skew-adjoint and real; the Laplacian symbol is the composition
@@ -288,27 +271,29 @@ def _spectral_kit(spec: GridSpec):
     kx[nx // 2] = 0.0
     ky = TWO_PI * np.fft.rfftfreq(ny, d=dx)
     ky[-1] = 0.0
-    KX = np.broadcast_to(kx[:, None], (nx, ny // 2 + 1)).copy()
-    KY = np.broadcast_to(ky[None, :], (nx, ny // 2 + 1)).copy()
+    KX = np.broadcast_to(kx[:, None], (nx, ny // 2 + 1))
+    KY = np.broadcast_to(ky[None, :], (nx, ny // 2 + 1))
     K2 = KX**2 + KY**2
-    KX.flags.writeable = False
-    KY.flags.writeable = False
-    K2.flags.writeable = False
-    return KX, KY, K2
+    neg_k2 = np.where(K2 > 0.0, -K2, np.inf)
+    kit = (1j * KX, 1j * KY, K2, neg_k2)
+    for arr in kit:
+        arr.flags.writeable = False
+    return kit
 
 
-def _parseval_norm_sq(spec: GridSpec, f_hat: np.ndarray,
+def _parseval_norm_sq(spec: GridSpec, *f_hats: np.ndarray,
                       symbol=1.0) -> float:
-    """Rectangle-rule integral of |f|^2 (summed over leading axes) from
-    f's rfft2 half-spectrum: each column but ky = 0 and Nyquist counts
-    twice, for its conjugate. A real ``symbol`` s weights the power, for
-    the integral of |g|^2 with |g_hat|^2 = s |f_hat|^2."""
+    """Rectangle-rule integral of |f|^2 (summed over leading axes and
+    over the spectra given, before the scaling) from f's rfft2
+    half-spectrum: each column but ky = 0 and Nyquist counts twice, for
+    its conjugate. A real ``symbol`` s weights the power, for the
+    integral of |g|^2 with |g_hat|^2 = s |f_hat|^2."""
     nx, ny = spec.cells
     col = np.full(ny // 2 + 1, 2.0)
     col[0] = col[-1] = 1.0
-    power = f_hat.real ** 2 + f_hat.imag ** 2
-    return float(spec.spacing ** 2 / (nx * ny)
-                 * np.sum(col * symbol * power))
+    total = sum(np.sum(col * symbol * (f.real ** 2 + f.imag ** 2))
+                for f in f_hats)
+    return float(spec.spacing ** 2 / (nx * ny) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +349,7 @@ def _partials(spec: GridSpec, data: np.ndarray) -> np.ndarray:
     the speed of a loop over 2-D calls, with equal output) or one
     stencil pass for all slices (dirichlet)."""
     if spec.is_periodic:
-        KX, KY, _ = _spectral_kit(spec)
-        ik = (1j * KX, 1j * KY)
+        ik = _spectral_kit(spec)[:2]
         lead = data.shape[:-2]
         out = np.empty(lead + (2,) + spec.node_shape)
         for i in np.ndindex(lead):
@@ -392,8 +376,8 @@ def divergence(v: VelocityField) -> ScalarField:
     spec = v.spec
     if spec.is_periodic:
         # sum the two partials in Fourier space: one inverse transform
-        KX, KY, _ = _spectral_kit(spec)
-        div_hat = 1j * KX * np.fft.rfft2(v.u) + 1j * KY * np.fft.rfft2(v.v)
+        ikx, iky, _, _ = _spectral_kit(spec)
+        div_hat = ikx * np.fft.rfft2(v.u) + iky * np.fft.rfft2(v.v)
         return ScalarField(spec, np.fft.irfft2(div_hat, s=spec.node_shape))
     return ScalarField(spec, _fd_divergence(spec, v.u, v.v))
 
@@ -401,7 +385,7 @@ def divergence(v: VelocityField) -> ScalarField:
 def laplacian(v: VelocityField) -> VelocityField:
     spec = v.spec
     if spec.is_periodic:
-        _, _, K2 = _spectral_kit(spec)
+        K2 = _spectral_kit(spec)[2]
         out = np.stack([
             np.fft.irfft2(-K2 * np.fft.rfft2(v.data[c]), s=spec.node_shape)
             for c in range(2)
@@ -454,9 +438,9 @@ def grad_norm_sq(v: VelocityField) -> float:
     """
     spec = v.spec
     if spec.is_periodic:
-        _, _, K2 = _spectral_kit(spec)
-        return sum(_parseval_norm_sq(spec, np.fft.rfft2(v.data[c]), K2)
-                   for c in range(2))
+        K2 = _spectral_kit(spec)[2]
+        return sum(_parseval_norm_sq(spec, np.fft.rfft2(v.data[c]),
+                                     symbol=K2) for c in range(2))
     jac = velocity_jacobian(v)
     return float(np.sum(quadrature_weights(spec) * np.sum(jac * jac,
                                                             axis=(0, 1))))

@@ -231,7 +231,7 @@ def load_manifest(path, out_dir: str = "out", seed: int = 0) -> RunManifest:
     if not p.is_file():
         raise ConfigError(f"config file {path} not found")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
     return parse_manifest(text, out_dir=out_dir, seed=seed)

@@ -1,7 +1,8 @@
 """Helmholtz-Leray decomposition and the implicit Stokes step.
 
 Periodic backend: direct mode-by-mode solves in Fourier space (the
-projection and the Laplacian commute on the torus).
+projection and the Laplacian commute on the torus); the spectral kit's
+-K^2, +inf where K^2 = 0, inverts the Laplacian by plain division.
 
 Dirichlet backend: the velocity unknowns live on interior nodes (walls
 pinned to zero) and the pressure on all nodes. The divergence constraint
@@ -85,10 +86,13 @@ def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0, stop_fn=None,
     Stops on ``stop_fn(r)`` if given, else on |r| <= max(rel_tol |b|,
     abs_tol). ``precond`` applies a symmetric positive semidefinite M^-1
     (identity if None); the loop gives up, unconverged, once r.M^-1 r or
-    d.Ad is no longer positive."""
+    d.Ad is no longer positive, and at once if |b| is not finite (every
+    residual would meet tol = inf)."""
     x = x0.copy()
     r = b - apply_a(x)
     b_norm = float(np.sqrt(np.sum(b * b)))
+    if not math.isfinite(b_norm):
+        return x, 0, False
     if b_norm == 0.0:
         return np.zeros_like(b), 0, True
     tol = max(rel_tol * b_norm, abs_tol)
@@ -129,13 +133,12 @@ def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0, stop_fn=None,
 
 def _leray_periodic(u: VelocityField) -> HelmholtzParts:
     spec = u.spec
-    KX, KY, K2 = _spectral_kit(spec)
+    ikx, iky, _, neg_k2 = _spectral_kit(spec)
     shape = spec.node_shape
-    du = 1j * KX * np.fft.rfft2(u.data[0]) + 1j * KY * np.fft.rfft2(u.data[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_hat = np.where(K2 > 0.0, du / (-K2), 0.0)
-    gx = np.fft.irfft2(1j * KX * phi_hat, s=shape)
-    gy = np.fft.irfft2(1j * KY * phi_hat, s=shape)
+    du = ikx * np.fft.rfft2(u.data[0]) + iky * np.fft.rfft2(u.data[1])
+    phi_hat = du / neg_k2
+    gx = np.fft.irfft2(ikx * phi_hat, s=shape)
+    gy = np.fft.irfft2(iky * phi_hat, s=shape)
     sol = VelocityField(spec, np.stack([u.data[0] - gx, u.data[1] - gy]))
     pot = ScalarField(spec, np.fft.irfft2(phi_hat, s=shape)).demeaned()
     return HelmholtzParts(sol, pot)
@@ -143,26 +146,22 @@ def _leray_periodic(u: VelocityField) -> HelmholtzParts:
 
 def _stokes_periodic(w: VelocityField, h: float, nu: float):
     spec = w.spec
-    KX, KY, K2 = _spectral_kit(spec)
+    ikx, iky, K2, neg_k2 = _spectral_kit(spec)
     shape = spec.node_shape
     wu_hat = np.fft.rfft2(w.data[0])
     wv_hat = np.fft.rfft2(w.data[1])
-    div_hat = 1j * KX * wu_hat + 1j * KY * wv_hat
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_hat = np.where(K2 > 0.0, div_hat / (-K2), 0.0)
-        p_hat = np.where(K2 > 0.0, div_hat / (-h * K2), 0.0)
+    div_hat = ikx * wu_hat + iky * wv_hat
+    phi_hat = div_hat / neg_k2
+    p_hat = div_hat / (h * neg_k2)
     sym = 1.0 + h * nu * K2
-    vu_hat = (wu_hat - 1j * KX * phi_hat) / sym
-    vv_hat = (wv_hat - 1j * KY * phi_hat) / sym
+    vu_hat = (wu_hat - ikx * phi_hat) / sym
+    vv_hat = (wv_hat - iky * phi_hat) / sym
     v = VelocityField(spec, np.stack([np.fft.irfft2(vu_hat, s=shape),
                                       np.fft.irfft2(vv_hat, s=shape)]))
     p = ScalarField(spec, np.fft.irfft2(p_hat, s=shape)).demeaned()
-    # the operator is formed afresh, not taken from sym, so the residual
-    # checks the division as well as the pressure
-    op = 1.0 + h * nu * (KX ** 2 + KY ** 2)
-    mom_hat = np.stack([vu_hat * op + 1j * h * KX * p_hat - wu_hat,
-                        vv_hat * op + 1j * h * KY * p_hat - wv_hat])
-    mom_res = math.sqrt(_parseval_norm_sq(spec, mom_hat))
+    mom_res = math.sqrt(_parseval_norm_sq(
+        spec, vu_hat * sym + h * ikx * p_hat - wu_hat,
+        vv_hat * sym + h * iky * p_hat - wv_hat))
     return v, p, StokesInfo(True, 0, float(np.max(np.abs(divergence(v).data))),
                             mom_res)
 

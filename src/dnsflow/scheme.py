@@ -86,6 +86,8 @@ class DnsConfig:
             raise ValueError("h and T must be positive")
         if self.nu <= 0.0:
             raise ValueError("nu must be positive")
+        if not math.isfinite(self.T / self.h):
+            raise ValueError(f"T/h = {self.T:g}/{self.h:g} is not finite")
         if self.n_steps < 1:
             raise ValueError("floor(T/h) must be at least 1")
         runs_minimizer = (self.path is SolvePath.DIRECT_MINIMIZE

@@ -29,15 +29,21 @@ def configs(draw):
         "[grid]",
         f"cells = {draw(mostly(['8', '16'], ['9', '4', 'abc']))}",
         f"bc = {draw(mostly(['periodic', 'dirichlet'], ['moebius']))}",
+        # a cell size whose square overflows or underflows
+        "extent = " + draw(mostly(["6.283185307179586", "1.0"],
+                                  ["1e300", "1e-300"])),
         "[time]",
-        # at most two steps: t / h <= 2.2 for every positive h drawn
-        f"h = {draw(mostly(['0.05', '0.07', '0.1'], ['0', '-0.05', 'abc', 'nan']))}",
-        f"t = {draw(mostly(['0.11', '0.1'], ['0.05', '0', '-1', 'inf']))}",
+        # at most two steps: t / h <= 2.2 for every positive h drawn, and
+        # the bad h and t make t / h overflow (a finite but huge step
+        # count would run for ever)
+        f"h = {draw(mostly(['0.05', '0.07', '0.1'], ['0', '-0.05', 'abc', 'nan', '1e-320']))}",
+        f"t = {draw(mostly(['0.11', '0.1'], ['0.05', '0', '-1', 'inf', '1e308']))}",
         "[initial]",
         "kind = " + draw(mostly(["taylor_green", "zero", "random_solenoidal",
                                  "stream_bump"], ["snapshot", "vortex_soup"])),
         "amplitude = " + draw(mostly(
-            ["1.0", "-2.5", "0", "1e154", "1e200", "1e305", "1e306"],
+            ["1.0", "-2.5", "0", "1e154", "1e200", "1e300", "1e305",
+             "1e306"],
             ["nan", "inf", "-inf", "abc", "1e", ""])),
     ]
     if draw(st.booleans()):
@@ -72,6 +78,17 @@ def configs(draw):
 @example(case=("[grid]\ncells = 8\n[time]\nh = 0.05\nh = 0.5\nt = 1.0\n",
                True),
          command="run", threads=None)
+# a box cell size whose square overflows: OverflowError from spacing ** 2
+@example(case=("[grid]\ncells = 16\nbc = dirichlet\nextent = 1e300\n"
+               "[time]\nh = 0.1\nt = 0.1\n[initial]\nkind = zero\n", False),
+         command="run", threads=None)
+# T / h overflows: OverflowError from floor(T / h)
+@example(case=("[grid]\ncells = 8\n[time]\nh = 1e-320\nt = 0.1\n", False),
+         command="run", threads=None)
+# every step finite, but T**4 of the weak residual overflows
+@example(case=("[grid]\ncells = 16\n[time]\nh = 1e77\nt = 2e77\n"
+               "[ladder]\nh = 1e77, 5e76\n", False),
+         command="verify", threads=None)
 def test_cli_exit_codes_without_traceback(case, command, threads):
     text, repeats_key = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -18,6 +18,7 @@ from dnsflow import (
     norm_l2,
 )
 from dnsflow.fields import (
+    NonFiniteFieldError,
     _fd_partial,
     _parseval_norm_sq,
     _partials,
@@ -59,6 +60,15 @@ def test_grid_spec_rejects(bad):
         GridSpec(**bad)
 
 
+@pytest.mark.parametrize("extent", [1e300, 1e-300])
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_grid_spec_rejects_cell_size_without_finite_square(extent, bc):
+    # dx^2 overflows or underflows to 0: the quadrature weights and the
+    # box Helmholtz symbol divide or multiply by it
+    with pytest.raises(ValueError, match="squared is not a positive finite"):
+        GridSpec(16, extent, bc)
+
+
 def test_odd_cells_fine_on_dirichlet():
     spec = GridSpec(15, bc=BoundaryCondition.DIRICHLET_ZERO)
     assert spec.node_shape == (16, 16)
@@ -73,6 +83,19 @@ def test_fields_reject_bad_shapes_and_nans(periodic32):
     data[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         VelocityField(periodic32, data)
+
+
+@pytest.mark.parametrize("cls, noun", [(ScalarField, "scalar"),
+                                       (VelocityField, "velocity")])
+def test_field_base_keeps_type_and_names_it(periodic32, cls, noun):
+    a = cls.zeros(periodic32)
+    for out in (a + a, a - a, a * 2.0, 2.0 * a):
+        assert type(out) is cls and out.data.shape == a.data.shape
+    data = np.zeros(a.data.shape)
+    data[..., 0, 0] = np.inf
+    with pytest.raises(NonFiniteFieldError,
+                       match=f"^{noun} field contains non-finite samples$"):
+        cls(periodic32, data)
 
 
 def test_dirichlet_constructor_requires_pinned_walls(dirichlet32):
@@ -255,8 +278,8 @@ TORUS_IDS = ["16x16", "16x32"]
 # Jacobian, and the divergence summed two inverse transforms.
 
 def _old_partials(spec, data):
-    KX, KY, _ = _spectral_kit(spec)
-    ik = 1j * np.stack([KX, KY])
+    ikx, iky, _, _ = _spectral_kit(spec)
+    ik = np.stack([ikx, iky])
     return np.fft.irfft2(ik * np.fft.rfft2(data)[..., None, :, :],
                          s=spec.node_shape)
 
@@ -269,10 +292,10 @@ def _old_grad_norm_sq(v):
 
 def _old_divergence(v):
     spec = v.spec
-    KX, KY, _ = _spectral_kit(spec)
+    ikx, iky, _, _ = _spectral_kit(spec)
     shape = spec.node_shape
-    return (np.fft.irfft2(1j * KX * np.fft.rfft2(v.u), s=shape)
-            + np.fft.irfft2(1j * KY * np.fft.rfft2(v.v), s=shape))
+    return (np.fft.irfft2(ikx * np.fft.rfft2(v.u), s=shape)
+            + np.fft.irfft2(iky * np.fft.rfft2(v.v), s=shape))
 
 
 def _white_noise(spec, seed):

@@ -623,6 +623,79 @@ def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_config_with_byte_order_mark_runs_as_without(tmp_path):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert main(["run", "--config", _write_cfg(tmp_path),
+                 "--out", str(plain)]) == 0
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + BASE_CFG.encode())
+    assert main(["run", "--config", str(path), "--out", str(marked)]) == 0
+    for name in ("report.txt", "ledger.csv"):
+        assert (marked / name).read_bytes() == (plain / name).read_bytes()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("h = 0.05", "h = 1e-320"),
+    ("t = 0.2", "t = 1e308"),
+    ("h = 0.1, 0.05, 0.025", "h = 0.1, 1e-320"),
+], ids=["tiny-h", "huge-t", "tiny-ladder-h"])
+@pytest.mark.parametrize("command", ["run", "verify", "converge"])
+def test_cli_step_count_overflow_exits_2(tmp_path, capsys, old, new,
+                                         command):
+    # floor(T / h) of an infinite T / h raised OverflowError
+    out = tmp_path / "out"
+    code = main([command, "--config",
+                 _write_cfg(tmp_path, BASE_CFG.replace(old, new)),
+                 "--out", str(out)])
+    assert code == 2
+    assert "is not finite" in _assert_one_line_reason(capsys, "config error: ")
+    assert not out.exists()
+
+
+def test_cli_weak_residual_time_overflow_exits_3(tmp_path, capsys):
+    # every step is finite, but T**4 of the weak residual's test
+    # function overflows
+    cfg = (BASE_CFG.replace("h = 0.05", "h = 1e77")
+           .replace("t = 0.2", "t = 2e77")
+           .replace("h = 0.1, 0.05, 0.025", "h = 1e77, 5e76"))
+    code = main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    line = _assert_one_line_reason(capsys,
+                                   "solver failure: post-run analysis: ")
+    assert "T**4" in line
+
+
+@pytest.mark.parametrize("bc, extent", [
+    ("dirichlet", "1e300"), ("dirichlet", "1e-300"), ("periodic", "1e300"),
+])
+def test_cli_cell_size_without_finite_square_exits_2(tmp_path, capsys, bc,
+                                                     extent):
+    # the box ended in OverflowError or ZeroDivisionError, the torus in
+    # a non-finite quadrature weight dx^2 (exit 3)
+    cfg = (BASE_CFG.replace("bc = periodic", f"bc = {bc}\nextent = {extent}")
+           .replace("kind = taylor_green", "kind = zero"))
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    line = _assert_one_line_reason(capsys, "config error: ")
+    assert "squared is not a positive finite number" in line
+
+
+def test_cli_overflowing_projection_datum_exits_3(tmp_path, capsys):
+    # |b| of the Neumann CG overflows: it returned the datum unprojected
+    # as converged, max |div| 4.8e298, and the run exited 0
+    cfg = (BOX_CFG.replace("bc = dirichlet", "bc = dirichlet\nextent = 1.0")
+           .replace("kind = random_solenoidal",
+                    "kind = stream_bump\namplitude = 1e300"))
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    line = _assert_one_line_reason(capsys, "solver failure: step 0: ")
+    assert line.endswith("Neumann Poisson CG did not converge "
+                         "(residual inf after 0 iterations)")
+
+
 def test_cli_box_snapshot_must_vanish_on_walls(tmp_path, capsys):
     # a uniform u = 1 passes the divergence gate unprojected, and the run
     # would report step_inequality_holds = False, max_fitted_c = inf

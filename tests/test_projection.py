@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from dnsflow import (
     taylor_green_field,
 )
 from dnsflow import projection
-from dnsflow.fields import _fd_laplacian
+from dnsflow.fields import _fd_laplacian, _parseval_norm_sq
 from dnsflow.projection import _cg
 
 from conftest import (
@@ -169,6 +170,92 @@ def test_stokes_momentum_residual_periodic(periodic32):
     assert (abs(info.momentum_residual - norm_l2(resid))
             <= 1e-12 * max(norm_l2(w), 1.0))
     assert np.max(np.abs(divergence(v).data)) < 1e-11
+
+
+# the torus solves before they read i k and -K^2 (+inf where K^2 = 0)
+# from the spectral kit, verbatim
+
+@lru_cache(maxsize=32)
+def _old_spectral_kit(spec: GridSpec):
+    nx, ny = spec.cells
+    dx = spec.spacing
+    kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=dx)
+    kx[nx // 2] = 0.0
+    ky = 2.0 * np.pi * np.fft.rfftfreq(ny, d=dx)
+    ky[-1] = 0.0
+    KX = np.broadcast_to(kx[:, None], (nx, ny // 2 + 1)).copy()
+    KY = np.broadcast_to(ky[None, :], (nx, ny // 2 + 1)).copy()
+    K2 = KX**2 + KY**2
+    KX.flags.writeable = False
+    KY.flags.writeable = False
+    K2.flags.writeable = False
+    return KX, KY, K2
+
+
+def _old_leray_periodic(u):
+    spec = u.spec
+    KX, KY, K2 = _old_spectral_kit(spec)
+    shape = spec.node_shape
+    du = 1j * KX * np.fft.rfft2(u.data[0]) + 1j * KY * np.fft.rfft2(u.data[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_hat = np.where(K2 > 0.0, du / (-K2), 0.0)
+    gx = np.fft.irfft2(1j * KX * phi_hat, s=shape)
+    gy = np.fft.irfft2(1j * KY * phi_hat, s=shape)
+    sol = VelocityField(spec, np.stack([u.data[0] - gx, u.data[1] - gy]))
+    pot = ScalarField(spec, np.fft.irfft2(phi_hat, s=shape)).demeaned()
+    return projection.HelmholtzParts(sol, pot)
+
+
+def _old_stokes_periodic(w, h, nu):
+    spec = w.spec
+    KX, KY, K2 = _old_spectral_kit(spec)
+    shape = spec.node_shape
+    wu_hat = np.fft.rfft2(w.data[0])
+    wv_hat = np.fft.rfft2(w.data[1])
+    div_hat = 1j * KX * wu_hat + 1j * KY * wv_hat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_hat = np.where(K2 > 0.0, div_hat / (-K2), 0.0)
+        p_hat = np.where(K2 > 0.0, div_hat / (-h * K2), 0.0)
+    sym = 1.0 + h * nu * K2
+    vu_hat = (wu_hat - 1j * KX * phi_hat) / sym
+    vv_hat = (wv_hat - 1j * KY * phi_hat) / sym
+    v = VelocityField(spec, np.stack([np.fft.irfft2(vu_hat, s=shape),
+                                      np.fft.irfft2(vv_hat, s=shape)]))
+    p = ScalarField(spec, np.fft.irfft2(p_hat, s=shape)).demeaned()
+    op = 1.0 + h * nu * (KX ** 2 + KY ** 2)
+    mom_hat = np.stack([vu_hat * op + 1j * h * KX * p_hat - wu_hat,
+                        vv_hat * op + 1j * h * KY * p_hat - wv_hat])
+    mom_res = math.sqrt(_parseval_norm_sq(spec, mom_hat))
+    return v, p, projection.StokesInfo(
+        True, 0, float(np.max(np.abs(divergence(v).data))), mom_res)
+
+
+def _torus_datum(spec, kind):
+    if kind == "taylor_green":
+        return taylor_green_field(0.0, spec)[0]
+    if kind == "random":
+        # white noise fills every mode, the four with K^2 = 0 included
+        return VelocityField(spec, np.random.default_rng(3).normal(
+            size=(2,) + spec.node_shape))
+    return VelocityField.zeros(spec)
+
+
+@pytest.mark.parametrize("kind", ["taylor_green", "random", "zero"])
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_torus_solves_match_old_kit_bitwise(n, kind):
+    spec = GridSpec(n)
+    w = _torus_datum(spec, kind)
+    new, old = projection._leray_periodic(w), _old_leray_periodic(w)
+    assert new.solenoidal.data.tobytes() == old.solenoidal.data.tobytes()
+    assert new.potential.data.tobytes() == old.potential.data.tobytes()
+    for h in (0.0125, 0.1):
+        for nu in (1.0, 0.25):
+            v, p, info = projection._stokes_periodic(w, h, nu)
+            v0, p0, info0 = _old_stokes_periodic(w, h, nu)
+            assert v.data.tobytes() == v0.data.tobytes()
+            assert p.data.tobytes() == p0.data.tobytes()
+            assert info.momentum_residual == info0.momentum_residual
+            assert info.max_divergence == info0.max_divergence
 
 
 @settings(max_examples=10, deadline=None)
@@ -430,6 +517,16 @@ def test_cg_stops_when_preconditioned_residual_vanishes():
                        precond=precond)
         assert (k, ok) == (0, False)
         assert np.all(x == 0.0)
+
+
+def test_cg_refuses_overflowing_right_hand_side():
+    # |b| = inf made tol = inf, met by the first residual: converged
+    # after 0 iterations with x0 returned
+    b = np.array([1e300, 1e300])
+    with np.errstate(over="ignore"):
+        for tols in ((1e-10, 0.0), (1e-10, 1e-300)):
+            x, k, ok = _cg(lambda x: 2.0 * x, b, np.zeros(2), 50, *tols)
+            assert (k, ok) == (0, False)
 
 
 def _dense(op, shape):
