@@ -9,6 +9,10 @@ Two backends share one node-collocated layout:
   Dirichlet energy is summed by Parseval over the rfft2 half-spectra and
   the divergence takes one inverse transform, so neither forms the
   Jacobian in physical space; every transform is 2-D, one slice per call.
+  Both start from ``_velocity_spectra``, the one forward transform of a
+  velocity field: :func:`divergence` and :func:`grad_norm_sq` each take
+  their own, while the torus Stokes solve takes one of the v it returns
+  and reads both its divergence and its Dirichlet energy from it.
 * dirichlet: (n+1) x (n+1) nodes on [0, L] x [0, L], central differences
   with one-sided closures at the walls, trapezoidal quadrature. Velocity
   samples on the walls are pinned to zero.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -88,10 +93,11 @@ class GridSpec:
         hy = self.extent[1] / self.cells[1]
         if not math.isclose(hx, hy, rel_tol=1e-12):
             raise ValueError(f"cells must be square: spacings {hx} != {hy}")
-        # * and not **, which raises on overflow
-        if not 0.0 < hx * hx < math.inf:
+        # * and not **, which raises on overflow; a subnormal square
+        # makes 1/dx^2 overflow
+        if not sys.float_info.min <= hx * hx < math.inf:
             raise ValueError(f"cell size {hx:g} squared is not a positive "
-                             "finite number")
+                             f"finite number above {sys.float_info.min:g}")
         if self.bc is BoundaryCondition.PERIODIC:
             for n in self.cells:
                 if n % 2 != 0:
@@ -372,13 +378,35 @@ def gradient(f: ScalarField) -> VelocityField:
     return VelocityField(f.spec, _partials(f.spec, f.data))
 
 
+def _velocity_spectra(v: VelocityField) -> tuple[np.ndarray, np.ndarray]:
+    """rfft2 half-spectra of both components of a torus field, one 2-D
+    transform each: the one transform of v that :func:`divergence`,
+    :func:`grad_norm_sq` and the torus Stokes solve's diagnostics read."""
+    return np.fft.rfft2(v.u), np.fft.rfft2(v.v)
+
+
+def _divergence_from_spectra(spec: GridSpec, u_hat: np.ndarray,
+                             v_hat: np.ndarray) -> np.ndarray:
+    """div v on the torus from its components' half-spectra: the two
+    partials summed in Fourier space, one inverse transform."""
+    ikx, iky, _, _ = _spectral_kit(spec)
+    return np.fft.irfft2(ikx * u_hat + iky * v_hat, s=spec.node_shape)
+
+
+def _dirichlet_from_spectra(spec: GridSpec, u_hat: np.ndarray,
+                            v_hat: np.ndarray) -> float:
+    """int |Dv|^2 on the torus from its components' half-spectra:
+    Parseval's sum of K^2 |v_c_hat|^2, one component at a time."""
+    K2 = _spectral_kit(spec)[2]
+    return sum(_parseval_norm_sq(spec, f_hat, symbol=K2)
+               for f_hat in (u_hat, v_hat))
+
+
 def divergence(v: VelocityField) -> ScalarField:
     spec = v.spec
     if spec.is_periodic:
-        # sum the two partials in Fourier space: one inverse transform
-        ikx, iky, _, _ = _spectral_kit(spec)
-        div_hat = ikx * np.fft.rfft2(v.u) + iky * np.fft.rfft2(v.v)
-        return ScalarField(spec, np.fft.irfft2(div_hat, s=spec.node_shape))
+        return ScalarField(spec, _divergence_from_spectra(
+            spec, *_velocity_spectra(v)))
     return ScalarField(spec, _fd_divergence(spec, v.u, v.v))
 
 
@@ -386,10 +414,10 @@ def laplacian(v: VelocityField) -> VelocityField:
     spec = v.spec
     if spec.is_periodic:
         K2 = _spectral_kit(spec)[2]
-        out = np.stack([
-            np.fft.irfft2(-K2 * np.fft.rfft2(v.data[c]), s=spec.node_shape)
-            for c in range(2)
-        ])
+        out = np.empty((2,) + spec.node_shape)
+        for c in range(2):
+            out[c] = np.fft.irfft2(-K2 * np.fft.rfft2(v.data[c]),
+                                   s=spec.node_shape)
         return VelocityField(spec, out)
     return VelocityField(spec, _fd_laplacian(spec, v.data))
 
@@ -438,9 +466,7 @@ def grad_norm_sq(v: VelocityField) -> float:
     """
     spec = v.spec
     if spec.is_periodic:
-        K2 = _spectral_kit(spec)[2]
-        return sum(_parseval_norm_sq(spec, np.fft.rfft2(v.data[c]),
-                                     symbol=K2) for c in range(2))
+        return _dirichlet_from_spectra(spec, *_velocity_spectra(v))
     jac = velocity_jacobian(v)
     return float(np.sum(quadrature_weights(spec) * np.sum(jac * jac,
                                                             axis=(0, 1))))

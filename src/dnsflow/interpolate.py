@@ -9,13 +9,18 @@ The periodic wrap is masked: ``np.mod`` runs only on the coordinates
 outside [0, L), since inside it returns them bit for bit (no integer
 wrap, which would overflow on huge finite coordinates).
 
-One stencil serves both velocity components: the base indices and
-weights are built once per call, mostly in place, and each stencil node
-is read from both components with a flat ``take`` of the source shifted
-by that node's offset. One weight and one gather buffer serve all the
-terms. The result has the memory layout of the query points, so points
-stored component-major (as :func:`dnsflow.scheme.backtrace` builds
-them) are read and written one contiguous component at a time.
+One stencil serves both velocity components. The ghost-padded source
+is built once per call; the base indices and weights are built per
+block of at most ``_BLOCK_POINTS`` query points, mostly in place, and
+each stencil node is read from both components with a flat ``take`` of
+the source shifted by that node's offset. One weight and one gather
+buffer serve all the terms. Blocking keeps a cubic call's ~14
+temporaries within a core's 2 MB L2 cache: over whole 256^2 grids they
+came to 8.5 MB, and a point cost 262 ns against 187 ns at 128^2. No
+point's arithmetic depends on the block it falls in. The result has the
+memory layout of the query points, so points stored component-major (as
+:func:`dnsflow.scheme.backtrace` builds them) are read and written one
+contiguous component at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +29,12 @@ import enum
 
 import numpy as np
 
-from .fields import BoundaryCondition, VelocityField
+from .fields import VelocityField
+
+
+# query points per block of the sampler: at 8 bytes a value, each of the
+# block's temporaries takes 128 KB, and all of them fit a 2 MB L2 cache
+_BLOCK_POINTS = 16384
 
 
 class InterpOrder(enum.Enum):
@@ -72,19 +82,30 @@ def _cell_coords(q: np.ndarray, L: float, dx: float) -> np.ndarray:
     return s
 
 
-def _stencil(v: VelocityField, xq, yq, order):
-    """Flat gather source, base indices, node offsets, weights and mask.
+def _ghost_source(v: VelocityField, reach: range):
+    """Both components with a ghost layer as wide as the stencil reach
+    (periodic copies on the torus, zeros past the walls of the box),
+    flattened, with each stencil node's offset from a point's base index.
 
-    The source is both components with a ghost layer as wide as the
-    stencil reach: periodic copies on the torus, zeros past the walls
-    of the box. Stencil node (a, b) of a query point sits at flat index
-    ``base + offs[a][b]`` of the source. ``inside`` is None on the torus.
+    Stencil node (a, b) of a query point sits at flat index
+    ``base + offs[a][b]`` of the source, where ``base = i0 * width + j0``.
     """
-    spec = v.spec
+    lo, hi = -reach[0], reach[-1]
+    src = np.pad(v.data, ((0, 0), (lo, hi), (lo, hi)),
+                 mode="wrap" if v.spec.is_periodic else "constant")
+    width = src.shape[2]
+    offs = [[(lo + di) * width + lo + dj for dj in reach] for di in reach]
+    return src.reshape(2, -1), width, offs
+
+
+def _stencil(spec, xq, yq, order, width):
+    """Base indices, weights and mask of the query points.
+
+    ``inside`` is None on the torus.
+    """
     nx, ny = spec.cells
     dx = spec.spacing
-    periodic = spec.bc is BoundaryCondition.PERIODIC
-    if periodic:
+    if spec.is_periodic:
         inside = None
         sx = _cell_coords(xq, spec.extent[0], dx)
         sy = _cell_coords(yq, spec.extent[1], dx)
@@ -100,17 +121,12 @@ def _stencil(v: VelocityField, xq, yq, order):
     tx = np.subtract(sx, i0, out=sx)
     ty = np.subtract(sy, j0, out=sy)
     if order is InterpOrder.LINEAR:
-        reach, wx, wy = range(2), (1.0 - tx, tx), (1.0 - ty, ty)
+        wx, wy = (1.0 - tx, tx), (1.0 - ty, ty)
     else:
-        reach, wx, wy = range(-1, 3), _cubic_weights(tx), _cubic_weights(ty)
-    lo, hi = -reach[0], reach[-1]
-    src = np.pad(v.data, ((0, 0), (lo, hi), (lo, hi)),
-                 mode="wrap" if periodic else "constant")
-    width = src.shape[2]
+        wx, wy = _cubic_weights(tx), _cubic_weights(ty)
     base = np.multiply(i0, width, out=i0)
     base += j0
-    offs = [[(lo + di) * width + lo + dj for dj in reach] for di in reach]
-    return src.reshape(2, -1), base, offs, wx, wy, inside
+    return base, wx, wy, inside
 
 
 def sample_offgrid(v: VelocityField, points: np.ndarray,
@@ -120,7 +136,8 @@ def sample_offgrid(v: VelocityField, points: np.ndarray,
     ``points`` has shape (..., 2); the result has the same shape and the
     same memory layout. Points outside a dirichlet box get the zero
     vector (the field is extended by zero outside the domain); periodic
-    coordinates are wrapped.
+    coordinates are wrapped. The points are taken in blocks of at most
+    ``_BLOCK_POINTS``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[-1] != 2:
@@ -130,21 +147,34 @@ def sample_offgrid(v: VelocityField, points: np.ndarray,
     if pts.ndim == 1:
         # one point: the stencil's in-place steps need arrays, not scalars
         return sample_offgrid(v, pts[None], order)[0]
-    flat, base, offs, wx, wy, inside = _stencil(v, pts[..., 0], pts[..., 1],
-                                                order)
+    reach = range(2) if order is InterpOrder.LINEAR else range(-1, 3)
+    flat, width, offs = _ghost_source(v, reach)
+    xq, yq = pts[..., 0].reshape(-1), pts[..., 1].reshape(-1)
     out = np.zeros_like(pts)
-    comps = (out[..., 0], out[..., 1])
-    wt = np.empty(base.shape)
-    g = np.empty(base.shape)
-    for wi, row in zip(wx, offs):
-        for wj, off in zip(wy, row):
-            np.multiply(wi, wj, out=wt)
-            for c, acc in enumerate(comps):
-                # every index is in range; a mode other than "raise"
-                # lets take write into g without a buffer of its own
-                flat[c, off:].take(base, out=g, mode="wrap")
-                np.multiply(wt, g, out=g)
-                np.add(acc, g, out=acc)
-    if inside is not None:
-        out[~inside] = 0.0
+    # 1-D views of out's components where its layout allows, else copies
+    # written back at the end
+    comps = [out[..., c].reshape(-1) for c in range(2)]
+    for start in range(0, xq.size, _BLOCK_POINTS):
+        blk = slice(start, start + _BLOCK_POINTS)
+        base, wx, wy, inside = _stencil(v.spec, xq[blk], yq[blk], order,
+                                        width)
+        accs = [comp[blk] for comp in comps]
+        wt, g = np.empty(base.shape), np.empty(base.shape)
+        for wi, row in zip(wx, offs):
+            for wj, off in zip(wy, row):
+                np.multiply(wi, wj, out=wt)
+                for c, acc in enumerate(accs):
+                    # every index is in range; a mode other than "raise"
+                    # lets take write into g without a buffer of its own
+                    flat[c, off:].take(base, out=g, mode="wrap")
+                    np.multiply(wt, g, out=g)
+                    np.add(acc, g, out=acc)
+        if inside is not None:
+            for acc in accs:
+                acc[~inside] = 0.0
+        # free this block's temporaries before the next block's are built
+        del base, wx, wy, inside, wt, g
+    for c, comp in enumerate(comps):
+        if not np.may_share_memory(comp, out):
+            out[..., c] = comp.reshape(out.shape[:-1])
     return out

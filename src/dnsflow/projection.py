@@ -2,7 +2,13 @@
 
 Periodic backend: direct mode-by-mode solves in Fourier space (the
 projection and the Laplacian commute on the torus); the spectral kit's
--K^2, +inf where K^2 = 0, inverts the Laplacian by plain division.
+-K^2, +inf where K^2 = 0, inverts the Laplacian. A spectrum is divided
+by a real symbol (-K^2, h (-K^2), 1 + h nu K^2) as the product with the
+symbol's real reciprocal: numpy's complex division by a divisor with a
+zero imaginary part computes that same product, so the spectra keep
+their bits and no complex division runs. The Stokes solve's
+diagnostics, max |div v| and int |Dv|^2, come from one forward
+transform of the v it returns (``fields._velocity_spectra``).
 
 Dirichlet backend: the velocity unknowns live on interior nodes (walls
 pinned to zero) and the pressure on all nodes. The divergence constraint
@@ -43,9 +49,12 @@ from .fields import (
     GridSpec,
     ScalarField,
     VelocityField,
+    _dirichlet_from_spectra,
+    _divergence_from_spectra,
     _fd_laplacian,
     _parseval_norm_sq,
     _spectral_kit,
+    _velocity_spectra,
     divergence,
     pin_walls,
     quadrature_weights,
@@ -72,12 +81,15 @@ class HelmholtzParts:
 class StokesInfo:
     """``momentum_residual`` is the residual of the solved system, the
     L2 norm of v - h nu lap(v) + h grad(p) - w for the returned v and p:
-    interior rows weighted dx^2 on the box, Parseval on the torus."""
+    interior rows weighted dx^2 on the box, Parseval on the torus.
+    ``dirichlet`` is int |Dv|^2 of the returned v on the torus, from the
+    transform of v that also gives ``max_divergence``; None on the box."""
 
     converged: bool
     outer_iterations: int
     max_divergence: float
     momentum_residual: float
+    dirichlet: float | None = None
 
 
 def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0, stop_fn=None,
@@ -136,34 +148,48 @@ def _leray_periodic(u: VelocityField) -> HelmholtzParts:
     ikx, iky, _, neg_k2 = _spectral_kit(spec)
     shape = spec.node_shape
     du = ikx * np.fft.rfft2(u.data[0]) + iky * np.fft.rfft2(u.data[1])
-    phi_hat = du / neg_k2
-    gx = np.fft.irfft2(ikx * phi_hat, s=shape)
-    gy = np.fft.irfft2(iky * phi_hat, s=shape)
-    sol = VelocityField(spec, np.stack([u.data[0] - gx, u.data[1] - gy]))
+    phi_hat = du * (1.0 / neg_k2)
+    sol = np.empty((2,) + shape)
+    for c, ik in enumerate((ikx, iky)):
+        np.subtract(u.data[c], np.fft.irfft2(ik * phi_hat, s=shape),
+                    out=sol[c])
     pot = ScalarField(spec, np.fft.irfft2(phi_hat, s=shape)).demeaned()
-    return HelmholtzParts(sol, pot)
+    return HelmholtzParts(VelocityField(spec, sol), pot)
 
 
-def _stokes_periodic(w: VelocityField, h: float, nu: float):
+def _stokes_spectral(w: VelocityField, h: float, nu: float):
+    """v, p and the momentum residual of the torus Stokes solve."""
     spec = w.spec
     ikx, iky, K2, neg_k2 = _spectral_kit(spec)
     shape = spec.node_shape
     wu_hat = np.fft.rfft2(w.data[0])
     wv_hat = np.fft.rfft2(w.data[1])
     div_hat = ikx * wu_hat + iky * wv_hat
-    phi_hat = div_hat / neg_k2
-    p_hat = div_hat / (h * neg_k2)
+    phi_hat = div_hat * (1.0 / neg_k2)
+    p_hat = div_hat * (1.0 / (h * neg_k2))
     sym = 1.0 + h * nu * K2
-    vu_hat = (wu_hat - ikx * phi_hat) / sym
-    vv_hat = (wv_hat - iky * phi_hat) / sym
-    v = VelocityField(spec, np.stack([np.fft.irfft2(vu_hat, s=shape),
-                                      np.fft.irfft2(vv_hat, s=shape)]))
+    inv_sym = 1.0 / sym
+    vu_hat = (wu_hat - ikx * phi_hat) * inv_sym
+    vv_hat = (wv_hat - iky * phi_hat) * inv_sym
+    vel = np.empty((2,) + shape)
+    vel[0] = np.fft.irfft2(vu_hat, s=shape)
+    vel[1] = np.fft.irfft2(vv_hat, s=shape)
     p = ScalarField(spec, np.fft.irfft2(p_hat, s=shape)).demeaned()
     mom_res = math.sqrt(_parseval_norm_sq(
         spec, vu_hat * sym + h * ikx * p_hat - wu_hat,
         vv_hat * sym + h * iky * p_hat - wv_hat))
-    return v, p, StokesInfo(True, 0, float(np.max(np.abs(divergence(v).data))),
-                            mom_res)
+    return VelocityField(spec, vel), p, mom_res
+
+
+def _stokes_periodic(w: VelocityField, h: float, nu: float):
+    v, p, mom_res = _stokes_spectral(w, h, nu)
+    # the diagnostics read the stored v, not the solve's own spectra,
+    # whose divergence vanishes by construction; they run once those
+    # spectra are freed, so the two sets of temporaries never coexist
+    v_hats = _velocity_spectra(v)
+    div = _divergence_from_spectra(w.spec, *v_hats)
+    return v, p, StokesInfo(True, 0, float(np.max(np.abs(div))), mom_res,
+                            _dirichlet_from_spectra(w.spec, *v_hats))
 
 
 # ---------------------------------------------------------------------------

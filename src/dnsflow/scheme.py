@@ -207,12 +207,16 @@ def functional_value(v: VelocityField, v_prev: VelocityField, h: float,
     return kinetic + 0.5 * nu * dirichlet
 
 
-def energy_terms(v: VelocityField, w: VelocityField,
-                 h: float) -> tuple[float, float]:
+def energy_terms(v: VelocityField, w: VelocityField, h: float,
+                 dirichlet: float | None = None) -> tuple[float, float]:
     """The two terms of I[v] for the back-traced field w: the shifted
-    kinetic term int |v - w|^2 / 2h and the Dirichlet energy int |Dv|^2."""
+    kinetic term int |v - w|^2 / 2h and the Dirichlet energy int |Dv|^2.
+    ``dirichlet`` is v's Dirichlet energy where the caller already holds
+    it (computed here if None)."""
     d = v - w
-    return inner_product_l2(d, d) / (2.0 * h), grad_norm_sq(v)
+    if dirichlet is None:
+        dirichlet = grad_norm_sq(v)
+    return inner_product_l2(d, d) / (2.0 * h), dirichlet
 
 
 # the minimizer's CG cap per cell of the longer axis, as for the Uzawa loop:
@@ -265,9 +269,11 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
         v, p, info = euler_lagrange()
         outer, max_div = info.outer_iterations, info.max_divergence
         el_res = info.momentum_residual / cfg.h
+        dirichlet = info.dirichlet
     else:
         v = _minimize_projected_cg(w, cfg)
         outer, max_div = 0, float(np.max(np.abs(divergence(v).data)))
+        dirichlet = None
         # Leray split of the step residual (v - w)/h - nu lap(v): its
         # solenoidal part vanishes at the minimizer and its potential is
         # -p, since h grad(p) = w - v + h nu lap(v)
@@ -282,7 +288,8 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
                    else euler_lagrange()[0])
         gap = norm_l2(v - v_other)
 
-    kinetic, dirichlet = energy_terms(v, w, cfg.h)
+    # on the torus the Stokes solve took it from its one transform of v
+    kinetic, dirichlet = energy_terms(v, w, cfg.h, dirichlet)
     if not (math.isfinite(kinetic) and math.isfinite(dirichlet)):
         # finite fields whose energy overflows cannot enter the ledger
         raise NonFiniteFieldError(

@@ -24,7 +24,8 @@ def mostly(valid, bad):
 
 @st.composite
 def configs(draw):
-    """A config text, and whether it gives a [time] or [scheme] key twice."""
+    """A config text, and whether it must be refused as a config error
+    (exit 2): here, when it gives a [time] or [scheme] key twice."""
     lines = [
         "[grid]",
         f"cells = {draw(mostly(['8', '16'], ['9', '4', 'abc']))}",
@@ -82,6 +83,11 @@ def configs(draw):
 @example(case=("[grid]\ncells = 16\nbc = dirichlet\nextent = 1e300\n"
                "[time]\nh = 0.1\nt = 0.1\n[initial]\nkind = zero\n", False),
          command="run", threads=None)
+# a cell size whose square is subnormal: 1/dx^2 overflowed, and the
+# torus run failed at step 1 with exit 3 where the config is at fault
+@example(case=("[grid]\ncells = 16\nextent = 1e-155\n[time]\nh = 0.1\n"
+               "t = 0.1\n[initial]\nkind = random_solenoidal\n", True),
+         command="run", threads=None)
 # T / h overflows: OverflowError from floor(T / h)
 @example(case=("[grid]\ncells = 8\n[time]\nh = 1e-320\nt = 0.1\n", False),
          command="run", threads=None)
@@ -90,7 +96,7 @@ def configs(draw):
                "[ladder]\nh = 1e77, 5e76\n", False),
          command="verify", threads=None)
 def test_cli_exit_codes_without_traceback(case, command, threads):
-    text, repeats_key = case
+    text, refused = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"
         cfg.write_text(text.replace("{missing}", str(Path(tmp) / "no.vtk")))
@@ -101,7 +107,7 @@ def test_cli_exit_codes_without_traceback(case, command, threads):
             code = main([command, "--config", str(cfg),
                          "--out", str(Path(tmp) / "out"), *flags])
     assert code in (0, 1, 2, 3)
-    if repeats_key:
+    if refused:
         assert code == 2
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()

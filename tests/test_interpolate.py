@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,8 +11,11 @@ from dnsflow import (
     GridSpec,
     InterpOrder,
     VelocityField,
+    backtrace,
     sample_offgrid,
+    taylor_green_field,
 )
+from dnsflow import interpolate
 
 from conftest import random_pinned_velocity, random_velocity
 
@@ -250,3 +254,67 @@ def test_result_keeps_point_layout(order, bc):
     new = sample_offgrid(fld, planar, order)
     assert np.array_equal(new, sample_offgrid(fld, pts, order))
     assert np.moveaxis(new, -1, 0).flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# blocks of query points
+
+def _block_cases(spec):
+    """Point arrays of several shapes and layouts, edge points included."""
+    L = spec.extent[0]
+    lo, hi = (-3.0 * L, 4.0 * L) if spec.is_periodic else (-0.1 * L, 1.1 * L)
+    rng = np.random.default_rng(6)
+    four_d = rng.uniform(lo, hi, size=(3, 5, 7, 2))
+    return [rng.uniform(lo, hi, size=(40, 30, 2)),
+            # an F-order result has no 1-D view of its components
+            np.asfortranarray(rng.uniform(lo, hi, size=(40, 30, 2))),
+            rng.uniform(lo, hi, size=(150, 2)),
+            np.array([1.0, 2.0]),
+            four_d,
+            np.moveaxis(np.ascontiguousarray(np.moveaxis(four_d, -1, 0)),
+                        0, -1),
+            _edge_points(spec)]
+
+
+@pytest.mark.parametrize("block", [1, 37, 100])
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("bc", BCS)
+def test_blocks_change_no_sample(monkeypatch, bc, order, block):
+    """Block sizes that divide no point count give the samples and the
+    layout of one block, and still match the per-component reference."""
+    spec = GridSpec(16, bc=bc)
+    fld = random_velocity(spec, 11)
+    cases = _block_cases(spec)
+    whole = [sample_offgrid(fld, pts, order) for pts in cases]
+    monkeypatch.setattr(interpolate, "_BLOCK_POINTS", block)
+    for pts, one_block in zip(cases, whole):
+        blocked = sample_offgrid(fld, pts, order)
+        assert np.array_equal(blocked, one_block)
+        assert blocked.strides == one_block.strides
+        _assert_matches_reference(fld, pts, order)
+
+
+def test_blocked_backtrace_matches_reference_256():
+    """A 256^2 cubic back-trace runs four blocks; it matches the
+    reference sampler at the departure points bitwise."""
+    spec = GridSpec(256)
+    v = random_velocity(spec, 12)
+    h = 0.0125
+    X, Y = spec.mesh()
+    pts = np.stack([X - h * v.u, Y - h * v.v], axis=-1)
+    w = backtrace(v, h, InterpOrder.CUBIC)
+    assert np.array_equal(np.moveaxis(w.data, 0, -1),
+                          _ref_sample(v, pts, InterpOrder.CUBIC))
+
+
+def test_cubic_backtrace_peak_memory_256():
+    """The blocked sampler keeps a 256^2 cubic back-trace's peak below
+    5 times the field's bytes (8.5 times with whole-grid temporaries)."""
+    v = taylor_green_field(0.0, GridSpec(256))[0]
+    tracemalloc.start()
+    try:
+        backtrace(v, 0.0125, InterpOrder.CUBIC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * v.data.nbytes

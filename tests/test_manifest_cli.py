@@ -682,6 +682,21 @@ def test_cli_cell_size_without_finite_square_exits_2(tmp_path, capsys, bc,
     assert "squared is not a positive finite number" in line
 
 
+@pytest.mark.parametrize("bc, kind", [("dirichlet", "stream_bump"),
+                                      ("periodic", "random_solenoidal")])
+def test_cli_cell_size_with_subnormal_square_exits_2(tmp_path, capsys, bc,
+                                                     kind):
+    # dx^2 = 3.9e-313 is positive and finite, but 1/dx^2 overflows: the
+    # box failed on its initial datum, the torus on its first step (exit 3)
+    cfg = (BASE_CFG.replace("bc = periodic", f"bc = {bc}\nextent = 1e-155")
+           .replace("kind = taylor_green", f"kind = {kind}"))
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    line = _assert_one_line_reason(capsys, "config error: ")
+    assert "squared is not a positive finite number" in line
+
+
 def test_cli_overflowing_projection_datum_exits_3(tmp_path, capsys):
     # |b| of the Neumann CG overflows: it returned the datum unprojected
     # as converged, max |div| 4.8e298, and the run exited 0

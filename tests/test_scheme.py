@@ -582,11 +582,12 @@ class _TransformCounter:
 def test_torus_step_transform_count(periodic32, monkeypatch):
     """Deterministic guard on the torus step's FFT work: the Dirichlet
     energy comes from two forward transforms by Parseval, and a step runs
-    the Stokes solve's 2 + 3 transforms, one 2 + 1 divergence of v and
-    the energy's 2, each a single 2-D transform per call; the Jacobian
-    takes one forward and two inverse transforms per component. Restoring
-    the physical-space energy, the two-transform divergence or a batched
-    transform changes these counts."""
+    the Stokes solve's 2 + 3 transforms and one transform of v (2
+    forward), from which both the divergence (1 inverse) and the energy
+    are taken, each a single 2-D transform per call; the Jacobian takes
+    one forward and two inverse transforms per component. Restoring the
+    physical-space energy, the two-transform divergence, a second
+    transform of v or a batched transform changes these counts."""
     fwd = _TransformCounter(np.fft.rfft2)
     inv = _TransformCounter(np.fft.irfft2)
     monkeypatch.setattr(np.fft, "rfft2", fwd)
@@ -601,5 +602,24 @@ def test_torus_step_transform_count(periodic32, monkeypatch):
     h = 0.0125
     dns_step(v, DnsConfig(h=h, T=h, grid=periodic32,
                           interp_order=InterpOrder.CUBIC))
-    assert (fwd.calls, fwd.transforms) == (6, 6)
+    assert (fwd.calls, fwd.transforms) == (4, 4)
     assert (inv.calls, inv.transforms) == (4, 4)
+
+
+@pytest.mark.parametrize("kind", ["taylor_green", "white_noise"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_torus_step_diagnostics_read_stored_v(n, kind):
+    """The step takes max|div v| and the Dirichlet energy from one
+    transform of the v it stores; both equal the public operators on
+    that v bitwise."""
+    spec = GridSpec(n)
+    if kind == "taylor_green":
+        v0 = taylor_green_field(0.0, spec)[0]
+    else:
+        # white noise fills every mode, Nyquist and K^2 = 0 included
+        v0 = VelocityField(spec, np.random.default_rng(n).normal(
+            size=(2,) + spec.node_shape))
+    r = dns_step(v0, DnsConfig(h=0.0125, T=0.0125, grid=spec,
+                               interp_order=InterpOrder.CUBIC))
+    assert r.dirichlet == grad_norm_sq(r.v)
+    assert r.max_divergence == float(np.max(np.abs(divergence(r.v).data)))
