@@ -19,11 +19,7 @@ from .fields import (
     norm_l2,
 )
 from .interpolate import InterpOrder, sample_offgrid
-from .projection import (
-    ProjectionError,
-    leray_project,
-    solve_implicit_stokes,
-)
+from .projection import leray_project, solve_implicit_stokes
 from .scheme import (
     DnsConfig,
     SolvePath,

@@ -128,11 +128,6 @@ def cmd_run(man: RunManifest) -> int:
         if not math.isclose(traj.final_time, cfg.T, rel_tol=1e-12):
             report.append(f"comparison_time = {traj.final_time:.17g} "
                           "(T/h not integral; floor(T/h) steps taken)")
-    outers = [r.stokes_outer for r in traj.results]
-    report += [
-        f"stokes_outer_total = {sum(outers)}",
-        f"stokes_outer_max = {max(outers)}",
-    ]
     if cfg.cross_check:
         gap = max(r.path_disagreement for r in traj.results)
         report.append(f"max_path_disagreement = {gap:.6e}")

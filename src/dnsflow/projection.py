@@ -12,29 +12,18 @@ transform of the v it returns (``fields._velocity_spectra``).
 
 Dirichlet backend: the velocity unknowns live on interior nodes (walls
 pinned to zero) and the pressure on all nodes. The divergence constraint
-is enforced through the weighted adjoint of the interior central
-gradient, which coincides with the public divergence operator at every
-node for wall-pinned fields. Both box solves rest on one fast-solve
-idiom: a tensor eigenbasis of path-graph Laplacians kept as small dense
-matrices (matrix decomposition; Lynch, Rice & Thomas 1964; Buzbee,
-Golub & Nielson 1970). With the walls pinned, the interior 5-point
-Helmholtz operator A = I - h nu lap is diagonal in the tensor DST-I
-basis, so each application of its inverse is exact: four products with
-the cached sine matrices of the two axes, O(N^3) per apply, yet faster
-than padded real FFTs through 256^2. Both box solves are preconditioned
-conjugate-gradient loops on one fast Poisson pseudo-inverse: the
-Neumann operator G^T W G splits into four parity sub-lattices, on each
-of which the grid-graph Laplacian is diagonal in the tensor DCT-II
-basis (Strang, SIAM Rev. 41, 1999). The Leray projection preconditions
-its Neumann Poisson CG with that pseudo-inverse directly. The outer
-Uzawa CG on the pressure Schur complement h G^T W A^{-1} G (symmetric
-positive semidefinite) uses the least-squares-commutator (BFBt)
-preconditioner built on it, with A applied by its stencil (Elman, SIAM
-J. Sci. Comput. 20, 1999); the iteration counts of both stop growing
-with the grid. No CG residual meets null(G), the four corners (which no
-interior central difference touches) and the sub-lattice constants, so
-each solve removes it once from its result. A solve keeps no state;
-run() starts each from the previous pressure.
+is the weighted adjoint G^T W v = 0 of the interior central gradient G,
+which coincides with the public divergence operator at every node for
+wall-pinned fields. The Stokes solve is exact and has no loop: a
+free-slip problem, diagonal mode by mode in tensor DST-I / DCT-I bases
+kept as small dense matrices (matrix decomposition; Lynch, Rice &
+Thomas 1964), plus forces on the tangential wall samples from a wall
+influence matrix factored once per (grid, h, nu) (capacitance matrix;
+Buzbee, Dorr, George & Golub 1971). The Leray projection is the same
+solve at h = 1, nu = 0, with the potential as its pressure. null(G), the
+four corners (which no interior central difference touches) and the
+parity sub-lattice constants, is removed once from each pressure. A
+solve keeps no state.
 """
 
 from __future__ import annotations
@@ -53,22 +42,11 @@ from .fields import (
     _divergence_from_spectra,
     _fd_laplacian,
     _parseval_norm_sq,
+    _partials,
     _spectral_kit,
     _velocity_spectra,
     divergence,
-    pin_walls,
-    quadrature_weights,
 )
-
-
-class ProjectionError(RuntimeError):
-    """Conjugate-gradient loop failed to reach its tolerance."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(f"{message} (residual {residual:.3e} "
-                         f"after {iterations} iterations)")
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -83,23 +61,21 @@ class StokesInfo:
     L2 norm of v - h nu lap(v) + h grad(p) - w for the returned v and p:
     interior rows weighted dx^2 on the box, Parseval on the torus.
     ``dirichlet`` is int |Dv|^2 of the returned v on the torus, from the
-    transform of v that also gives ``max_divergence``; None on the box."""
+    transform of v that also gives ``max_divergence``; None on the box.
+    ``outer_iterations`` is always 0, since neither backend's solve has
+    a loop; it stays while ``perfbench/child.py`` reads it."""
 
-    converged: bool
     outer_iterations: int
     max_divergence: float
     momentum_residual: float
     dirichlet: float | None = None
 
 
-def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0, stop_fn=None,
-        precond=None):
-    """Hand-rolled (preconditioned) CG; returns (x, iterations, converged).
-    Stops on ``stop_fn(r)`` if given, else on |r| <= max(rel_tol |b|,
-    abs_tol). ``precond`` applies a symmetric positive semidefinite M^-1
-    (identity if None); the loop gives up, unconverged, once r.M^-1 r or
-    d.Ad is no longer positive, and at once if |b| is not finite (every
-    residual would meet tol = inf)."""
+def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, stop_fn=None):
+    """Hand-rolled CG; returns (x, iterations, converged). Stops on
+    ``stop_fn(r)`` if given, else on |r| <= rel_tol |b|; gives up,
+    unconverged, once r.r or d.Ad is no longer positive, and at once if
+    |b| is not finite (every residual would meet tol = inf)."""
     x = x0.copy()
     r = b - apply_a(x)
     b_norm = float(np.sqrt(np.sum(b * b)))
@@ -107,37 +83,31 @@ def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0, stop_fn=None,
         return x, 0, False
     if b_norm == 0.0:
         return np.zeros_like(b), 0, True
-    tol = max(rel_tol * b_norm, abs_tol)
+    tol = rel_tol * b_norm
 
-    def small(rz):
-        if stop_fn is not None:
-            return stop_fn(r)
-        rr = rz if precond is None else float(np.sum(r * r))
-        return np.sqrt(rr) <= tol
+    def small(rr):
+        return stop_fn(r) if stop_fn is not None else np.sqrt(rr) <= tol
 
-    z = r if precond is None else precond(r)
-    d = z.copy()
-    rz = float(np.sum(r * z))
+    d = r.copy()
+    rr = float(np.sum(r * r))
     k = 0
     while k < max_iters:
-        if small(rz):
+        if small(rr):
             return x, k, True
-        if not rz > 0.0:
+        if not rr > 0.0:
             break
         ad = apply_a(d)
         dad = float(np.sum(d * ad))
         if dad <= 0.0:
             break
-        alpha = rz / dad
+        alpha = rr / dad
         x += alpha * d
         r -= alpha * ad
-        if precond is not None:
-            z = precond(r)
-        rz_new = float(np.sum(r * z))
-        d = z + (rz_new / rz) * d
-        rz = rz_new
+        rr_new = float(np.sum(r * r))
+        d = r + (rr_new / rr) * d
+        rr = rr_new
         k += 1
-    return x, k, bool(small(rz))
+    return x, k, bool(small(rr))
 
 
 # ---------------------------------------------------------------------------
@@ -188,55 +158,30 @@ def _stokes_periodic(w: VelocityField, h: float, nu: float):
     # spectra are freed, so the two sets of temporaries never coexist
     v_hats = _velocity_spectra(v)
     div = _divergence_from_spectra(w.spec, *v_hats)
-    return v, p, StokesInfo(True, 0, float(np.max(np.abs(div))), mom_res,
+    return v, p, StokesInfo(0, float(np.max(np.abs(div))), mom_res,
                             _dirichlet_from_spectra(w.spec, *v_hats))
 
 
 # ---------------------------------------------------------------------------
 # dirichlet backend
 
-@lru_cache(maxsize=32)
-def _dirichlet_ops(spec: GridSpec):
-    dx = spec.spacing
-    w = quadrature_weights(spec)
-
-    def grad_interior(p):
-        """G p, shape (2, *node_shape), zero on the walls."""
-        g = np.zeros((2,) + p.shape)
-        g[0, 1:-1, 1:-1] = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * dx)
-        g[1, 1:-1, 1:-1] = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * dx)
-        return g
-
-    def grad_t_weighted(g):
-        """G^T W_v over interior momentum rows (uniform weight dx^2)."""
-        out = np.zeros(g.shape[1:])
-        c = dx / 2.0  # dx^2 / (2 dx)
-        out[2:, 1:-1] += c * g[0, 1:-1, 1:-1]
-        out[:-2, 1:-1] -= c * g[0, 1:-1, 1:-1]
-        out[1:-1, 2:] += c * g[1, 1:-1, 1:-1]
-        out[1:-1, :-2] -= c * g[1, 1:-1, 1:-1]
-        return out
-
-    return grad_interior, grad_t_weighted, w
-
-
-def _path_dct(m: int):
-    """Orthonormal DCT-II basis (columns) and eigenvalues of the Laplacian
-    of the path graph on m nodes."""
-    k = np.arange(m)
-    basis = np.cos(np.pi * np.outer(np.arange(m) + 0.5, k) / m)
-    basis /= np.sqrt(np.sum(basis * basis, axis=0))
-    return basis, 2.0 - 2.0 * np.cos(np.pi * k / m)
-
-
-def _path_dst(m: int):
-    """Orthonormal, symmetric DST-I matrix and eigenvalues of the Laplacian
-    of the path graph on m nodes with both ends held at zero."""
-    k = np.arange(1, m + 1)
-    # j k reduced mod 2 (m + 1) in integers: every sine argument < 2 pi
-    basis = np.sin(np.pi * (np.outer(k, k) % (2 * m + 2)) / (m + 1))
-    return (basis * math.sqrt(2.0 / (m + 1)),
-            2.0 - 2.0 * np.cos(np.pi * k / (m + 1)))
+def _box_axis(n: int, dx: float):
+    """One axis of n cells: the orthonormal, symmetric DST-I matrix ``s``
+    of its n - 1 inner nodes; the DCT-I basis ``c`` of its n + 1 nodes
+    (columns, orthonormal under trapezoid weights, so ``c[1:-1].T`` is
+    its forward transform of samples that vanish at both ends);
+    ``g`` = sin(pi k / n) / dx, by which the central difference maps
+    DCT-I mode k to DST-I mode k, and ``lam`` = (2 - 2 cos(pi k / n)) /
+    dx^2, the symbol of -lap in both bases, for k = 0 .. n."""
+    k = np.arange(n + 1)
+    # j k reduced mod 2 n in integers: every argument < 2 pi
+    arg = np.pi * (np.outer(k, k) % (2 * n)) / n
+    s = np.sin(arg[1:-1, 1:-1]) * math.sqrt(2.0 / n)
+    c = np.cos(arg) * math.sqrt(2.0 / n)
+    c[:, [0, -1]] *= math.sqrt(0.5)
+    g = np.sin(np.pi * k / n) / dx
+    g[[0, -1]] = 0.0
+    return s, c, g, (2.0 - 2.0 * np.cos(np.pi * k / n)) / dx ** 2
 
 
 _PARITIES = tuple(np.s_[a::2, b::2] for a in (0, 1) for b in (0, 1))
@@ -254,124 +199,114 @@ def _project_range_gt(x):
     return y
 
 
-@lru_cache(maxsize=32)
-def _neumann_pinv(spec: GridSpec):
-    """Lg^+, a fast symmetric positive semidefinite approximation of the
-    pseudo-inverse of the box Neumann operator L = G^T W G.
+@lru_cache(maxsize=8)
+def _box_solver(spec: GridSpec, h: float, nu: float):
+    """The exact solve of v - h nu lap(v) + h G p = w, G^T W v = 0 with
+    v = 0 on the walls, as a function of w's samples (its wall samples
+    are ignored) that returns v's samples and p projected onto
+    range(G^T).
 
-    L couples a node only to nodes two apart, so it splits into the four
-    (i mod 2, j mod 2) sub-lattices. On each one it is 1/4 of the
-    grid-graph Laplacian Lg minus the edges along the wall lines; Lg is
-    diagonal in the tensor DCT-II basis (Strang 1999), so Lg^+ costs two
-    small matrix products each way. Its null space is the sub-lattice
-    constants. CG residuals lie in range(G^T), so Lg^+ needs no
-    projection: null(G) reaches only the final iterate, projected once.
+    Free slip: u on x-inner nodes and every y node, v transposed, p on
+    all nodes, u reflected evenly across the walls y = 0, L (v across x =
+    0, L). In DST-I x DCT-I (u), DCT-I x DST-I (v) and DCT-I x DCT-I (p)
+    each mode (k, l) is a 3 x 3 system, solved as on the torus with the
+    real symbols g of the central difference; the four modes with
+    g_k = g_l = 0 carry only pressure and get p = 0. The velocity keeps
+    only the modes with 0 < k < n_x and 0 < l < n_y.
+
+    No slip: free slip plus forces on the tangential wall samples (u on
+    y = 0, L, v on x = 0, L), chosen so that those samples vanish. Only
+    those samples' momentum rows differ between the two problems
+    (capacitance matrix; Buzbee, Dorr, George & Golub 1971; influence
+    matrix, Kleiser & Schumann 1980). The wall influence matrix Z takes
+    the forces to the wall samples they make. Along a wall both are kept
+    in the wall's DST-I modes, and across the two walls of an axis as
+    their sum and difference, which see only the even and only the odd
+    DCT-I modes. Z is then diagonal in its u-u and v-v parts, built from
+    the mode symbols at O(n^2) cost, and splits into four independent
+    blocks by the parities of the modes. Each block is symmetric
+    positive semidefinite with one null vector, a combination of the
+    four corner pressures that only wall rows see, and gets its
+    pseudo-inverse from one ``eigh``.
     """
+    nx, ny = spec.cells
+    sx, cx, gx, lam_x = _box_axis(nx, spec.spacing)
+    sy, cy, gy, lam_y = _box_axis(ny, spec.spacing)
+    g2 = gx[:, None] ** 2 + gy[None, :] ** 2
+    p_symbol = -1.0 / (h * np.where(g2 > 0.0, g2, np.inf))
+    # the velocity's symbols on the modes it keeps: the 2 x 2 projection
+    # onto (g_l, -g_k) over 1 + h nu (lam_k + lam_l)
+    gxi, gyi = gx[1:-1, None], gy[None, 1:-1]
+    scale = 1.0 / (g2[1:-1, 1:-1]
+                   * (1.0 + h * nu * (lam_x[1:-1, None] + lam_y[None, 1:-1])))
+    m_uu, m_uv, m_vv = gyi ** 2 * scale, -gxi * gyi * scale, gxi ** 2 * scale
+
+    def velocity_modes(fu, fv):
+        fu, fv = fu[:, 1:-1], fv[1:-1, :]
+        return m_uu * fu + m_uv * fv, m_uv * fu + m_vv * fv
+
+    # sum and difference of the two walls' DCT-I rows: row 0 is nonzero
+    # on the even modes only, row 1 on the odd ones; a force on a wall
+    # sample enters the transform with its trapezoid weight 1/2
+    ex, ey = (np.stack([c[0] + c[-1], c[0] - c[-1]]) / math.sqrt(2.0)
+              for c in (cx, cy))
+    exi, eyi = ex[:, 1:-1], ey[:, 1:-1]
+    d_u = 0.5 * m_uu @ (eyi ** 2).T     # [k, t]: u's walls y = 0, L
+    d_v = 0.5 * (exi ** 2) @ m_vv       # [s, l]: v's walls x = 0, L
     blocks = []
-    for sub in _PARITIES:
-        (cx, lx), (cy, ly) = (_path_dct(len(range(n)[s]))
-                              for n, s in zip(spec.node_shape, sub))
-        lam = 0.25 * (lx[:, None] + ly[None, :])
-        lam[0, 0] = np.inf  # the sub-lattice constant: pseudo-inverse 0
-        blocks.append((sub, cx, cy, 1.0 / lam))
+    for s in (0, 1):
+        for t in (0, 1):
+            # the inner modes k, l that row s of exi, row t of eyi see
+            k, l = slice(1 - s, None, 2), slice(1 - t, None, 2)
+            c_uv = 0.5 * exi[s, k][:, None] * m_uv[k, l] * eyi[t, l]
+            z = np.block([[np.diag(d_u[k, t]), c_uv],
+                          [c_uv.T, np.diag(d_v[s, l])]])
+            lam, q = np.linalg.eigh(z)
+            lam[0] = np.inf  # the block's null vector
+            blocks.append((s, t, k, l, (q / lam) @ q.T))
 
-    def pinv(r):
-        q = np.empty_like(r)
-        for sub, cx, cy, inv_lam in blocks:
-            q[sub] = cx @ ((cx.T @ r[sub] @ cy) * inv_lam) @ cy.T
-        return q
+    def solve(w):
+        fu = sx @ w[0, 1:-1, 1:-1] @ cy[1:-1]
+        fv = cx[1:-1].T @ w[1, 1:-1, 1:-1] @ sy
+        uh, vh = velocity_modes(fu, fv)
+        # the tangential wall samples in Z's coordinates: [k, t] of u,
+        # [s, l] of v
+        wall_u, wall_v = uh @ eyi.T, exi @ vh
+        force_u, force_v = np.zeros(wall_u.shape), np.zeros(wall_v.shape)
+        for s, t, k, l, z_pinv in blocks:
+            force = z_pinv @ np.concatenate([wall_u[k, t], wall_v[s, l]])
+            n_k = len(force_u[k, t])
+            force_u[k, t], force_v[s, l] = -force[:n_k], -force[n_k:]
+        fu += force_u @ (0.5 * ey)
+        fv += (0.5 * ex).T @ force_v
+        uh, vh = velocity_modes(fu, fv)
+        vel = np.zeros(w.shape)
+        vel[0, 1:-1, 1:-1] = sx @ uh @ cy[1:-1, 1:-1].T
+        vel[1, 1:-1, 1:-1] = cx[1:-1, 1:-1] @ vh @ sy
+        div_modes = np.zeros(spec.node_shape)
+        div_modes[1:-1, :] = gx[1:-1, None] * fu
+        div_modes[:, 1:-1] += gy[None, 1:-1] * fv
+        return vel, _project_range_gt(cx @ (div_modes * p_symbol) @ cy.T)
 
-    return pinv
-
-
-_POISSON_REL_TOL = 1e-10
-_POISSON_ITERS_PER_CELL = 100
+    return solve
 
 
 def _leray_dirichlet(u: VelocityField) -> HelmholtzParts:
-    spec = u.spec
-    grad_i, grad_t, w = _dirichlet_ops(spec)
-    max_iters = _POISSON_ITERS_PER_CELL * max(spec.cells)
-    b = grad_t(u.data)
-
-    def apply_l(p):
-        return grad_t(grad_i(p))
-
-    # roundoff level of assembling b: inputs that are already weakly
-    # divergence-free must short-circuit, not feed noise to CG
-    umax = float(np.max(np.abs(u.data)))
-    floor = (64.0 * np.finfo(float).eps * spec.spacing * umax
-             * math.sqrt(spec.node_count))
-    phi, k, ok = _cg(apply_l, b, np.zeros_like(b), max_iters,
-                     _POISSON_REL_TOL, abs_tol=floor,
-                     precond=_neumann_pinv(spec))
-    if not ok:
-        res = float(np.sqrt(np.sum((b - apply_l(phi)) ** 2)))
-        raise ProjectionError("Neumann Poisson CG did not converge", res, k)
-    phi = _project_range_gt(phi)
-    sol = pin_walls(spec, u.data - grad_i(phi))
-    return HelmholtzParts(VelocityField(spec, sol),
-                          ScalarField(spec, phi).demeaned())
+    sol, phi = _box_solver(u.spec, 1.0, 0.0)(u.data)
+    return HelmholtzParts(VelocityField(u.spec, sol),
+                          ScalarField(u.spec, phi).demeaned())
 
 
-_UZAWA_ITERS_PER_CELL = 10
-
-
-@lru_cache(maxsize=32)
-def _helmholtz_inverse(spec: GridSpec, h: float, nu: float):
-    """(I - h nu L)^{-1} on the interior nodes, exact in the tensor DST-I
-    basis (matrix decomposition; Lynch, Rice & Thomas 1964); it takes f of
-    shape (..., n0 + 1, n1 + 1), ignores f's wall values and pins the
-    result's walls to zero."""
-    (s0, lam0), (s1, lam1) = (_path_dst(n - 1) for n in spec.cells)
-    inv_symbol = 1.0 / (1.0 + h * nu / spec.spacing ** 2
-                        * (lam0[:, None] + lam1[None, :]))
-
-    def ainv(f):
-        out = np.zeros(f.shape)
-        out[..., 1:-1, 1:-1] = s0 @ ((s0 @ f[..., 1:-1, 1:-1] @ s1)
-                                     * inv_symbol) @ s1
-        return out
-
-    return ainv
-
-
-def _stokes_dirichlet(w: VelocityField, h: float, nu: float,
-                      div_tol: float, p0: ScalarField | None):
+def _stokes_dirichlet(w: VelocityField, h: float, nu: float):
     spec = w.spec
-    grad_i, grad_t, weights = _dirichlet_ops(spec)
-    ainv = _helmholtz_inverse(spec, h, nu)
-
-    def schur(p):
-        return h * grad_t(ainv(grad_i(p)))
-
-    def div_small(r):
-        # r = W_s * (adjoint divergence of the current velocity)
-        return float(np.max(np.abs(r / weights))) <= div_tol
-
-    pinv = _neumann_pinv(spec)
-
-    def bfbt(r):
-        # least-squares commutator: S^-1 ~ L^+ G^T W A G L^+ / h, with
-        # A = I - h nu lap applied by its stencil, not inverted
-        g = grad_i(pinv(r))
-        return pinv(grad_t(g - h * nu * _fd_laplacian(spec, g))) * (1.0 / h)
-
-    x0 = np.zeros(spec.node_shape) if p0 is None else p0.data
-    p, outer, ok = _cg(schur, grad_t(ainv(w.data)), x0,
-                       _UZAWA_ITERS_PER_CELL * max(spec.cells),
-                       stop_fn=div_small, precond=bfbt)
-    p = _project_range_gt(p)
-    hg = h * grad_i(p)
-    vel = ainv(w.data - hg)
+    vel, p = _box_solver(spec, h, nu)(w.data)
     v = VelocityField(spec, vel)
-    lap = _fd_laplacian(spec, vel)
-    mom = (vel - h * nu * lap + hg - w.data)[:, 1:-1, 1:-1]
-    mom_res = float(np.sqrt(np.sum(weights[1:-1, 1:-1]
-                                   * np.sum(mom ** 2, axis=0))))
+    mom = (vel - h * nu * _fd_laplacian(spec, vel)
+           + h * _partials(spec, p) - w.data)[:, 1:-1, 1:-1]
+    mom_res = spec.spacing * float(np.sqrt(np.sum(mom ** 2)))
     max_div = float(np.max(np.abs(divergence(v).data)))
     return (v, ScalarField(spec, p).demeaned(),
-            StokesInfo(bool(ok), outer, max_div, mom_res))
+            StokesInfo(0, max_div, mom_res))
 
 
 # ---------------------------------------------------------------------------
@@ -381,36 +316,28 @@ def leray_project(u: VelocityField) -> HelmholtzParts:
     """Split u into a divergence-free part plus a gradient.
 
     The potential solves the discrete Poisson problem driven by the
-    divergence of u (spectral division on the torus, Neumann CG on the
-    box); the solenoidal part is u minus its gradient. The box CG is
-    preconditioned by the parity-split DCT pseudo-inverse, takes about
-    20 iterations whatever the grid, stops at relative residual 1e-10
-    and raises ProjectionError after 100 iterations per cell of the
-    longer axis; its potential is projected once onto range(G^T).
+    divergence of u: spectral division on the torus; on the box the
+    Stokes solve at h = 1, nu = 0, exact, whose pressure is the
+    potential, projected once onto range(G^T). The box ignores u's wall
+    samples and returns a solenoidal part pinned to zero on the walls.
     """
     if u.spec.is_periodic:
         return _leray_periodic(u)
     return _leray_dirichlet(u)
 
 
-def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0, *,
-                          div_tol: float = 1e-9,
-                          p0: ScalarField | None = None,
+def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0,
                           ) -> tuple[VelocityField, ScalarField, StokesInfo]:
     """Solve v - h nu lap(v) + h grad(p) = w with div(v) = 0.
 
-    Periodic: exact in one pass, mode by mode. Dirichlet: Uzawa
-    iteration on the pressure, accelerated by CG with the least-squares-
-    commutator preconditioner, from ``p0`` (zero if None) to
-    max |div v| <= ``div_tol``, each velocity solve an exact DST-I
-    Helmholtz inverse; after 10 outer iterations per cell of the longer
-    axis the last iterate is returned with ``info.converged`` False; the
-    pressure is projected once onto range(G^T).
+    Exact on both backends, without iteration: mode by mode in Fourier
+    space on the torus; on the box a free-slip spectral solve plus wall
+    forces from the cached wall influence matrix, the pressure projected
+    once onto range(G^T). ``info.max_divergence`` is max |div v| of the
+    returned v, at roundoff.
     """
     if h <= 0.0:
         raise ValueError("time step h must be positive")
-    if p0 is not None and p0.spec != w.spec:
-        raise ValueError("warm-start pressure lives on a different grid")
     if w.spec.is_periodic:
         return _stokes_periodic(w, h, nu)
-    return _stokes_dirichlet(w, h, nu, div_tol, p0)
+    return _stokes_dirichlet(w, h, nu)

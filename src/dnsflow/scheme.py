@@ -33,12 +33,7 @@ from .fields import (
     pin_walls,
 )
 from .interpolate import InterpOrder, sample_offgrid
-from .projection import (
-    ProjectionError,
-    _cg,
-    leray_project,
-    solve_implicit_stokes,
-)
+from .projection import _cg, leray_project, solve_implicit_stokes
 
 
 class SolvePath(enum.Enum):
@@ -47,14 +42,16 @@ class SolvePath(enum.Enum):
 
 
 # max |div v| up to which a field counts as divergence-free on each
-# backend: roundoff of the exact Fourier projection on the torus, the
-# tolerance of the iterative solves on the box
+# backend. Both solves are exact, so their divergence is roundoff that
+# grows with the field's amplitude; a step whose v exceeds the bound
+# cannot be certified and fails
 DIV_FREE_BOUND = {BoundaryCondition.PERIODIC: 1e-10,
                   BoundaryCondition.DIRICHLET_ZERO: 1e-8}
 
 
 class SolverFailure(RuntimeError):
-    """A step's linear solve or minimization did not converge."""
+    """A step's minimization did not converge, or a solve left a field
+    that cannot be certified divergence-free."""
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message if step is None
@@ -79,7 +76,6 @@ class DnsConfig:
     nu: float = 1.0
     minimizer_tol: float = 1e-10
     cross_check: bool = False
-    div_tol: float = 1e-9
 
     def __post_init__(self):
         if self.h <= 0.0 or self.T <= 0.0:
@@ -94,8 +90,6 @@ class DnsConfig:
                           or self.cross_check)
         if runs_minimizer and self.minimizer_tol <= 0.0:
             raise ValueError("minimizer_tol must be positive")
-        if self.div_tol <= 0.0:
-            raise ValueError("div_tol must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -107,9 +101,7 @@ class StepResult:
     """One step's fields and diagnostics.
 
     ``kinetic_shifted`` and ``dirichlet`` are :func:`energy_terms` at v;
-    ``max_divergence`` is max |div v|. ``stokes_outer`` counts the outer
-    Uzawa iterations of the implicit Stokes solve that produced v: 0 on
-    the periodic FFT path and on the direct-minimize path.
+    ``max_divergence`` is max |div v|.
 
     ``el_residual`` is the norm of the solenoidal part of (v - w)/h -
     nu lap(v) on the direct-minimize path (from the split that gives p).
@@ -127,7 +119,6 @@ class StepResult:
     el_residual: float
     max_divergence: float
     path_disagreement: float | None = None
-    stokes_outer: int = 0
 
 
 @dataclass
@@ -219,9 +210,9 @@ def energy_terms(v: VelocityField, w: VelocityField, h: float,
     return inner_product_l2(d, d) / (2.0 * h), dirichlet
 
 
-# the minimizer's CG cap per cell of the longer axis, as for the Uzawa loop:
-# the count grows with the grid (random solenoidal data: 88 iterations at
-# 64^2, h = 0.05; 259 at 128^2 and 513 at 256^2, h = 0.1)
+# the minimizer's CG cap per cell of the longer axis: the count grows
+# with the grid (random solenoidal data: 88 iterations at 64^2,
+# h = 0.05; 259 at 128^2 and 513 at 256^2, h = 0.1)
 _MINIMIZER_ITERS_PER_CELL = 10
 
 
@@ -245,20 +236,12 @@ def _minimize_projected_cg(w: VelocityField, cfg: DnsConfig):
     return leray_project(VelocityField(spec, x)).solenoidal
 
 
-def dns_step(v_prev: VelocityField, cfg: DnsConfig,
-             p_prev: ScalarField | None = None) -> StepResult:
-    """Advance one step; v_prev is assumed divergence-free. ``p_prev``,
-    the previous step's pressure, starts the box Stokes solve (zero if
-    None) and moves v and p only within the solve's tolerance."""
+def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
+    """Advance one step; v_prev is assumed divergence-free."""
     w = backtrace(v_prev, cfg.h, cfg.interp_order)
 
     def euler_lagrange():
-        v, p, info = solve_implicit_stokes(w, cfg.h, cfg.nu,
-                                           div_tol=cfg.div_tol, p0=p_prev)
-        if not info.converged:
-            raise SolverFailure(
-                f"implicit Stokes solve hit the iteration cap "
-                f"(max divergence {info.max_divergence:.3e})")
+        v, p, info = solve_implicit_stokes(w, cfg.h, cfg.nu)
         if not math.isfinite(info.momentum_residual):
             # finite fields whose residual overflows cannot be certified
             raise NonFiniteFieldError(
@@ -267,12 +250,12 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
 
     if cfg.path is SolvePath.EULER_LAGRANGE:
         v, p, info = euler_lagrange()
-        outer, max_div = info.outer_iterations, info.max_divergence
+        max_div = info.max_divergence
         el_res = info.momentum_residual / cfg.h
         dirichlet = info.dirichlet
     else:
         v = _minimize_projected_cg(w, cfg)
-        outer, max_div = 0, float(np.max(np.abs(divergence(v).data)))
+        max_div = float(np.max(np.abs(divergence(v).data)))
         dirichlet = None
         # Leray split of the step residual (v - w)/h - nu lap(v): its
         # solenoidal part vanishes at the minimizer and its potential is
@@ -295,6 +278,10 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
         raise NonFiniteFieldError(
             f"step energy terms are non-finite (kinetic_shifted "
             f"{kinetic:.3e}, dirichlet {dirichlet:.3e})")
+    bound = DIV_FREE_BOUND[v.spec.bc]
+    if not max_div <= bound:
+        raise SolverFailure(f"the step's solve leaves max divergence "
+                            f"{max_div:.3e} above {bound:g}")
     return StepResult(
         v=v, p=p, w=w,
         kinetic_shifted=kinetic,
@@ -303,45 +290,42 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig,
         el_residual=el_res,
         max_divergence=max_div,
         path_disagreement=gap,
-        stokes_outer=outer,
     )
 
 
 def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     """Iterate dns_step from the initial datum a.
 
-    If a is not divergence-free within tolerance it is projected once
-    and the fact is recorded on the trajectory. Each step's pressure
-    starts the next step's Stokes solve, and each StepResult is streamed
-    to the sinks as ``sink(step_index, result)``. Solver
-    failures, and fields or step energy terms that overflow to
-    non-finite values, are raised as SolverFailure carrying the step
-    index (0 for the initial datum and its projection).
+    If max |div a| exceeds ``DIV_FREE_BOUND`` of the grid's boundary
+    condition, a is projected once and the fact is recorded on the
+    trajectory. Each StepResult is streamed to the sinks as
+    ``sink(step_index, result)``. Solver failures, and fields or step
+    energy terms that overflow to non-finite values, are raised as
+    SolverFailure carrying the step index (0 for the initial datum and
+    its projection).
     """
     if a.spec != cfg.grid:
         raise ValueError("initial datum grid does not match the config")
     projected = False
-    div_gate = max(cfg.div_tol, DIV_FREE_BOUND[a.spec.bc])
     try:
-        if float(np.max(np.abs(divergence(a).data))) > div_gate:
+        if (float(np.max(np.abs(divergence(a).data)))
+                > DIV_FREE_BOUND[a.spec.bc]):
             a = leray_project(a).solenoidal
             projected = True
     except NonFiniteFieldError as exc:
         raise SolverFailure(f"initial datum: {exc}", step=0) from exc
-    except ProjectionError as exc:
-        raise SolverFailure(f"initial projection: {exc}", step=0) from exc
 
     traj = Trajectory(cfg=cfg, snapshots=[a], results=[],
                       projected_initial=projected)
-    v, p = a, None
+    v = a
     for n in range(1, cfg.n_steps + 1):
         try:
-            result = dns_step(v, cfg, p_prev=p)
-        except (SolverFailure, ProjectionError, NonFiniteFieldError) as exc:
+            result = dns_step(v, cfg)
+        except (SolverFailure, NonFiniteFieldError) as exc:
             raise SolverFailure(str(exc), step=n) from exc
         traj.snapshots.append(result.v)
         traj.results.append(result)
         for sink in sinks:
             sink(n, result)
-        v, p = result.v, result.p
+        v = result.v
     return traj

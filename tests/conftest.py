@@ -86,13 +86,29 @@ def random_pinned_velocity(spec: GridSpec, seed: int) -> VelocityField:
     return VelocityField(spec, data)
 
 
-def failing_poisson_cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0,
-                       stop_fn=None, precond=None):
-    """Stand-in for projection._cg: every Neumann Poisson CG reports
-    non-convergence after two iterations; the Uzawa loop (the only caller
-    with a stop rule) keeps the real CG."""
-    if stop_fn is not None:
-        return _real_cg(apply_a, b, x0, max_iters, stop_fn=stop_fn,
-                        precond=precond)
-    x, k, _ = _real_cg(apply_a, b, x0, 2, rel_tol, abs_tol, precond=precond)
+def failing_cg(apply_a, b, x0, max_iters, rel_tol=0.0, stop_fn=None):
+    """Stand-in for ``scheme._cg``, the CG loop of the direct-minimize
+    path: two iterations, then non-convergence."""
+    x, k, _ = _real_cg(apply_a, b, x0, 2, rel_tol, stop_fn)
     return x, k, False
+
+
+def exactly_solenoidal_box_field(spec: GridSpec, seed: int,
+                                 amplitude: float) -> VelocityField:
+    """Box field whose discrete divergence is exactly 0 at every node.
+
+    u = D_y psi and v = -D_x psi by central differences, with psi random
+    integers on the nodes at least two from the walls, so the field and
+    its one-sided wall divergence vanish on the walls. With dx and the
+    amplitude powers of two every sample and every term of the
+    divergence is exact in floating point.
+    """
+    dx = spec.spacing
+    assert math.frexp(dx)[0] == 0.5 and math.frexp(amplitude)[0] == 0.5
+    psi = np.zeros(spec.node_shape)
+    psi[2:-2, 2:-2] = np.random.default_rng(seed).integers(
+        -8, 9, size=psi[2:-2, 2:-2].shape)
+    data = np.zeros((2,) + spec.node_shape)
+    data[0, 1:-1, 1:-1] = (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx)
+    data[1, 1:-1, 1:-1] = -(psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2.0 * dx)
+    return VelocityField(spec, data * amplitude)

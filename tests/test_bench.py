@@ -138,7 +138,7 @@ def mini_study():
 def test_study_rungs_keep_every_base_field(monkeypatch):
     base = DnsConfig(h=0.1, T=0.2, grid=GridSpec(16),
                      interp_order=InterpOrder.CUBIC, nu=1.0,
-                     minimizer_tol=1e-9, cross_check=True, div_tol=1e-8)
+                     minimizer_tol=1e-9, cross_check=True)
     configs = []
     run_rung = bench._run_rung
     monkeypatch.setattr(bench, "_run_rung",
@@ -151,8 +151,7 @@ def test_study_rungs_keep_every_base_field(monkeypatch):
         assert cfg.cross_check
         assert cfg == DnsConfig(h=cfg.h, T=0.2, grid=cfg.grid,
                                 interp_order=InterpOrder.CUBIC,
-                                minimizer_tol=1e-9, cross_check=True,
-                                div_tol=1e-8)
+                                minimizer_tol=1e-9, cross_check=True)
 
 
 def test_single_rung_has_no_order(periodic32):

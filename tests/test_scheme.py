@@ -6,11 +6,9 @@ import pytest
 from dnsflow import (
     BoundaryCondition,
     DnsConfig,
-    ProjectionError,
     GridSpec,
     InterpOrder,
     SolvePath,
-    ScalarField,
     SolverFailure,
     TaylorGreenOracle,
     VelocityField,
@@ -26,13 +24,18 @@ from dnsflow import (
     random_solenoidal_field,
     run,
     sample_offgrid,
+    stream_bump_field,
     taylor_green_field,
 )
-from dnsflow import projection, scheme
-from dnsflow.fields import pin_walls, velocity_jacobian
+from dnsflow import scheme
+from dnsflow.fields import NonFiniteFieldError, pin_walls, velocity_jacobian
 from dnsflow.scheme import energy_terms
 
-from conftest import failing_poisson_cg, random_pinned_velocity
+from conftest import (
+    exactly_solenoidal_box_field,
+    failing_cg,
+    random_pinned_velocity,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +266,7 @@ def test_el_step_runs_no_leray_split(bc, monkeypatch):
         raise AssertionError("leray_project called on the Euler-Lagrange path")
 
     monkeypatch.setattr(scheme, "leray_project", no_split)
-    monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
+    monkeypatch.setattr(scheme, "_cg", failing_cg)
     spec = GridSpec(16, bc=bc)
     cfg = DnsConfig(h=0.0125, T=0.0125, grid=spec, nu=0.7)
     res = dns_step(random_solenoidal_field(spec, seed=5), cfg)
@@ -441,114 +444,73 @@ def test_run_dirichlet_energy_decays_taylor_green(periodic32):
     assert all(e2 <= e1 for e1, e2 in zip(energies, energies[1:]))
 
 
-def test_run_aborts_with_step_index(dirichlet32):
-    from dnsflow import stream_bump_field
-    a = leray_project(stream_bump_field(dirichlet32)).solenoidal
-    cfg = DnsConfig(h=0.0125, T=0.05, grid=dirichlet32, div_tol=1e-30)
+def _uncertifiable_box_run():
+    """A 16^2 unit box datum with exactly zero discrete divergence and
+    samples near 1e8, which passes run's gate unprojected, and a step so
+    short that the back-trace keeps it: the step's solve leaves
+    roundoff divergence ~1e-6, above the box bound 1e-8."""
+    spec = GridSpec(16, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
+    h = 2.0 ** -40
+    return (exactly_solenoidal_box_field(spec, 3, 2.0 ** 20),
+            DnsConfig(h=h, T=2 * h, grid=spec))
+
+
+def test_dns_step_fails_uncertifiable_divergence():
+    a, cfg = _uncertifiable_box_run()
+    assert np.max(np.abs(divergence(a).data)) == 0.0
+    with pytest.raises(SolverFailure, match="max divergence .* above 1e-08"):
+        dns_step(a, cfg)
+    # the same datum at unit amplitude steps within the bound
+    res = dns_step(a * 2.0 ** -20, cfg)
+    assert res.max_divergence <= scheme.DIV_FREE_BOUND[cfg.grid.bc]
+
+
+def test_run_aborts_with_step_index():
+    a, cfg = _uncertifiable_box_run()
     with pytest.raises(SolverFailure) as err:
         run(a, cfg)
     assert err.value.step == 1
+    assert "the step's solve leaves max divergence" in str(err.value)
 
 
 @pytest.mark.parametrize("path", list(SolvePath))
-def test_run_wraps_projection_error_with_step_index(dirichlet32, monkeypatch,
-                                                    path):
+def test_run_wraps_minimizer_failure_with_step_index(dirichlet32, monkeypatch,
+                                                     path):
     a = leray_project(random_solenoidal_field(dirichlet32, seed=2)).solenoidal
-    monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
-    # an Euler-Lagrange step projects only in its direct-path cross-check
+    monkeypatch.setattr(scheme, "_cg", failing_cg)
+    # an Euler-Lagrange step minimizes only in its direct-path cross-check
     cfg = DnsConfig(h=0.0125, T=0.05, grid=dirichlet32, path=path,
                     cross_check=True)
     with pytest.raises(SolverFailure) as err:
         run(a, cfg)
     assert err.value.step == 1
-    assert isinstance(err.value.__cause__, ProjectionError)
+    assert isinstance(err.value.__cause__, SolverFailure)
+    assert "minimizer did not converge" in str(err.value)
 
 
-def test_run_wraps_initial_projection_error(dirichlet32, monkeypatch):
-    a = random_pinned_velocity(dirichlet32, 5)
-    monkeypatch.setattr(projection, "_cg", failing_poisson_cg)
-    cfg = DnsConfig(h=0.0125, T=0.05, grid=dirichlet32)
-    with pytest.raises(SolverFailure) as err:
-        run(a, cfg)
+def test_run_wraps_initial_overflow_with_step_0():
+    # samples near 1e307: the datum's divergence overflows, so neither
+    # the gate nor the projection can run
+    spec = GridSpec(16, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
+    a = stream_bump_field(spec) * 1e307
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverFailure) as err:
+            run(a, DnsConfig(h=0.0125, T=0.05, grid=spec))
     assert err.value.step == 0
-    assert isinstance(err.value.__cause__, ProjectionError)
+    assert isinstance(err.value.__cause__, NonFiniteFieldError)
 
 
-def test_dns_step_honours_div_tol(dirichlet32):
-    # the step hands the config's tolerance to the box Stokes solve: no
-    # iterate reaches max |div v| <= 1e-30 before the outer cap
-    a = leray_project(random_solenoidal_field(dirichlet32, seed=2)).solenoidal
-    with pytest.raises(SolverFailure):
-        dns_step(a, DnsConfig(h=0.0125, T=0.0125, grid=dirichlet32,
-                              div_tol=1e-30))
-
-
-def _uzawa_carrying_raw_iterate(real_cg):
-    """Stand-in for projection._cg that starts every Uzawa loop (the CG
-    with a stop rule) from the previous loop's final, not yet demeaned,
-    pressure iterate: the warm start of the former stateful solver."""
-    state = {}
-
-    def cg(apply_a, b, x0, max_iters, rel_tol=0.0, abs_tol=0.0,
-           stop_fn=None, precond=None):
-        if stop_fn is not None and "p" in state:
-            x0 = state["p"]
-        x, k, ok = real_cg(apply_a, b, x0, max_iters, rel_tol, abs_tol,
-                           stop_fn, precond)
-        if stop_fn is not None:
-            state["p"] = x.copy()
-        return x, k, ok
-
-    return cg
-
-
-def test_box_warm_start_bounded_against_former_solver(monkeypatch):
-    # run() starts each box Stokes solve from the previous step's demeaned
-    # pressure; the former solver started it from its raw iterate. The
-    # Schur operator ignores constants, so only roundoff may separate them
-    # (benchmark box64 case: 64^2, seed 41, 4 steps)
-    spec = GridSpec(64, bc=BoundaryCondition.DIRICHLET_ZERO)
-    cfg = DnsConfig(h=0.0125, T=0.05, grid=spec)
-    a = random_solenoidal_field(spec, seed=41)
-    warm = run(a, cfg)
-    monkeypatch.setattr(projection, "_cg",
-                        _uzawa_carrying_raw_iterate(projection._cg))
-    former = run(a, cfg)
-    monkeypatch.undo()
-    v = warm.snapshots[0]
-    for r_warm, r_former in zip(warm.results, former.results, strict=True):
-        assert r_warm.stokes_outer == r_former.stokes_outer
-        assert norm_l2(r_warm.v - r_former.v) <= 1e-13 * norm_l2(r_former.v)
-        assert (np.linalg.norm(r_warm.p.data - r_former.p.data)
-                <= 1e-11 * np.linalg.norm(r_former.p.data))
-        # a cold start (zero pressure on every step) stops elsewhere
-        # within the divergence tolerance: ~2e-10 in v and ~6e-8 in p
-        cold = dns_step(v, cfg)
-        v = cold.v
-        assert norm_l2(r_warm.v - cold.v) <= 1e-8 * norm_l2(cold.v)
-        assert (np.linalg.norm(r_warm.p.data - cold.p.data)
-                <= 1e-6 * np.linalg.norm(cold.p.data))
-
-
-def test_dns_step_rejects_pressure_on_another_grid(dirichlet32):
-    a = random_solenoidal_field(dirichlet32, seed=2)
-    other = ScalarField.zeros(GridSpec(16, bc=BoundaryCondition.DIRICHLET_ZERO))
-    with pytest.raises(ValueError):
-        dns_step(a, DnsConfig(h=0.0125, T=0.0125, grid=dirichlet32),
-                 p_prev=other)
-
-
-def test_step_records_stokes_outer_count(periodic32, dirichlet32):
-    h = 0.0125
-    box = random_solenoidal_field(dirichlet32, seed=2)
-    el = dns_step(box, DnsConfig(h=h, T=h, grid=dirichlet32))
-    assert el.stokes_outer > 0
-    dm = dns_step(box, DnsConfig(h=h, T=h, grid=dirichlet32,
-                                 path=SolvePath.DIRECT_MINIMIZE,
-                                 minimizer_tol=1e-8))
-    assert dm.stokes_outer == 0
-    tg, _ = taylor_green_field(0.0, periodic32)
-    assert dns_step(tg, DnsConfig(h=h, T=h, grid=periodic32)).stokes_outer == 0
+def test_run_projects_torus_datum_above_torus_bound(periodic32):
+    # max |div a| = 5e-10 lies above the torus bound 1e-10, and below
+    # the box bound and any looser floor such as 1e-9
+    a, _ = taylor_green_field(0.0, periodic32)
+    x, _ = periodic32.mesh()
+    a = a + VelocityField(periodic32, np.stack([5e-10 * np.sin(x),
+                                                np.zeros_like(x)]))
+    assert 1e-10 < np.max(np.abs(divergence(a).data)) < 1e-9
+    traj = run(a, DnsConfig(h=0.0125, T=0.0125, grid=periodic32))
+    assert traj.projected_initial
+    assert np.max(np.abs(divergence(traj.snapshots[0]).data)) <= 1e-10
 
 
 def test_config_validation(periodic32):
