@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 
 from dnsflow import (
     BoundaryCondition,
+    DnsConfig,
     GridSpec,
     ScalarField,
     VelocityField,
@@ -22,6 +23,7 @@ from dnsflow import (
     leray_project,
     norm_l2,
     random_solenoidal_field,
+    run,
     solve_implicit_stokes,
     stream_bump_field,
     taylor_green_field,
@@ -324,6 +326,36 @@ def _grad_t_weighted(g, dx):
     return out
 
 
+@pytest.mark.parametrize("n", [2, 5, 8, 33])
+def test_box_axis_bases(n):
+    # s: orthonormal and symmetric; c: orthonormal under trapezoid
+    # weights; the central difference takes c's mode k to -g_k times s's
+    # mode k (and c's modes 0 and n to zero); -lap with zero ends has s's
+    # modes, and with even reflection across the ends c's modes, as
+    # eigenvectors with eigenvalues lam
+    dx = 0.3
+    s, c, g, lam = projection._box_axis(n, dx)
+    assert s.shape == (n - 1, n - 1) and c.shape == (n + 1, n + 1)
+    assert g.shape == lam.shape == (n + 1,)
+    assert np.array_equal(s, s.T)
+    assert np.allclose(s @ s, np.eye(n - 1), rtol=0.0, atol=1e-14)
+    trap = np.ones(n + 1)
+    trap[[0, -1]] = 0.5
+    assert np.allclose(c.T @ (trap[:, None] * c), np.eye(n + 1),
+                       rtol=0.0, atol=1e-14)
+    diff = (c[2:] - c[:-2]) / (2.0 * dx)
+    assert np.allclose(diff[:, 1:-1], -s * g[1:-1], rtol=0.0, atol=1e-13)
+    assert np.all(np.abs(diff[:, [0, -1]]) <= 1e-13)
+    assert g[0] == g[-1] == 0.0
+    s_ext = np.zeros((n + 1, n - 1))
+    s_ext[1:-1] = s
+    lap_s = (s_ext[2:] - 2.0 * s_ext[1:-1] + s_ext[:-2]) / dx ** 2
+    assert np.allclose(-lap_s, s * lam[1:-1], rtol=0.0, atol=1e-12)
+    c_ext = np.concatenate([c[1:2], c, c[-2:-1]])
+    lap_c = (c_ext[2:] - 2.0 * c_ext[1:-1] + c_ext[:-2]) / dx ** 2
+    assert np.allclose(-lap_c, c * lam, rtol=0.0, atol=1e-12)
+
+
 def _dst_ainv(spec, h, nu):
     """A^{-1} on the interior nodes, exact in the tensor DST-I basis; it
     ignores f's wall values and pins the result's walls to zero."""
@@ -436,6 +468,26 @@ def test_box_stokes_matches_uzawa_reference(n, extent):
         assert _rel(p.data, p_ref) <= 1e-10
         assert info.max_divergence <= 1e-12
         assert v.is_boundary_compliant()
+
+
+def test_box_run_matches_cg_reference(monkeypatch):
+    # every box solve of a run, its Leray projections included (h = 1,
+    # nu = 0), swapped for the Uzawa reference
+    spec = BOX_GRIDS[0]
+    a = random_solenoidal_field(spec, seed=3)
+    cfg = DnsConfig(h=0.0125, T=0.05, grid=spec)
+    fast = run(a, cfg)
+
+    def reference_solver(spec, h, nu):
+        def solve(w):
+            return _uzawa_reference(VelocityField(spec, w), h, nu)
+        return solve
+
+    monkeypatch.setattr(projection, "_box_solver", reference_solver)
+    ref = run(a, cfg)
+    assert len(fast.results) == len(ref.results) == 4
+    v_fast, v_ref = fast.snapshots[-1], ref.snapshots[-1]
+    assert norm_l2(v_fast - v_ref) < 1e-10 * norm_l2(v_ref)
 
 
 def _dense(op, shape):
@@ -573,6 +625,17 @@ def test_cg_gives_up_on_non_finite_residual():
     x, k, ok = _cg(lambda x: x * np.nan, b, np.zeros(2), 50, 1e-12)
     assert (k, ok) == (0, False)
     assert np.all(x == 0.0)
+
+
+def test_cg_stops_on_nonpositive_curvature():
+    # d.Ad <= 0 (an indefinite or singular operator) ends the loop
+    # unconverged with x0 returned; alpha = rr / dAd would otherwise
+    # divide by zero or step uphill
+    b = np.array([1.0, 2.0])
+    for apply_a in (lambda x: -2.0 * x, np.zeros_like):
+        x, k, ok = _cg(apply_a, b, np.zeros(2), 50, 1e-12)
+        assert (k, ok) == (0, False)
+        assert np.all(x == 0.0)
 
 
 def test_cg_refuses_overflowing_right_hand_side():
