@@ -71,45 +71,6 @@ class StokesInfo:
     dirichlet: float | None = None
 
 
-def _cg(apply_a, b, x0, max_iters, rel_tol=0.0, stop_fn=None):
-    """Hand-rolled CG; returns (x, iterations, converged). Stops on
-    ``stop_fn(r)`` if given, else on |r| <= rel_tol |b|; gives up,
-    unconverged, once r.r or d.Ad is no longer positive, and at once if
-    |b| is not finite (every residual would meet tol = inf)."""
-    x = x0.copy()
-    r = b - apply_a(x)
-    b_norm = float(np.sqrt(np.sum(b * b)))
-    if not math.isfinite(b_norm):
-        return x, 0, False
-    if b_norm == 0.0:
-        return np.zeros_like(b), 0, True
-    tol = rel_tol * b_norm
-
-    def small(rr):
-        return stop_fn(r) if stop_fn is not None else np.sqrt(rr) <= tol
-
-    d = r.copy()
-    rr = float(np.sum(r * r))
-    k = 0
-    while k < max_iters:
-        if small(rr):
-            return x, k, True
-        if not rr > 0.0:
-            break
-        ad = apply_a(d)
-        dad = float(np.sum(d * ad))
-        if dad <= 0.0:
-            break
-        alpha = rr / dad
-        x += alpha * d
-        r -= alpha * ad
-        rr_new = float(np.sum(r * r))
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-        k += 1
-    return x, k, bool(small(rr))
-
-
 # ---------------------------------------------------------------------------
 # periodic backend
 

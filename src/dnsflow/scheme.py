@@ -33,7 +33,7 @@ from .fields import (
     pin_walls,
 )
 from .interpolate import InterpOrder, sample_offgrid
-from .projection import _cg, leray_project, solve_implicit_stokes
+from .projection import leray_project, solve_implicit_stokes
 
 
 class SolvePath(enum.Enum):
@@ -42,11 +42,29 @@ class SolvePath(enum.Enum):
 
 
 # max |div v| up to which a field counts as divergence-free on each
-# backend. Both solves are exact, so their divergence is roundoff that
-# grows with the field's amplitude; a step whose v exceeds the bound
-# cannot be certified and fails
+# backend, for fields with max |v| / dx <= 1 (see div_free_bound)
 DIV_FREE_BOUND = {BoundaryCondition.PERIODIC: 1e-10,
                   BoundaryCondition.DIRICHLET_ZERO: 1e-8}
+
+
+def div_free_bound(v: VelocityField) -> float:
+    """The max |div v| up to which v counts as divergence-free: its
+    backend's DIV_FREE_BOUND, times max |v| / dx where that exceeds 1.
+    Both solves are exact, so the divergence they leave is roundoff that
+    grows with the field (about 5e-16 max |v| / dx on the box, at every
+    amplitude); a fixed bound would fail large fields of either backend.
+    Raises NonFiniteFieldError if max |v| / dx overflows.
+    """
+    amplitude = max(float(np.max(v.data)), -float(np.min(v.data)))
+    scale = amplitude / v.spec.spacing
+    if not math.isfinite(scale):
+        raise NonFiniteFieldError(
+            f"max |v| / dx is non-finite (max |v| {amplitude:.3e})")
+    return DIV_FREE_BOUND[v.spec.bc] * max(1.0, scale)
+
+
+def _max_div(v: VelocityField) -> float:
+    return float(np.max(np.abs(divergence(v).data)))
 
 
 class SolverFailure(RuntimeError):
@@ -210,6 +228,41 @@ def energy_terms(v: VelocityField, w: VelocityField, h: float,
     return inner_product_l2(d, d) / (2.0 * h), dirichlet
 
 
+def _cg(apply_a, b, x0, max_iters, rel_tol):
+    """Hand-rolled CG; returns (x, iterations, converged). Stops on
+    |r| <= rel_tol |b|; gives up, unconverged, once r.r or d.Ad is no
+    longer positive, and at once if |b| is not finite (every residual
+    would meet tol = inf)."""
+    x = x0.copy()
+    r = b - apply_a(x)
+    b_norm = float(np.sqrt(np.sum(b * b)))
+    if not math.isfinite(b_norm):
+        return x, 0, False
+    if b_norm == 0.0:
+        return np.zeros_like(b), 0, True
+    tol = rel_tol * b_norm
+    d = r.copy()
+    rr = float(np.sum(r * r))
+    k = 0
+    while k < max_iters:
+        if math.sqrt(rr) <= tol:
+            return x, k, True
+        if not rr > 0.0:
+            break
+        ad = apply_a(d)
+        dad = float(np.sum(d * ad))
+        if dad <= 0.0:
+            break
+        alpha = rr / dad
+        x += alpha * d
+        r -= alpha * ad
+        rr_new = float(np.sum(r * r))
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+        k += 1
+    return x, k, math.sqrt(rr) <= tol
+
+
 # the minimizer's CG cap per cell of the longer axis: the count grows
 # with the grid (random solenoidal data: 88 iterations at 64^2,
 # h = 0.05; 259 at 128^2 and 513 at 256^2, h = 0.1)
@@ -229,7 +282,7 @@ def _minimize_projected_cg(w: VelocityField, cfg: DnsConfig):
     b = leray_project(w * (1.0 / h)).solenoidal.data
     x, k, ok = _cg(hess, b, np.zeros_like(b),
                    _MINIMIZER_ITERS_PER_CELL * max(spec.cells),
-                   rel_tol=cfg.minimizer_tol)
+                   cfg.minimizer_tol)
     if not ok:
         raise SolverFailure(
             f"projected CG minimizer did not converge in {k} iterations")
@@ -255,7 +308,7 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
         dirichlet = info.dirichlet
     else:
         v = _minimize_projected_cg(w, cfg)
-        max_div = float(np.max(np.abs(divergence(v).data)))
+        max_div = _max_div(v)
         dirichlet = None
         # Leray split of the step residual (v - w)/h - nu lap(v): its
         # solenoidal part vanishes at the minimizer and its potential is
@@ -278,10 +331,10 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
         raise NonFiniteFieldError(
             f"step energy terms are non-finite (kinetic_shifted "
             f"{kinetic:.3e}, dirichlet {dirichlet:.3e})")
-    bound = DIV_FREE_BOUND[v.spec.bc]
+    bound = div_free_bound(v)
     if not max_div <= bound:
         raise SolverFailure(f"the step's solve leaves max divergence "
-                            f"{max_div:.3e} above {bound:g}")
+                            f"{max_div:.3e} above its bound {bound:.3e}")
     return StepResult(
         v=v, p=p, w=w,
         kinetic_shifted=kinetic,
@@ -296,9 +349,10 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
 def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     """Iterate dns_step from the initial datum a.
 
-    If max |div a| exceeds ``DIV_FREE_BOUND`` of the grid's boundary
-    condition, a is projected once and the fact is recorded on the
-    trajectory. Each StepResult is streamed to the sinks as
+    If max |div a| exceeds ``div_free_bound(a)``, a is projected once
+    and the fact is recorded on the trajectory; the projected datum must
+    then be within its bound and have a finite energy, as a step's v
+    must. Each StepResult is streamed to the sinks as
     ``sink(step_index, result)``. Solver failures, and fields or step
     energy terms that overflow to non-finite values, are raised as
     SolverFailure carrying the step index (0 for the initial datum and
@@ -308,10 +362,17 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
         raise ValueError("initial datum grid does not match the config")
     projected = False
     try:
-        if (float(np.max(np.abs(divergence(a).data)))
-                > DIV_FREE_BOUND[a.spec.bc]):
+        if not _max_div(a) <= div_free_bound(a):
             a = leray_project(a).solenoidal
             projected = True
+            max_div, bound = _max_div(a), div_free_bound(a)
+            if not max_div <= bound:
+                raise SolverFailure(
+                    f"initial projection leaves max divergence "
+                    f"{max_div:.3e} above its bound {bound:.3e}", step=0)
+            if not math.isfinite(inner_product_l2(a, a)):
+                raise NonFiniteFieldError(
+                    "the projected datum's energy is non-finite")
     except NonFiniteFieldError as exc:
         raise SolverFailure(f"initial datum: {exc}", step=0) from exc
 

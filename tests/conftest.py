@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,14 @@ from dnsflow import (
     ScalarField,
     SolvePath,
     VelocityField,
+    divergence,
     random_solenoidal_field,
     run,
 )
-from dnsflow import projection
+from dnsflow import scheme
 
-_real_cg = projection._cg
+_real_cg = scheme._cg
+_real_stokes = scheme.solve_implicit_stokes
 
 
 @pytest.fixture(scope="session")
@@ -86,11 +89,27 @@ def random_pinned_velocity(spec: GridSpec, seed: int) -> VelocityField:
     return VelocityField(spec, data)
 
 
-def failing_cg(apply_a, b, x0, max_iters, rel_tol=0.0, stop_fn=None):
+def failing_cg(apply_a, b, x0, max_iters, rel_tol):
     """Stand-in for ``scheme._cg``, the CG loop of the direct-minimize
     path: two iterations, then non-convergence."""
-    x, k, _ = _real_cg(apply_a, b, x0, 2, rel_tol, stop_fn)
+    x, k, _ = _real_cg(apply_a, b, x0, 2, rel_tol)
     return x, k, False
+
+
+def leaky_stokes(w, h, nu=1.0):
+    """Stand-in for ``scheme.solve_implicit_stokes`` that leaves a
+    divergent part in v: the exact solve's v plus 1e-3 sin(pi x / L_x)
+    sin(pi y / L_y) in its first component, which vanishes on a box's
+    walls. An exact solve leaves only roundoff divergence, within
+    ``scheme.div_free_bound`` at every amplitude."""
+    v, p, info = _real_stokes(w, h, nu)
+    X, Y = w.spec.mesh()
+    lx, ly = w.spec.extent
+    data = v.data.copy()
+    data[0] += 1e-3 * np.sin(math.pi * X / lx) * np.sin(math.pi * Y / ly)
+    v = VelocityField(w.spec, data)
+    max_div = float(np.max(np.abs(divergence(v).data)))
+    return v, p, dataclasses.replace(info, max_divergence=max_div)
 
 
 def exactly_solenoidal_box_field(spec: GridSpec, seed: int,

@@ -18,8 +18,8 @@ from dnsflow.manifest import (
 from dnsflow.scheme import Trajectory, run
 
 from conftest import (
-    exactly_solenoidal_box_field,
     failing_cg,
+    leaky_stokes,
     random_velocity,
 )
 
@@ -271,33 +271,14 @@ def test_cli_run_random_datum_seeded(tmp_path):
             == (out_b / "ledger.csv").read_text())
 
 
-def test_cli_solver_failure_exits_3(tmp_path, capsys):
-    # a box datum with exactly zero discrete divergence and samples near
-    # 1e8 passes the gate unprojected; the first step's solve leaves
-    # roundoff divergence ~1e-6, which cannot be certified
-    cfg = textwrap.dedent("""\
-        [grid]
-        cells = 16
-        extent = 1.0
-        bc = dirichlet
-
-        [time]
-        h = 9.094947017729282e-13
-        t = 1.8189894035458565e-12
-
-        [initial]
-        kind = snapshot
-        file = {file}
-    """)
-    man = parse_manifest(cfg.format(file="unused.vtk"))
-    datum = tmp_path / "datum.vtk"
-    snapshot.write_vtk(datum, exactly_solenoidal_box_field(
-        man.cfg.grid, 3, 2.0 ** 20))
-    path = _write_cfg(tmp_path, cfg.format(file=datum), name="stuck.cfg")
-    assert main(["run", "--config", path,
+def test_cli_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # an exact solve leaves roundoff divergence within its bound, so a
+    # faulty stand-in leaves the divergence that cannot be certified
+    monkeypatch.setattr(scheme, "solve_implicit_stokes", leaky_stokes)
+    assert main(["run", "--config", _write_cfg(tmp_path, BOX_CFG),
                  "--out", str(tmp_path / "stuck_out")]) == 3
     line = _assert_one_line_reason(capsys, "solver failure: step 1: ")
-    assert "max divergence" in line and line.endswith("above 1e-08")
+    assert "max divergence" in line and "above its bound" in line
 
 
 BOX_CFG = textwrap.dedent("""\
@@ -690,12 +671,15 @@ def test_cli_cell_size_with_subnormal_square_exits_2(tmp_path, capsys, bc,
     assert "squared is not a positive finite number" in line
 
 
-def test_cli_overflowing_projection_datum_exits_3(tmp_path, capsys):
-    # samples near 1e307 overflow the datum's divergence before any
-    # projection can run
+@pytest.mark.parametrize("amplitude", ["1e300", "1e307"])
+def test_cli_overflowing_projection_datum_exits_3(tmp_path, capsys,
+                                                  amplitude):
+    # at 1e300 the exact projection returns a field whose energy
+    # overflows; at 1e307 max |a| / dx overflows, so the datum's
+    # divergence has no bound
     cfg = (BOX_CFG.replace("bc = dirichlet", "bc = dirichlet\nextent = 1.0")
            .replace("kind = random_solenoidal",
-                    "kind = stream_bump\namplitude = 1e307"))
+                    f"kind = stream_bump\namplitude = {amplitude}"))
     code = main(["run", "--config", _write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "out")])
     assert code == 3

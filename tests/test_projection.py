@@ -36,7 +36,8 @@ from dnsflow.fields import (
     pin_walls,
     quadrature_weights,
 )
-from dnsflow.projection import _cg, _project_range_gt
+from dnsflow.projection import _project_range_gt
+from dnsflow.scheme import _cg
 
 from conftest import random_pinned_velocity, random_velocity
 
@@ -436,14 +437,21 @@ def _uzawa_reference(w, h, nu, div_tol=1e-13):
     def schur(p):
         return h * _grad_t_weighted(ainv(_grad_interior(p, dx)), dx)
 
-    def div_small(r):
-        # r = G^T W v = -(div v) times the node weights
-        return float(np.max(np.abs(r / weights))) <= div_tol
-
-    p, _, ok = _cg(schur, _grad_t_weighted(ainv(w.data), dx),
-                   np.zeros(spec.node_shape), 50 * max(spec.cells),
-                   stop_fn=div_small)
-    assert ok
+    # the residual r = G^T W v is -(div v) times the node weights
+    p = np.zeros(spec.node_shape)
+    r = _grad_t_weighted(ainv(w.data), dx)
+    d = r.copy()
+    rr = np.sum(r * r)
+    for _ in range(50 * max(spec.cells)):
+        if np.max(np.abs(r / weights)) <= div_tol:
+            break
+        sd = schur(d)
+        alpha = rr / np.sum(d * sd)
+        p += alpha * d
+        r -= alpha * sd
+        rr, rr_old = np.sum(r * r), rr
+        d = r + (rr / rr_old) * d
+    assert np.max(np.abs(r / weights)) <= div_tol
     p = _project_range_gt(p)
     v = ainv(w.data - h * _grad_interior(p, dx))
     return v, ScalarField(spec, p).demeaned().data
@@ -525,13 +533,20 @@ def _dense_kkt_reference(w, h, nu):
     return pad(x[:m].reshape(inner)), ScalarField(spec, p).demeaned().data
 
 
+# odd and mixed-parity cell counts too: each of Z's four parity blocks
+# must keep exactly one null vector, its smallest eigenvalue
 KKT_GRIDS = [GridSpec(8, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO),
              GridSpec(16, bc=BoundaryCondition.DIRICHLET_ZERO),
              GridSpec((12, 20), extent=(0.6, 1.0),
+                      bc=BoundaryCondition.DIRICHLET_ZERO),
+             GridSpec((9, 13), extent=(9.0, 13.0),
+                      bc=BoundaryCondition.DIRICHLET_ZERO),
+             GridSpec((8, 11), extent=(8.0, 11.0),
                       bc=BoundaryCondition.DIRICHLET_ZERO)]
 
 
-@pytest.mark.parametrize("spec", KKT_GRIDS, ids=["8", "16", "12x20"])
+@pytest.mark.parametrize("spec", KKT_GRIDS,
+                         ids=["8", "16", "12x20", "9x13", "8x11"])
 def test_box_stokes_matches_dense_kkt(spec):
     # a right-hand side that is not divergence-free, so p carries weight;
     # measured: v <= 8.2e-15 and p <= 1.0e-14 relative
@@ -616,36 +631,7 @@ def test_box_run_agrees_across_blas_thread_counts(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the conjugate-gradient loop and the projection onto range(G^T)
-
-def test_cg_gives_up_on_non_finite_residual():
-    # r.r that is not positive (NaN here) ends the loop unconverged, as
-    # d.Ad <= 0 does; NaN iterates would otherwise run to the cap
-    b = np.array([1.0, 2.0])
-    x, k, ok = _cg(lambda x: x * np.nan, b, np.zeros(2), 50, 1e-12)
-    assert (k, ok) == (0, False)
-    assert np.all(x == 0.0)
-
-
-def test_cg_stops_on_nonpositive_curvature():
-    # d.Ad <= 0 (an indefinite or singular operator) ends the loop
-    # unconverged with x0 returned; alpha = rr / dAd would otherwise
-    # divide by zero or step uphill
-    b = np.array([1.0, 2.0])
-    for apply_a in (lambda x: -2.0 * x, np.zeros_like):
-        x, k, ok = _cg(apply_a, b, np.zeros(2), 50, 1e-12)
-        assert (k, ok) == (0, False)
-        assert np.all(x == 0.0)
-
-
-def test_cg_refuses_overflowing_right_hand_side():
-    # |b| = inf made tol = inf, met by the first residual: converged
-    # after 0 iterations with x0 returned
-    b = np.array([1e300, 1e300])
-    with np.errstate(over="ignore"):
-        x, k, ok = _cg(lambda x: 2.0 * x, b, np.zeros(2), 50, 1e-10)
-    assert (k, ok) == (0, False)
-
+# the projection onto range(G^T)
 
 # node counts per axis 9 / 12 / 17 / 34 / (9, 12): sub-lattices of odd
 # and even sizes, and a grid whose two axes must not swap

@@ -7,6 +7,7 @@ from dnsflow import (
     BoundaryCondition,
     DnsConfig,
     GridSpec,
+    ScalarField,
     InterpOrder,
     SolvePath,
     SolverFailure,
@@ -29,11 +30,13 @@ from dnsflow import (
 )
 from dnsflow import scheme
 from dnsflow.fields import NonFiniteFieldError, pin_walls, velocity_jacobian
-from dnsflow.scheme import energy_terms
+from dnsflow.projection import HelmholtzParts
+from dnsflow.scheme import _cg, energy_terms
 
 from conftest import (
     exactly_solenoidal_box_field,
     failing_cg,
+    leaky_stokes,
     random_pinned_velocity,
 )
 
@@ -376,6 +379,38 @@ def test_minimizer_cap_raises_solver_failure(periodic32, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the minimizer's conjugate-gradient loop
+
+def test_cg_gives_up_on_non_finite_residual():
+    # r.r that is not positive (NaN here) ends the loop unconverged, as
+    # d.Ad <= 0 does; NaN iterates would otherwise run to the cap
+    b = np.array([1.0, 2.0])
+    x, k, ok = _cg(lambda x: x * np.nan, b, np.zeros(2), 50, 1e-12)
+    assert (k, ok) == (0, False)
+    assert np.all(x == 0.0)
+
+
+def test_cg_stops_on_nonpositive_curvature():
+    # d.Ad <= 0 (an indefinite or singular operator) ends the loop
+    # unconverged with x0 returned; alpha = rr / dAd would otherwise
+    # divide by zero or step uphill
+    b = np.array([1.0, 2.0])
+    for apply_a in (lambda x: -2.0 * x, np.zeros_like):
+        x, k, ok = _cg(apply_a, b, np.zeros(2), 50, 1e-12)
+        assert (k, ok) == (0, False)
+        assert np.all(x == 0.0)
+
+
+def test_cg_refuses_overflowing_right_hand_side():
+    # |b| = inf made tol = inf, met by the first residual: converged
+    # after 0 iterations with x0 returned
+    b = np.array([1e300, 1e300])
+    with np.errstate(over="ignore"):
+        x, k, ok = _cg(lambda x: 2.0 * x, b, np.zeros(2), 50, 1e-10)
+    assert (k, ok) == (0, False)
+
+
+# ---------------------------------------------------------------------------
 # run
 
 def test_run_zero_datum(periodic32):
@@ -444,31 +479,58 @@ def test_run_dirichlet_energy_decays_taylor_green(periodic32):
     assert all(e2 <= e1 for e1, e2 in zip(energies, energies[1:]))
 
 
-def _uncertifiable_box_run():
+def _large_box_run():
     """A 16^2 unit box datum with exactly zero discrete divergence and
     samples near 1e8, which passes run's gate unprojected, and a step so
-    short that the back-trace keeps it: the step's solve leaves
-    roundoff divergence ~1e-6, above the box bound 1e-8."""
+    short that the back-trace keeps it."""
     spec = GridSpec(16, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
     h = 2.0 ** -40
     return (exactly_solenoidal_box_field(spec, 3, 2.0 ** 20),
             DnsConfig(h=h, T=2 * h, grid=spec))
 
 
-def test_dns_step_fails_uncertifiable_divergence():
-    a, cfg = _uncertifiable_box_run()
+def test_box_step_certifies_divergence_relative_to_field():
+    # the step's solve leaves roundoff divergence ~1e-6, above the box's
+    # DIV_FREE_BOUND 1e-8, which a fixed bound would fail; measured
+    # 5.0e-16 max |v| / dx
+    a, cfg = _large_box_run()
     assert np.max(np.abs(divergence(a).data)) == 0.0
-    with pytest.raises(SolverFailure, match="max divergence .* above 1e-08"):
+    traj = run(a, cfg)
+    assert not traj.projected_initial
+    for res in traj.results:
+        assert res.max_divergence > scheme.DIV_FREE_BOUND[cfg.grid.bc]
+        assert (res.max_divergence
+                <= 1e-15 * np.max(np.abs(res.v.data)) / cfg.grid.spacing)
+
+
+def test_torus_run_certifies_large_amplitude_field():
+    # amplitude 1e4 at 256^2: the steps leave max |div v| ~5e-10, above
+    # the torus's DIV_FREE_BOUND 1e-10 but roundoff for the field's size
+    spec = GridSpec(256)
+    a = leray_project(random_solenoidal_field(spec, seed=7,
+                                              amplitude=1e4)).solenoidal
+    traj = run(a, DnsConfig(h=1e-5, T=2e-5, grid=spec))
+    assert (max(r.max_divergence for r in traj.results)
+            > scheme.DIV_FREE_BOUND[spec.bc])
+
+
+def test_dns_step_fails_uncertifiable_divergence(dirichlet32, monkeypatch):
+    # an exact solve leaves roundoff divergence within its bound at every
+    # amplitude, so a faulty stand-in drives the failure
+    a = leray_project(random_solenoidal_field(dirichlet32, seed=2)).solenoidal
+    cfg = DnsConfig(h=0.0125, T=0.025, grid=dirichlet32)
+    assert dns_step(a, cfg).max_divergence <= scheme.div_free_bound(a)
+    monkeypatch.setattr(scheme, "solve_implicit_stokes", leaky_stokes)
+    with pytest.raises(SolverFailure,
+                       match="max divergence .* above its bound"):
         dns_step(a, cfg)
-    # the same datum at unit amplitude steps within the bound
-    res = dns_step(a * 2.0 ** -20, cfg)
-    assert res.max_divergence <= scheme.DIV_FREE_BOUND[cfg.grid.bc]
 
 
-def test_run_aborts_with_step_index():
-    a, cfg = _uncertifiable_box_run()
+def test_run_aborts_with_step_index(dirichlet32, monkeypatch):
+    a = leray_project(random_solenoidal_field(dirichlet32, seed=2)).solenoidal
+    monkeypatch.setattr(scheme, "solve_implicit_stokes", leaky_stokes)
     with pytest.raises(SolverFailure) as err:
-        run(a, cfg)
+        run(a, DnsConfig(h=0.0125, T=0.025, grid=dirichlet32))
     assert err.value.step == 1
     assert "the step's solve leaves max divergence" in str(err.value)
 
@@ -488,29 +550,53 @@ def test_run_wraps_minimizer_failure_with_step_index(dirichlet32, monkeypatch,
     assert "minimizer did not converge" in str(err.value)
 
 
-def test_run_wraps_initial_overflow_with_step_0():
-    # samples near 1e307: the datum's divergence overflows, so neither
-    # the gate nor the projection can run
+@pytest.mark.parametrize("amplitude, reason", [
+    # the projection is exact, but the energy of what it returns overflows
+    (1e300, "the projected datum's energy is non-finite"),
+    # max |a| / dx overflows, so the datum's divergence has no bound
+    (1e307, "max |v| / dx is non-finite"),
+])
+def test_run_wraps_initial_overflow_with_step_0(amplitude, reason):
     spec = GridSpec(16, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
-    a = stream_bump_field(spec) * 1e307
+    a = stream_bump_field(spec) * amplitude
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverFailure) as err:
             run(a, DnsConfig(h=0.0125, T=0.05, grid=spec))
     assert err.value.step == 0
     assert isinstance(err.value.__cause__, NonFiniteFieldError)
+    assert reason in str(err.value)
 
 
-def test_run_projects_torus_datum_above_torus_bound(periodic32):
-    # max |div a| = 5e-10 lies above the torus bound 1e-10, and below
-    # the box bound and any looser floor such as 1e-9
+def test_run_fails_uncertifiable_projection_at_step_0(dirichlet32,
+                                                      monkeypatch):
+    # a stand-in projection that returns its input leaves the datum's
+    # divergence; the exact one leaves roundoff within the bound
+    a = random_pinned_velocity(dirichlet32, 4)
+    monkeypatch.setattr(scheme, "leray_project",
+                        lambda u: HelmholtzParts(u, ScalarField.zeros(u.spec)))
+    with pytest.raises(SolverFailure) as err:
+        run(a, DnsConfig(h=0.0125, T=0.025, grid=dirichlet32))
+    assert err.value.step == 0
+    assert "initial projection leaves max divergence" in str(err.value)
+
+
+def test_run_gate_scales_with_the_datum(periodic32):
+    # a Taylor-Green datum, max |a| / dx = 5.1, plus eps sin(x) in u:
+    # max |div a| ~ eps, projected only above its bound 5.1e-10
     a, _ = taylor_green_field(0.0, periodic32)
     x, _ = periodic32.mesh()
-    a = a + VelocityField(periodic32, np.stack([5e-10 * np.sin(x),
-                                                np.zeros_like(x)]))
-    assert 1e-10 < np.max(np.abs(divergence(a).data)) < 1e-9
-    traj = run(a, DnsConfig(h=0.0125, T=0.0125, grid=periodic32))
-    assert traj.projected_initial
-    assert np.max(np.abs(divergence(traj.snapshots[0]).data)) <= 1e-10
+    for eps, projected in ((1e-9, True), (2e-10, False)):
+        a_eps = a + VelocityField(periodic32, np.stack([eps * np.sin(x),
+                                                        np.zeros_like(x)]))
+        max_div = np.max(np.abs(divergence(a_eps).data))
+        assert 1e-10 < max_div
+        assert (max_div > scheme.div_free_bound(a_eps)) == projected
+        traj = run(a_eps, DnsConfig(h=0.0125, T=0.0125, grid=periodic32))
+        assert traj.projected_initial == projected
+        if projected:
+            assert np.max(np.abs(divergence(traj.snapshots[0]).data)) <= 1e-10
+        else:
+            assert traj.snapshots[0] is a_eps
 
 
 def test_config_validation(periodic32):
