@@ -38,7 +38,6 @@ from .fields import (
     GridSpec,
     NonFiniteFieldError,
     advection_term,
-    divergence,
     grad_max_norm,
     grad_norm_sq,
     inner_product_l2,
@@ -46,7 +45,13 @@ from .fields import (
     quadrature_weights,
     velocity_jacobian,
 )
-from .scheme import Trajectory, backtrace, energy_terms
+from .scheme import (
+    Trajectory,
+    _max_div,
+    backtrace,
+    div_free_bound,
+    energy_terms,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +344,20 @@ def max_step_increment(traj: Trajectory) -> float:
     )
 
 
-def max_divergence(traj: Trajectory) -> float:
-    """max_n max |div v_n| over the stored snapshots after the first.
+def divergence_by_snapshot(traj: Trajectory) -> list[tuple[float, float]]:
+    """(max |div v_n|, div_free_bound(v_n)) for each stored snapshot
+    after the first.
 
     A step's record holds max |div v| of its own v: it is read while the
     step's snapshots are the run's own (:meth:`Trajectory.step_record`),
     and recomputed from the snapshot otherwise, as the energy ledger does.
     """
-    worst = 0.0
+    out = []
     for n, snap in enumerate(traj.snapshots[1:], start=1):
         record = traj.step_record(n)
-        div = (record.max_divergence if record is not None
-               else float(np.max(np.abs(divergence(snap).data))))
-        worst = max(worst, div)
-    return worst
+        div = record.max_divergence if record is not None else _max_div(snap)
+        out.append((div, div_free_bound(snap)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Helmholtz-Leray decomposition and the implicit Stokes step.
+"""The implicit Stokes step and the Helmholtz-Leray decomposition.
+
+One solve serves both, v - h nu lap(v) + h grad(p) = w with div v = 0:
+on either backend the Leray projection is that solve at h = 1, nu = 0
+(Chorin's projection), with the pressure as the potential.
 
 Periodic backend: direct mode-by-mode solves in Fourier space (the
 projection and the Laplacian commute on the torus); the spectral kit's
@@ -19,11 +23,9 @@ free-slip problem, diagonal mode by mode in tensor DST-I / DCT-I bases
 kept as small dense matrices (matrix decomposition; Lynch, Rice &
 Thomas 1964), plus forces on the tangential wall samples from a wall
 influence matrix factored once per (grid, h, nu) (capacitance matrix;
-Buzbee, Dorr, George & Golub 1971). The Leray projection is the same
-solve at h = 1, nu = 0, with the potential as its pressure. null(G), the
-four corners (which no interior central difference touches) and the
-parity sub-lattice constants, is removed once from each pressure. A
-solve keeps no state.
+Buzbee, Dorr, George & Golub 1971). null(G), the four corners (which no
+interior central difference touches) and the parity sub-lattice
+constants, is removed once from each pressure. A solve keeps no state.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class HelmholtzParts:
 class StokesInfo:
     """``momentum_residual`` is the residual of the solved system, the
     L2 norm of v - h nu lap(v) + h grad(p) - w for the returned v and p:
-    interior rows weighted dx^2 on the box, Parseval on the torus.
+    interior rows weighted dx^2 on the box, Parseval on the torus (a
+    Leray projection forms it too and discards it).
     ``dirichlet`` is int |Dv|^2 of the returned v on the torus, from the
     transform of v that also gives ``max_divergence``; None on the box.
     ``outer_iterations`` is always 0, since neither backend's solve has
@@ -73,20 +76,6 @@ class StokesInfo:
 
 # ---------------------------------------------------------------------------
 # periodic backend
-
-def _leray_periodic(u: VelocityField) -> HelmholtzParts:
-    spec = u.spec
-    ikx, iky, _, neg_k2 = _spectral_kit(spec)
-    shape = spec.node_shape
-    du = ikx * np.fft.rfft2(u.data[0]) + iky * np.fft.rfft2(u.data[1])
-    phi_hat = du * (1.0 / neg_k2)
-    sol = np.empty((2,) + shape)
-    for c, ik in enumerate((ikx, iky)):
-        np.subtract(u.data[c], np.fft.irfft2(ik * phi_hat, s=shape),
-                    out=sol[c])
-    pot = ScalarField(spec, np.fft.irfft2(phi_hat, s=shape)).demeaned()
-    return HelmholtzParts(VelocityField(spec, sol), pot)
-
 
 def _stokes_spectral(w: VelocityField, h: float, nu: float):
     """v, p and the momentum residual of the torus Stokes solve."""
@@ -110,17 +99,6 @@ def _stokes_spectral(w: VelocityField, h: float, nu: float):
         spec, vu_hat * sym + h * ikx * p_hat - wu_hat,
         vv_hat * sym + h * iky * p_hat - wv_hat))
     return VelocityField(spec, vel), p, mom_res
-
-
-def _stokes_periodic(w: VelocityField, h: float, nu: float):
-    v, p, mom_res = _stokes_spectral(w, h, nu)
-    # the diagnostics read the stored v, not the solve's own spectra,
-    # whose divergence vanishes by construction; they run once those
-    # spectra are freed, so the two sets of temporaries never coexist
-    v_hats = _velocity_spectra(v)
-    div = _divergence_from_spectra(w.spec, *v_hats)
-    return v, p, StokesInfo(0, float(np.max(np.abs(div))), mom_res,
-                            _dirichlet_from_spectra(w.spec, *v_hats))
 
 
 # ---------------------------------------------------------------------------
@@ -252,39 +230,33 @@ def _box_solver(spec: GridSpec, h: float, nu: float):
     return solve
 
 
-def _leray_dirichlet(u: VelocityField) -> HelmholtzParts:
-    sol, phi = _box_solver(u.spec, 1.0, 0.0)(u.data)
-    return HelmholtzParts(VelocityField(u.spec, sol),
-                          ScalarField(u.spec, phi).demeaned())
+# ---------------------------------------------------------------------------
+# public entry points
 
-
-def _stokes_dirichlet(w: VelocityField, h: float, nu: float):
+def _stokes(w: VelocityField, h: float, nu: float):
+    """v, p and the momentum residual of the Stokes solve on w's
+    backend."""
     spec = w.spec
+    if spec.is_periodic:
+        return _stokes_spectral(w, h, nu)
     vel, p = _box_solver(spec, h, nu)(w.data)
     v = VelocityField(spec, vel)
     mom = (vel - h * nu * _fd_laplacian(spec, vel)
            + h * _partials(spec, p) - w.data)[:, 1:-1, 1:-1]
-    mom_res = spec.spacing * float(np.sqrt(np.sum(mom ** 2)))
-    max_div = float(np.max(np.abs(divergence(v).data)))
     return (v, ScalarField(spec, p).demeaned(),
-            StokesInfo(0, max_div, mom_res))
+            spec.spacing * float(np.sqrt(np.sum(mom ** 2))))
 
-
-# ---------------------------------------------------------------------------
-# public entry points
 
 def leray_project(u: VelocityField) -> HelmholtzParts:
     """Split u into a divergence-free part plus a gradient.
 
-    The potential solves the discrete Poisson problem driven by the
-    divergence of u: spectral division on the torus; on the box the
-    Stokes solve at h = 1, nu = 0, exact, whose pressure is the
-    potential, projected once onto range(G^T). The box ignores u's wall
-    samples and returns a solenoidal part pinned to zero on the walls.
+    The Stokes solve at h = 1, nu = 0 (Chorin's projection), whose
+    pressure is the potential: it solves the discrete Poisson problem
+    driven by the divergence of u. The box ignores u's wall samples and
+    returns a solenoidal part pinned to zero on the walls.
     """
-    if u.spec.is_periodic:
-        return _leray_periodic(u)
-    return _leray_dirichlet(u)
+    v, p, _ = _stokes(u, 1.0, 0.0)
+    return HelmholtzParts(v, p)
 
 
 def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0,
@@ -299,6 +271,15 @@ def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0,
     """
     if h <= 0.0:
         raise ValueError("time step h must be positive")
-    if w.spec.is_periodic:
-        return _stokes_periodic(w, h, nu)
-    return _stokes_dirichlet(w, h, nu)
+    spec = w.spec
+    v, p, mom_res = _stokes(w, h, nu)
+    if not spec.is_periodic:
+        return v, p, StokesInfo(0, float(np.max(np.abs(divergence(v).data))),
+                                mom_res)
+    # the diagnostics read the stored v, not the solve's own spectra,
+    # whose divergence vanishes by construction; they run once those
+    # spectra are freed, so the two sets of temporaries never coexist
+    v_hats = _velocity_spectra(v)
+    div = _divergence_from_spectra(spec, *v_hats)
+    return v, p, StokesInfo(0, float(np.max(np.abs(div))), mom_res,
+                            _dirichlet_from_spectra(spec, *v_hats))

@@ -351,12 +351,12 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
 
     If max |div a| exceeds ``div_free_bound(a)``, a is projected once
     and the fact is recorded on the trajectory; the projected datum must
-    then be within its bound and have a finite energy, as a step's v
-    must. Each StepResult is streamed to the sinks as
-    ``sink(step_index, result)``. Solver failures, and fields or step
-    energy terms that overflow to non-finite values, are raised as
-    SolverFailure carrying the step index (0 for the initial datum and
-    its projection).
+    then be within its bound, as a step's v must. The datum, projected
+    or not, must have a finite int |a|^2 and int |Da|^2. Each StepResult
+    is streamed to the sinks as ``sink(step_index, result)``. Solver
+    failures, and fields or step energy terms that overflow to
+    non-finite values, are raised as SolverFailure carrying the step
+    index (0 for the initial datum and its projection).
     """
     if a.spec != cfg.grid:
         raise ValueError("initial datum grid does not match the config")
@@ -370,9 +370,12 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
                 raise SolverFailure(
                     f"initial projection leaves max divergence "
                     f"{max_div:.3e} above its bound {bound:.3e}", step=0)
-            if not math.isfinite(inner_product_l2(a, a)):
-                raise NonFiniteFieldError(
-                    "the projected datum's energy is non-finite")
+        # the two energies of the datum that the ledger reads
+        energy, dirichlet = inner_product_l2(a, a), grad_norm_sq(a)
+        if not (math.isfinite(energy) and math.isfinite(dirichlet)):
+            raise NonFiniteFieldError(
+                f"the datum's energies are non-finite (int |a|^2 "
+                f"{energy:.3e}, int |Da|^2 {dirichlet:.3e})")
     except NonFiniteFieldError as exc:
         raise SolverFailure(f"initial datum: {exc}", step=0) from exc
 

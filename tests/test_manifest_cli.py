@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from dnsflow import BoundaryCondition, InterpOrder, SolvePath
+from dnsflow import BoundaryCondition, GridSpec, InterpOrder, SolvePath
 from dnsflow import analysis, bench, cli, scheme, snapshot
 from dnsflow.cli import _ladder_configs, main
 from dnsflow.fields import VelocityField, divergence
@@ -18,6 +18,7 @@ from dnsflow.manifest import (
 from dnsflow.scheme import Trajectory, run
 
 from conftest import (
+    exactly_solenoidal_box_field,
     failing_cg,
     leaky_stokes,
     random_velocity,
@@ -227,20 +228,29 @@ def _divergence_check(man, trajs):
                 if check[0] == "divergence_free_steps")
 
 
+def _divergence_detail(div, snap, h, n):
+    return (f"max_divergence={div:.3e} bound={scheme.div_free_bound(snap):.3e}"
+            f" h={h:g} n={n}")
+
+
 def test_verify_divergence_check_reads_step_records(torus_ladder,
                                                     monkeypatch):
     man, trajs = torus_ladder
-    recomputed = max(float(np.max(np.abs(divergence(snap).data)))
-                     for traj in trajs for snap in traj.snapshots[1:])
-    assert recomputed == max(r.max_divergence
-                             for traj in trajs for r in traj.results)
+    snaps = [(float(np.max(np.abs(divergence(snap).data))), snap,
+              traj.cfg.h, n)
+             for traj in trajs
+             for n, snap in enumerate(traj.snapshots[1:], start=1)]
+    assert [s[0] for s in snaps] == [r.max_divergence
+                                     for traj in trajs for r in traj.results]
     calls = []
-    monkeypatch.setattr(analysis, "divergence",
+    monkeypatch.setattr(scheme, "divergence",
                         lambda v: calls.append(v) or divergence(v))
     _, ok, detail = _divergence_check(man, trajs)
     assert calls == []
     assert ok
-    assert detail == f"max_divergence={recomputed:.3e} bound=1e-10"
+    # the snapshot whose divergence is largest against its bound
+    worst = max(snaps, key=lambda s: s[0] / scheme.div_free_bound(s[1]))
+    assert detail == _divergence_detail(*worst)
 
 
 def test_verify_divergence_check_fails_on_edited_snapshot(torus_ladder):
@@ -254,7 +264,27 @@ def test_verify_divergence_check_fails_on_edited_snapshot(torus_ladder):
     assert bad_div > 1e-3
     _, ok, detail = _divergence_check(man, [edited, *trajs[1:]])
     assert not ok
-    assert detail == f"max_divergence={bad_div:.3e} bound=1e-10"
+    assert detail == _divergence_detail(bad_div, bad, first.cfg.h, 1)
+
+
+def test_verify_certifies_divergence_relative_to_field(tmp_path):
+    # a Taylor-Green datum of amplitude 1e6 on a 64^2 torus: every step
+    # passes run's bound, which scales with max |v| / dx, while its
+    # roundoff divergence (~3e-9) lies above the fixed DIV_FREE_BOUND
+    cfg = (BASE_CFG.replace("cells = 16", "cells = 64")
+           .replace("t = 0.2", "t = 0.1")
+           .replace("amplitude = 1.0", "amplitude = 1e6")
+           .replace("h = 0.1, 0.05, 0.025", "h = 0.025, 0.0125"))
+    out = tmp_path / "verify"
+    # the flow is far outside the regime of the h-stability and halving
+    # checks, which fail (exit 1); no step fails (exit 3)
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    line = next(l for l in (out / "verify.txt").read_text().splitlines()
+                if l.startswith("divergence_free_steps"))
+    assert line.startswith("divergence_free_steps: PASS")
+    div = float(line.split("max_divergence=")[1].split()[0])
+    assert div > scheme.DIV_FREE_BOUND[BoundaryCondition.PERIODIC]
 
 
 def test_cli_run_random_datum_seeded(tmp_path):
@@ -455,17 +485,49 @@ def test_cli_verify_pairs_each_rung_with_its_own_horizon(tmp_path):
     assert "weak_residual_decreases: PASS" in (out / "verify.txt").read_text()
 
 
-def test_cli_energy_overflow_exits_3_with_step(tmp_path, capsys):
-    # samples near 1e160 are finite, their squares in the energy terms not
-    cfg = (BASE_CFG.replace("t = 0.2", "t = 0.1")
+@pytest.mark.parametrize("extent, h, amplitude, step, reason", [
+    # samples near 1e160 are finite, the datum's energies not
+    ("6.283185307179586", "0.05", "1e160", 0, "energies are non-finite"),
+    # on a wide torus int |a|^2 (~2e305) and int |Da|^2 are finite, but
+    # the back-traced field is scrambled and int |v - w|^2 / 2h overflows
+    ("1000.0", "1e-6", "1e150", 1, "energy terms are non-finite"),
+], ids=["datum", "step"])
+def test_cli_energy_overflow_exits_3_with_step(tmp_path, capsys, extent, h,
+                                               amplitude, step, reason):
+    # run reads no [ladder]; without it the rung h need not divide t
+    cfg = (BASE_CFG.split("[ladder]")[0]
+           .replace("bc = periodic", f"bc = periodic\nextent = {extent}")
+           .replace("h = 0.05\n", f"h = {h}\n")
+           .replace("t = 0.2", f"t = {2 * float(h)!r}")
            .replace("kind = taylor_green", "kind = random_solenoidal")
-           .replace("amplitude = 1.0", "amplitude = 1e160"))
+           .replace("amplitude = 1.0", f"amplitude = {amplitude}"))
     out = tmp_path / "out"
     code = main(["run", "--config", _write_cfg(tmp_path, cfg),
                  "--out", str(out)])
     assert code == 3
-    line = _assert_one_line_reason(capsys, "solver failure: step 1: ")
-    assert "energy terms are non-finite" in line
+    line = _assert_one_line_reason(capsys, f"solver failure: step {step}: ")
+    assert reason in line
+    assert not (out / "report.txt").exists()
+
+
+@pytest.mark.parametrize("exponent", [990, 503])
+def test_cli_datum_energy_overflow_exits_3_at_step_0(tmp_path, capsys,
+                                                     exponent):
+    # an exactly solenoidal snapshot needs no projection, but its
+    # int |Da|^2 (and at 2^990 its int |a|^2) overflows
+    grid = GridSpec(16, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
+    datum = tmp_path / "datum.vtk"
+    snapshot.write_vtk(datum, exactly_solenoidal_box_field(grid, 3,
+                                                           2.0 ** exponent))
+    cfg = (BOX_CFG.replace("bc = dirichlet", "bc = dirichlet\nextent = 1.0")
+           .replace("kind = random_solenoidal",
+                    f"kind = snapshot\nfile = {datum}"))
+    out = tmp_path / "out"
+    code = main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out)])
+    assert code == 3
+    line = _assert_one_line_reason(capsys, "solver failure: step 0: ")
+    assert "the datum's energies are non-finite" in line
     assert not (out / "report.txt").exists()
 
 
@@ -478,7 +540,9 @@ def test_cli_taylor_green_amplitude_overflow_exits_2(tmp_path, capsys):
     assert "amplitude" in line
 
 
-@pytest.mark.parametrize("amplitude, step", [("1e306", 0), ("1e305", 1)])
+# both fail on the datum: at 1e306 a sample of the generated field
+# overflows, at 1e305 its energies do
+@pytest.mark.parametrize("amplitude, step", [("1e306", 0), ("1e305", 0)])
 def test_cli_non_finite_field_exits_3_with_step(tmp_path, capsys, amplitude,
                                                 step):
     cfg = (BASE_CFG.replace("cells = 16", "cells = 32")
@@ -545,7 +609,8 @@ def test_cli_overflow_reports_in_one_line(tmp_path, capsys, command, kind,
     code = main([command, "--config", _write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "out")])
     assert code == 3
-    _assert_one_line_reason(capsys, "solver failure: step 1: ")
+    # the first rung's datum already has energies that overflow
+    _assert_one_line_reason(capsys, "solver failure: step 0: ")
 
 
 @pytest.mark.parametrize("section, line, key", [

@@ -69,6 +69,11 @@ def test_traced_child_finds_every_layer_hook(tmp_path, command, config,
     spans = _traced(tmp_path, command, config)
     assert {ledger, "scheme.backtrace", "projection.solve_implicit_stokes",
             "interpolate.sample_offgrid"} <= {s["name"] for s in spans}
+    if command == "run":
+        # run projects the box datum once, through the scheme module's
+        # binding, which projection.leray_s and leray_calls read
+        assert sum(s["name"] == "projection.leray_project"
+                   for s in spans) == 1
     if command == "verify":
         # the traced child wraps both by name: a verify that stopped
         # calling them would leave their per-layer metrics empty

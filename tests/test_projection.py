@@ -15,8 +15,10 @@ from dnsflow import (
     DnsConfig,
     GridSpec,
     ScalarField,
+    SolvePath,
     VelocityField,
     divergence,
+    dns_step,
     grad_norm_sq,
     gradient,
     inner_product_l2,
@@ -28,7 +30,7 @@ from dnsflow import (
     stream_bump_field,
     taylor_green_field,
 )
-from dnsflow import projection
+from dnsflow import projection, scheme
 from dnsflow.fields import (
     NonFiniteFieldError,
     _fd_laplacian,
@@ -247,17 +249,57 @@ def _torus_datum(spec, kind):
 def test_torus_solves_match_old_kit_bitwise(n, kind):
     spec = GridSpec(n)
     w = _torus_datum(spec, kind)
-    new, old = projection._leray_periodic(w), _old_leray_periodic(w)
-    assert new.solenoidal.data.tobytes() == old.solenoidal.data.tobytes()
+    new, old = leray_project(w), _old_leray_periodic(w)
+    # the old projection subtracted the gradient in physical space, the
+    # Stokes solve at (1, 0) in Fourier space: the solenoidal parts
+    # differ at roundoff (measured <= 7.8e-16 max |u| at 16^2 to 256^2),
+    # the potentials not at all
+    gap = np.max(np.abs(new.solenoidal.data - old.solenoidal.data))
+    assert gap <= 1e-15 * np.max(np.abs(w.data))
     assert new.potential.data.tobytes() == old.potential.data.tobytes()
     for h in (0.0125, 0.1):
         for nu in (1.0, 0.25):
-            v, p, info = projection._stokes_periodic(w, h, nu)
+            v, p, info = solve_implicit_stokes(w, h, nu)
             v0, p0, info0 = _old_stokes_periodic(w, h, nu)
             assert v.data.tobytes() == v0.data.tobytes()
             assert p.data.tobytes() == p0.data.tobytes()
             assert info.momentum_residual == info0.momentum_residual
             assert info.max_divergence == info0.max_divergence
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_oracle_step_bounded_against_old_torus_leray(n, monkeypatch):
+    # the direct-minimize step projects every CG direction; with the old
+    # physical-space projection patched in it moves at roundoff
+    # (measured: v <= 4.8e-16, p <= 2.8e-14 relative)
+    spec = GridSpec(n)
+    a = random_solenoidal_field(spec, seed=5)
+    cfg = DnsConfig(h=0.0125, T=0.0125, grid=spec,
+                    path=SolvePath.DIRECT_MINIMIZE)
+    new = dns_step(a, cfg)
+    monkeypatch.setattr(scheme, "leray_project", _old_leray_periodic)
+    old = dns_step(a, cfg)
+    assert _rel(new.v.data, old.v.data) <= 5e-15
+    assert _rel(new.p.data, old.p.data) <= 5e-13
+
+
+LERAY_GRIDS = [GridSpec(16), GridSpec(64),
+               GridSpec(16, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO),
+               GridSpec((9, 13), extent=(9.0, 13.0),
+                        bc=BoundaryCondition.DIRICHLET_ZERO),
+               GridSpec((8, 11), extent=(8.0, 11.0),
+                        bc=BoundaryCondition.DIRICHLET_ZERO)]
+
+
+@pytest.mark.parametrize("spec", LERAY_GRIDS,
+                         ids=["torus16", "torus64", "box16", "box9x13",
+                              "box8x11"])
+def test_leray_is_the_stokes_solve_at_unit_step_and_zero_viscosity(spec):
+    u = random_pinned_velocity(spec, 11)
+    parts = leray_project(u)
+    v, p, _ = solve_implicit_stokes(u, 1.0, 0.0)
+    assert parts.solenoidal.data.tobytes() == v.data.tobytes()
+    assert parts.potential.data.tobytes() == p.data.tobytes()
 
 
 @settings(max_examples=10, deadline=None)

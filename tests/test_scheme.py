@@ -552,7 +552,7 @@ def test_run_wraps_minimizer_failure_with_step_index(dirichlet32, monkeypatch,
 
 @pytest.mark.parametrize("amplitude, reason", [
     # the projection is exact, but the energy of what it returns overflows
-    (1e300, "the projected datum's energy is non-finite"),
+    (1e300, "the datum's energies are non-finite"),
     # max |a| / dx overflows, so the datum's divergence has no bound
     (1e307, "max |v| / dx is non-finite"),
 ])
@@ -565,6 +565,23 @@ def test_run_wraps_initial_overflow_with_step_0(amplitude, reason):
     assert err.value.step == 0
     assert isinstance(err.value.__cause__, NonFiniteFieldError)
     assert reason in str(err.value)
+
+
+@pytest.mark.parametrize("exponent", [990, 503])
+def test_run_checks_unprojected_datum_energies_at_step_0(exponent):
+    # an exactly solenoidal datum passes the gate unprojected; at 2^990
+    # int |a|^2 and int |Da|^2 both overflow, at 2^503 only int |Da|^2
+    # (int |a|^2 = 3.06e306). Its back-trace leaves the box, so each step
+    # would return v = 0 and the run would end with an infinite bound
+    spec = GridSpec(16, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
+    a = exactly_solenoidal_box_field(spec, 3, 2.0 ** exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert scheme._max_div(a) <= scheme.div_free_bound(a)
+        with pytest.raises(SolverFailure) as err:
+            run(a, DnsConfig(h=0.0125, T=0.05, grid=spec))
+    assert err.value.step == 0
+    assert isinstance(err.value.__cause__, NonFiniteFieldError)
+    assert "the datum's energies are non-finite" in str(err.value)
 
 
 def test_run_fails_uncertifiable_projection_at_step_0(dirichlet32,
