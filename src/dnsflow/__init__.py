@@ -21,7 +21,9 @@ from .fields import (
 from .interpolate import InterpOrder, sample_offgrid
 from .projection import leray_project, solve_implicit_stokes
 from .scheme import (
+    CollectingSink,
     DnsConfig,
+    RunSummary,
     SolvePath,
     SolverFailure,
     backtrace,

@@ -1,15 +1,18 @@
 """Executable checks for the scheme's energy and weak-form statements.
 
-Everything here is read-only over completed trajectories: the per-step
-energy inequality and its cumulative exponential bound, the gradient
-scaling monitor, the material-derivative quadrature identity, the
-largest step increment (the gap between the piecewise-constant and
-piecewise-linear time interpolants) and the discrete weak-form
-residual.
+Everything here is read-only over completed runs: the per-step energy
+inequality and its cumulative exponential bound, the gradient scaling
+monitor, the material-derivative quadrature identity, the largest step
+increment (the gap between the piecewise-constant and piecewise-linear
+time interpolants) and the discrete weak-form residual.
 
-The energy ledger reuses each step's own record (its shifted kinetic
-and Dirichlet terms) while both snapshots the step touches are the
-run's own fields, and recomputes them from the stored snapshots
+A ledger row needs only its step's record: the shifted kinetic and
+Dirichlet terms and int |v_n - v_{n-1}|^2. ``ledger_from_results``
+builds the ledger from a :class:`RunSummary`'s records alone.
+``build_energy_ledger`` and ``max_step_increment`` take a collected
+:class:`Trajectory`; they reuse each step's record while both snapshots
+the step touches are the run's own fields, and the run's int |Dv_0|^2
+while snapshot 0 is its own, and recompute from the stored snapshots
 otherwise, so a snapshot edited after the run is still checked.
 
 Weak-form test functions are separable, phi = eta(t) curl psi(x): a
@@ -38,14 +41,15 @@ from .fields import (
     GridSpec,
     NonFiniteFieldError,
     advection_term,
+    distance_sq,
     grad_max_norm,
     grad_norm_sq,
-    inner_product_l2,
-    norm_l2,
     quadrature_weights,
     velocity_jacobian,
 )
 from .scheme import (
+    RunSummary,
+    StepRecord,
     Trajectory,
     _max_div,
     backtrace,
@@ -89,31 +93,13 @@ def _fitted_c(kinetic_plain: float, dirichlet: float,
     return 0.0
 
 
-def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
-    """The energy ledger of a trajectory, one row per step.
-
-    A step's shifted kinetic and Dirichlet terms come from its own record
-    while both snapshots the step touches are the run's own fields
-    (:meth:`Trajectory.step_record`). Otherwise they are recomputed from
-    the stored snapshots, back-trace included, so an edit made after the
-    run, such as an injected fault, reaches the ledger. A record holds
-    the same function of the same fields, so either way a row is the
-    same to the bit. The plain kinetic term is always taken between the
-    stored snapshots.
-    """
-    h, order = traj.cfg.h, traj.cfg.interp_order
-    snaps = traj.snapshots
+def _ledger(h: float, initial_dirichlet: float, terms) -> EnergyLedger:
+    """Rows from each step's (kinetic_shifted, increment_sq, dirichlet),
+    in step order: the one row builder of both public ledger names."""
     rows = []
-    initial = dirichlet_prev = grad_norm_sq(snaps[0])
-    for n in range(1, len(snaps)):
-        v, v_prev = snaps[n], snaps[n - 1]
-        record = traj.step_record(n)
-        if record is not None:
-            kin_s, dirichlet = record.kinetic_shifted, record.dirichlet
-        else:
-            kin_s, dirichlet = energy_terms(v, backtrace(v_prev, h, order), h)
-        dp = v - v_prev
-        kin_p = inner_product_l2(dp, dp) / (2.0 * h)
+    dirichlet_prev = initial_dirichlet
+    for n, (kin_s, increment_sq, dirichlet) in enumerate(terms, start=1):
+        kin_p = increment_sq / (2.0 * h)
         c = _fitted_c(kin_p, dirichlet, dirichlet_prev)
         if math.isfinite(c):
             c = c / h
@@ -121,13 +107,49 @@ def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
                               kinetic_plain=kin_p, dirichlet=dirichlet,
                               dirichlet_prev=dirichlet_prev, fitted_c=c))
         dirichlet_prev = dirichlet
-    return EnergyLedger(tuple(rows), initial)
+    return EnergyLedger(tuple(rows), initial_dirichlet)
 
 
-# a second public name for the one builder: ``cli.cmd_run`` and
-# ``bench.convergence_study`` call it by this name, and the benchmark's
-# traced child wraps both names
-ledger_from_results = build_energy_ledger
+def _record_terms(record: StepRecord) -> tuple[float, float, float]:
+    return record.kinetic_shifted, record.increment_sq, record.dirichlet
+
+
+def ledger_from_results(summary: RunSummary) -> EnergyLedger:
+    """The energy ledger of a run from its step records alone: ``cmd_run``
+    and ``bench.convergence_study`` build it this way, with no field of
+    any step but the two the summary holds."""
+    return _ledger(summary.cfg.h, summary.initial_dirichlet,
+                   map(_record_terms, summary.records))
+
+
+def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
+    """The energy ledger of a trajectory, one row per step.
+
+    A step's terms come from its own record while both snapshots the
+    step touches are the run's own fields (:meth:`Trajectory.step_record`),
+    and int |Dv_0|^2 from the run while snapshot 0 is its own datum
+    (:meth:`Trajectory.datum_dirichlet`). Otherwise they are recomputed
+    from the stored snapshots, back-trace included, so an edit made after
+    the run, such as an injected fault, reaches the ledger. A record
+    holds the same function of the same fields, so either way a row is
+    the same to the bit, and equals :func:`ledger_from_results` of the
+    run's summary.
+    """
+    h, order = traj.cfg.h, traj.cfg.interp_order
+    snaps = traj.snapshots
+
+    def terms(n: int) -> tuple[float, float, float]:
+        record = traj.step_record(n)
+        if record is not None:
+            return _record_terms(record)
+        v, v_prev = snaps[n], snaps[n - 1]
+        kin_s, dirichlet = energy_terms(v, backtrace(v_prev, h, order), h)
+        return kin_s, distance_sq(v, v_prev), dirichlet
+
+    initial = traj.datum_dirichlet()
+    if initial is None:
+        initial = grad_norm_sq(snaps[0])
+    return _ledger(h, initial, map(terms, range(1, len(snaps))))
 
 
 def ledger_to_csv(ledger: EnergyLedger) -> str:
@@ -337,11 +359,23 @@ def material_derivative_identity(field: AnalyticVectorField, h: float,
 # time increments
 
 def max_step_increment(traj: Trajectory) -> float:
-    """max_n |v_n - v_{n-1}|_L2, the gap between the two interpolants."""
-    return max(
-        norm_l2(traj.snapshots[n] - traj.snapshots[n - 1])
-        for n in range(1, len(traj.snapshots))
-    )
+    """max_n |v_n - v_{n-1}|_L2, the gap between the two interpolants.
+
+    A step's record holds int |v_n - v_{n-1}|^2: it is read while the
+    step's snapshots are the run's own (:meth:`Trajectory.step_record`),
+    and recomputed from the snapshots otherwise, as the energy ledger
+    does; either way the same sum, to the bit, that ``norm_l2`` takes.
+    """
+    snaps = traj.snapshots
+
+    def increment_sq(n: int) -> float:
+        record = traj.step_record(n)
+        if record is not None:
+            return record.increment_sq
+        return distance_sq(snaps[n], snaps[n - 1])
+
+    return max(math.sqrt(max(increment_sq(n), 0.0))
+               for n in range(1, len(snaps)))
 
 
 def divergence_by_snapshot(traj: Trajectory) -> list[tuple[float, float]]:

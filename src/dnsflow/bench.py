@@ -233,12 +233,12 @@ class ConvergenceTable:
 def _run_rung(cfg: DnsConfig, oracle: TaylorGreenOracle) -> ConvergenceRow:
     a, _ = taylor_green_field(0.0, cfg.grid, oracle)
     start = time.perf_counter()
-    traj = run(a, cfg)
+    summary = run(a, cfg)
     runtime = time.perf_counter() - start
-    t_cmp = traj.final_time
+    t_cmp = summary.final_time
     exact, _ = taylor_green_field(t_cmp, cfg.grid, oracle)
-    err = norm_l2(traj.snapshots[-1] - exact)
-    max_c = check_step_inequality(ledger_from_results(traj)).max_fitted_c
+    err = norm_l2(summary.final - exact)
+    max_c = check_step_inequality(ledger_from_results(summary)).max_fitted_c
     return ConvergenceRow(h=cfg.h, cells=cfg.grid.cells[0], l2_error=err,
                           order=None, max_fitted_c=max_c, runtime_s=runtime,
                           compare_time=t_cmp)

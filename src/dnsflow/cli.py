@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage, config or I/O
 error, 3 solver failure.
+
+``run`` writes each snapshot from a sink and builds its ledger and
+report from the step records, so it keeps no step's fields; ``verify``
+collects every rung's fields, which its checks read.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .fields import (
     norm_l2,
 )
 from .manifest import ConfigError, RunManifest, load_manifest
-from .scheme import DnsConfig, SolverFailure, Trajectory, run
+from .scheme import CollectingSink, DnsConfig, SolverFailure, Trajectory, run
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -99,20 +103,21 @@ def cmd_run(man: RunManifest) -> int:
             snapshot.write_vtk(out / f"snapshot_{n}.vtk", result.v, result.p)
 
     snapshot.write_vtk(out / "snapshot_0.vtk", a)
-    traj = run(a, cfg, sinks=[snapshot_sink])
+    summary = run(a, cfg, sinks=[snapshot_sink])
+    records = summary.records
 
-    ledger = analysis.ledger_from_results(traj)
+    ledger = analysis.ledger_from_results(summary)
     (out / "ledger.csv").write_text(analysis.ledger_to_csv(ledger))
 
     report = [
         f"steps = {cfg.n_steps}",
-        f"final_time = {traj.final_time:.17g}",
-        f"projected_initial = {traj.projected_initial}",
-        f"max_divergence = {max(r.max_divergence for r in traj.results):.6e}",
-        f"max_el_residual = {max(r.el_residual for r in traj.results):.6e}",
+        f"final_time = {summary.final_time:.17g}",
+        f"projected_initial = {summary.projected_initial}",
+        f"max_divergence = {max(r.max_divergence for r in records):.6e}",
+        f"max_el_residual = {max(r.el_residual for r in records):.6e}",
     ]
     step_rep = analysis.check_step_inequality(ledger)
-    cum = analysis.check_cumulative_estimate(ledger, traj.final_time)
+    cum = analysis.check_cumulative_estimate(ledger, summary.final_time)
     report += [
         f"step_inequality_holds = {step_rep.all_hold}",
         f"max_fitted_c = {step_rep.max_fitted_c:.6e}",
@@ -121,15 +126,15 @@ def cmd_run(man: RunManifest) -> int:
         f"cumulative_lhs = {cum.max_lhs:.6e}",
     ]
     if man.initial.kind == "taylor_green":
-        exact, _ = bench.taylor_green_field(traj.final_time, cfg.grid,
+        exact, _ = bench.taylor_green_field(summary.final_time, cfg.grid,
                                             _oracle(man))
         report.append(
-            f"l2_error_vs_oracle = {norm_l2(traj.snapshots[-1] - exact):.6e}")
-        if not math.isclose(traj.final_time, cfg.T, rel_tol=1e-12):
-            report.append(f"comparison_time = {traj.final_time:.17g} "
+            f"l2_error_vs_oracle = {norm_l2(summary.final - exact):.6e}")
+        if not math.isclose(summary.final_time, cfg.T, rel_tol=1e-12):
+            report.append(f"comparison_time = {summary.final_time:.17g} "
                           "(T/h not integral; floor(T/h) steps taken)")
     if cfg.cross_check:
-        gap = max(r.path_disagreement for r in traj.results)
+        gap = max(r.path_disagreement for r in records)
         report.append(f"max_path_disagreement = {gap:.6e}")
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
@@ -234,7 +239,11 @@ def cmd_verify(man: RunManifest, inject_fault: int | None = None) -> int:
     out = Path(man.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     a = _build_initial(man)
-    trajs = [run(a, cfg) for cfg in configs]
+    # the checks below read every step's fields, so each rung keeps them
+    trajs = []
+    for cfg in configs:
+        sink = CollectingSink()
+        trajs.append(sink.trajectory(run(a, cfg, sinks=[sink])))
     if inject_fault is not None:
         traj = trajs[0]
         if not 0 <= inject_fault < len(traj.snapshots):

@@ -9,13 +9,20 @@ Euler-Lagrange linear solve (production path, an implicit Stokes system
 for the back-traced field) and direct minimization by conjugate
 gradients on divergence-free fields (oracle path). The functional is
 convex, so the two must agree; a cross-check mode measures their gap.
+
+``run`` streams: each step's :class:`StepResult` (its scalars plus v, p
+and the back-traced w) goes to the caller's sinks and is dropped, and
+the run keeps one :class:`StepRecord` per step, the datum it stepped
+from and the final field (:class:`RunSummary`). A caller that reads
+every step's fields after the run passes a :class:`CollectingSink`,
+which rebuilds the :class:`Trajectory`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +32,7 @@ from .fields import (
     NonFiniteFieldError,
     ScalarField,
     VelocityField,
+    distance_sq,
     divergence,
     grad_norm_sq,
     inner_product_l2,
@@ -115,11 +123,13 @@ class DnsConfig:
 
 
 @dataclass(frozen=True)
-class StepResult:
-    """One step's fields and diagnostics.
+class StepRecord:
+    """One step's scalars: all that its ledger row, the run report and
+    the divergence check read.
 
     ``kinetic_shifted`` and ``dirichlet`` are :func:`energy_terms` at v;
-    ``max_divergence`` is max |div v|.
+    ``increment_sq`` is int |v - v_prev|^2, whose / 2h is the ledger's
+    plain kinetic term; ``max_divergence`` is max |div v|.
 
     ``el_residual`` is the norm of the solenoidal part of (v - w)/h -
     nu lap(v) on the direct-minimize path (from the split that gives p).
@@ -128,29 +138,75 @@ class StepResult:
     former: the Leray projector is orthogonal and removes grad(p).
     """
 
-    v: VelocityField
-    p: ScalarField
-    w: VelocityField
     kinetic_shifted: float
     dirichlet: float
+    increment_sq: float
     functional_value: float
     el_residual: float
     max_divergence: float
     path_disagreement: float | None = None
 
 
+@dataclass(frozen=True, kw_only=True)
+class StepResult(StepRecord):
+    """One step's record and fields: v, its pressure p and the
+    back-traced w. :func:`run` hands each to its sinks and keeps only
+    :meth:`record`."""
+
+    v: VelocityField
+    p: ScalarField
+    w: VelocityField
+
+    def record(self) -> StepRecord:
+        """The step's scalars, without its fields."""
+        return StepRecord(**{f.name: getattr(self, f.name)
+                             for f in fields(StepRecord)})
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """What :func:`run` keeps: one :class:`StepRecord` per step, the
+    datum it stepped from (after any projection) with its int |Da|^2,
+    and the final field. Every step's fields went to the sinks only; a
+    :class:`CollectingSink` keeps them."""
+
+    cfg: DnsConfig
+    initial: VelocityField
+    initial_dirichlet: float
+    final: VelocityField
+    records: tuple[StepRecord, ...]
+    projected_initial: bool = False
+
+    # perfbench's traced child counts the bytes a run keeps from the
+    # fields in ``snapshots`` and in ``results``: v_0 and v_N, no
+    # StepResult
+    results = ()
+
+    @property
+    def snapshots(self) -> list[VelocityField]:
+        return [self.initial, self.final]
+
+    @property
+    def final_time(self) -> float:
+        return self.cfg.n_steps * self.cfg.h
+
+
 @dataclass
 class Trajectory:
-    """The produced sequence v_0 ... v_{N_T} plus per-step records.
+    """The produced sequence v_0 ... v_{N_T} plus per-step results, as a
+    :class:`CollectingSink` rebuilds it.
 
     Snapshot 0 as held at construction is remembered, so that
-    :meth:`step_record` can tell the run's own fields from later edits.
+    :meth:`step_record` and :meth:`datum_dirichlet` can tell the run's
+    own fields from later edits. ``initial_dirichlet`` is the run's
+    int |Dv_0|^2, None where no run computed it.
     """
 
     cfg: DnsConfig
     snapshots: list[VelocityField]
     results: list[StepResult]
     projected_initial: bool = False
+    initial_dirichlet: float | None = None
     _initial: VelocityField | None = field(init=False, repr=False,
                                            compare=False)
 
@@ -177,6 +233,13 @@ class Trajectory:
             return record
         return None
 
+    def datum_dirichlet(self) -> float | None:
+        """The run's int |Dv_0|^2 while snapshot 0 is the field held at
+        construction, else None (the identity rule of step_record)."""
+        if self.snapshots and self.snapshots[0] is self._initial:
+            return self.initial_dirichlet
+        return None
+
     @property
     def times(self) -> np.ndarray:
         return np.arange(len(self.snapshots)) * self.cfg.h
@@ -188,6 +251,28 @@ class Trajectory:
     def replace_snapshot(self, n: int, v: VelocityField) -> None:
         """Test hook: overwrite a stored snapshot (fault injection)."""
         self.snapshots[n] = v
+
+
+class CollectingSink:
+    """A :func:`run` sink that keeps every StepResult, for callers that
+    read every step's fields after the run: ``verify``'s checks and
+    tests. :meth:`trajectory` rebuilds the run's Trajectory."""
+
+    def __init__(self):
+        self.results: list[StepResult] = []
+
+    def __call__(self, n: int, result: StepResult) -> None:
+        self.results.append(result)
+
+    def trajectory(self, summary: RunSummary) -> Trajectory:
+        """The Trajectory of the run that returned ``summary`` and fed
+        this sink."""
+        return Trajectory(cfg=summary.cfg,
+                          snapshots=[summary.initial]
+                          + [r.v for r in self.results],
+                          results=self.results,
+                          projected_initial=summary.projected_initial,
+                          initial_dirichlet=summary.initial_dirichlet)
 
 
 def backtrace(v_prev: VelocityField, h: float,
@@ -222,10 +307,9 @@ def energy_terms(v: VelocityField, w: VelocityField, h: float,
     kinetic term int |v - w|^2 / 2h and the Dirichlet energy int |Dv|^2.
     ``dirichlet`` is v's Dirichlet energy where the caller already holds
     it (computed here if None)."""
-    d = v - w
     if dirichlet is None:
         dirichlet = grad_norm_sq(v)
-    return inner_product_l2(d, d) / (2.0 * h), dirichlet
+    return distance_sq(v, w) / (2.0 * h), dirichlet
 
 
 def _cg(apply_a, b, x0, max_iters, rel_tol):
@@ -339,6 +423,7 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
         v=v, p=p, w=w,
         kinetic_shifted=kinetic,
         dirichlet=dirichlet,
+        increment_sq=distance_sq(v, v_prev),
         functional_value=kinetic + 0.5 * cfg.nu * dirichlet,
         el_residual=el_res,
         max_divergence=max_div,
@@ -346,17 +431,20 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
     )
 
 
-def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
+def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> RunSummary:
     """Iterate dns_step from the initial datum a.
 
     If max |div a| exceeds ``div_free_bound(a)``, a is projected once
-    and the fact is recorded on the trajectory; the projected datum must
+    and the fact is recorded on the summary; the projected datum must
     then be within its bound, as a step's v must. The datum, projected
     or not, must have a finite int |a|^2 and int |Da|^2. Each StepResult
-    is streamed to the sinks as ``sink(step_index, result)``. Solver
-    failures, and fields or step energy terms that overflow to
-    non-finite values, are raised as SolverFailure carrying the step
-    index (0 for the initial datum and its projection).
+    is streamed to the sinks as ``sink(step_index, result)`` and then
+    dropped: the run keeps each step's :class:`StepRecord`, the datum it
+    stepped from and the final field (:class:`RunSummary`), so its
+    memory does not grow with the step count. Solver failures, and
+    fields or step energy terms that overflow to non-finite values, are
+    raised as SolverFailure carrying the step index (0 for the initial
+    datum and its projection).
     """
     if a.spec != cfg.grid:
         raise ValueError("initial datum grid does not match the config")
@@ -370,7 +458,7 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
                 raise SolverFailure(
                     f"initial projection leaves max divergence "
                     f"{max_div:.3e} above its bound {bound:.3e}", step=0)
-        # the two energies of the datum that the ledger reads
+        # the two energies of the datum; the ledger reads the second
         energy, dirichlet = inner_product_l2(a, a), grad_norm_sq(a)
         if not (math.isfinite(energy) and math.isfinite(dirichlet)):
             raise NonFiniteFieldError(
@@ -379,17 +467,19 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> Trajectory:
     except NonFiniteFieldError as exc:
         raise SolverFailure(f"initial datum: {exc}", step=0) from exc
 
-    traj = Trajectory(cfg=cfg, snapshots=[a], results=[],
-                      projected_initial=projected)
+    records = []
     v = a
     for n in range(1, cfg.n_steps + 1):
         try:
             result = dns_step(v, cfg)
         except (SolverFailure, NonFiniteFieldError) as exc:
             raise SolverFailure(str(exc), step=n) from exc
-        traj.snapshots.append(result.v)
-        traj.results.append(result)
+        records.append(result.record())
         for sink in sinks:
             sink(n, result)
         v = result.v
-    return traj
+        # drop the step's p and w before the next step builds its own
+        del result
+    return RunSummary(cfg=cfg, initial=a, initial_dirichlet=dirichlet,
+                      final=v, records=tuple(records),
+                      projected_initial=projected)

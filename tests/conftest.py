@@ -17,6 +17,7 @@ from dnsflow import (
     run,
 )
 from dnsflow import scheme
+from dnsflow.scheme import CollectingSink, Trajectory
 
 _real_cg = scheme._cg
 _real_stokes = scheme.solve_implicit_stokes
@@ -41,6 +42,13 @@ SMALL_RUN_CASES = [(bc, path, order) for bc in BoundaryCondition
                    for path in SolvePath for order in InterpOrder]
 
 
+def collected_run(a: VelocityField, cfg: DnsConfig) -> Trajectory:
+    """run with a collecting sink: the Trajectory of every step's fields,
+    for tests that read them after the run."""
+    sink = CollectingSink()
+    return sink.trajectory(run(a, cfg, sinks=[sink]))
+
+
 @pytest.fixture(scope="session", params=SMALL_RUN_CASES,
                 ids=lambda case: "-".join(e.value for e in case))
 def small_run(request):
@@ -50,7 +58,7 @@ def small_run(request):
     spec = GridSpec(16, bc=bc)
     cfg = DnsConfig(h=0.0125, T=0.05, grid=spec, interp_order=order,
                     path=path, nu=0.7, minimizer_tol=1e-8)
-    return run(random_solenoidal_field(spec, seed=17), cfg)
+    return collected_run(random_solenoidal_field(spec, seed=17), cfg)
 
 
 def random_scalar(spec: GridSpec, seed: int, k_max: int = 5) -> ScalarField:

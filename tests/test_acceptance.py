@@ -33,13 +33,14 @@ from dnsflow import (
     monitor_assumption_a,
     norm_l2,
     random_solenoidal_field,
-    run,
     stream_bump_field,
     stable_within_factor,
     taylor_green_field,
     weak_residual,
 )
 from dnsflow.cli import main
+
+from conftest import collected_run
 
 LADDER_HS = (1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0)
 T_FINAL = 0.5
@@ -62,7 +63,7 @@ def tg_ladder():
     for h in LADDER_HS:
         cfg = DnsConfig(h=h, T=T_FINAL, grid=GRID64,
                         interp_order=InterpOrder.CUBIC)
-        trajs.append(run(a, cfg))
+        trajs.append(collected_run(a, cfg))
     elapsed = time.perf_counter() - start
     ledgers = [build_energy_ledger(t) for t in trajs]
     return trajs, ledgers, elapsed
@@ -74,7 +75,7 @@ def dirichlet_run():
     a = stream_bump_field(spec)
     cfg = DnsConfig(h=1.0 / 80.0, T=T_FINAL, grid=spec)
     start = time.perf_counter()
-    traj = run(a, cfg)
+    traj = collected_run(a, cfg)
     return traj, time.perf_counter() - start
 
 
@@ -166,8 +167,9 @@ def test_criterion_6_discrete_weak_form(tg_ladder):
             decreasing = decreasing and (b < a)
     oracle = TaylorGreenOracle(amplitude=1e-6)
     heat_a, _ = taylor_green_field(0.0, GRID64, oracle)
-    heat = run(heat_a, DnsConfig(h=1.0 / 160.0, T=T_FINAL, grid=GRID64,
-                                 interp_order=InterpOrder.CUBIC))
+    heat = collected_run(heat_a, DnsConfig(h=1.0 / 160.0, T=T_FINAL,
+                                           grid=GRID64,
+                                           interp_order=InterpOrder.CUBIC))
     heat_res = max(abs(rep.linear_residual)
                    for rep in weak_residual(heat, phis))
     _report("criterion 6 discrete weak form",
@@ -196,7 +198,7 @@ def test_criterion_8_gradient_scaling_monitor(tg_ladder):
     a = random_solenoidal_field(GRID64, seed=2718, k_min=8, k_max=16)
     for h in (1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0):
         cfg = DnsConfig(h=h, T=0.1, grid=GRID64)
-        rough_trajs.append(run(a, cfg))
+        rough_trajs.append(collected_run(a, cfg))
     rough = monitor_assumption_a(rough_trajs)
     rough_finite = (math.isfinite(rough.alpha)
                     and all(math.isfinite(g) for g in rough.max_gradients))

@@ -5,6 +5,7 @@ import pytest
 
 from dnsflow import (
     AnalyticVectorField,
+    BoundaryCondition,
     DnsConfig,
     EnergyLedger,
     GridSpec,
@@ -22,12 +23,13 @@ from dnsflow import (
     max_step_increment,
     monitor_assumption_a,
     norm_l2,
+    random_solenoidal_field,
     run,
     stable_within_factor,
     taylor_green_field,
     weak_residual,
 )
-from dnsflow import analysis
+from dnsflow import analysis, fields
 from dnsflow.analysis import LedgerRow
 from dnsflow.fields import (
     grad_norm_sq,
@@ -35,8 +37,10 @@ from dnsflow.fields import (
     quadrature_weights,
     velocity_jacobian,
 )
-from dnsflow.scheme import Trajectory, energy_terms
+from dnsflow.scheme import CollectingSink, Trajectory, energy_terms
 from dnsflow.scheme import backtrace as scheme_backtrace
+
+from conftest import collected_run
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +48,13 @@ def tg_mini_run(periodic32):
     a, _ = taylor_green_field(0.0, periodic32)
     cfg = DnsConfig(h=0.025, T=0.2, grid=periodic32,
                     interp_order=InterpOrder.CUBIC)
-    return run(a, cfg)
+    return collected_run(a, cfg)
 
 
 @pytest.fixture(scope="module")
 def zero_run(periodic32):
     cfg = DnsConfig(h=0.05, T=0.2, grid=periodic32)
-    return run(VelocityField.zeros(periodic32), cfg)
+    return collected_run(VelocityField.zeros(periodic32), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +119,42 @@ def _own_copy(traj):
     # a trajectory over the same field and record objects, whose snapshot
     # list can be edited without touching the shared fixture
     return Trajectory(cfg=traj.cfg, snapshots=list(traj.snapshots),
-                      results=traj.results)
+                      results=traj.results,
+                      initial_dirichlet=traj.initial_dirichlet)
 
 
 def test_ledger_builders_agree(small_run):
-    # both public names are the one builder, and on every backend, path
-    # and order its rows from the step records equal the recomputation
-    # from the snapshots exactly
-    assert ledger_from_results is build_energy_ledger
+    # on every backend, path and order the rows from the step records
+    # equal the recomputation from the snapshots exactly
     ref = reference_ledger(small_run)
     ledger = build_energy_ledger(small_run)
     assert len(ledger) == len(ref) == len(small_run.results)
     assert ledger.initial_dirichlet == ref.initial_dirichlet
     assert ledger.rows == ref.rows
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda b: b.value)
+def test_ledger_from_records_equals_collected_ledger(bc):
+    # the box datum is projected: the records' ledger must start from the
+    # datum the run stepped from, as the collected trajectory does, not
+    # from the one it was given
+    spec = GridSpec(16, bc=bc)
+    cfg = DnsConfig(h=0.0125, T=0.05, grid=spec, nu=0.7,
+                    interp_order=InterpOrder.CUBIC)
+    a = random_solenoidal_field(spec, seed=17)
+    sink = CollectingSink()
+    summary = run(a, cfg, sinks=[sink])
+    traj = sink.trajectory(summary)
+    assert summary.projected_initial == (not spec.is_periodic)
+    from_records = ledger_from_results(summary)
+    collected = build_energy_ledger(traj)
+    ref = reference_ledger(traj)
+    assert len(from_records) == len(collected) == len(ref) == cfg.n_steps
+    assert (from_records.initial_dirichlet == collected.initial_dirichlet
+            == ref.initial_dirichlet)
+    for row, other, expected in zip(from_records.rows, collected.rows,
+                                    ref.rows):
+        assert row == other == expected
 
 
 def test_step_record_follows_snapshot_identity(tg_mini_run):
@@ -178,6 +205,26 @@ def test_ledger_recomputes_exactly_the_edited_steps(tg_mini_run,
                 == clean[n - 1].kinetic_shifted) == (n not in touched)
 
 
+def test_ledger_reads_the_runs_datum_energy_until_it_is_replaced(
+        tg_mini_run, monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return grad_norm_sq(v)
+
+    monkeypatch.setattr(analysis, "grad_norm_sq", counted)
+    traj = _own_copy(tg_mini_run)
+    assert build_energy_ledger(traj).initial_dirichlet == grad_norm_sq(
+        traj.snapshots[0])
+    assert calls == []
+    # a replaced snapshot 0 (verify --inject-fault 0) is recomputed
+    traj.replace_snapshot(0, -traj.snapshots[0])
+    ledger = build_energy_ledger(traj)
+    assert [id(v) for v in calls] == [id(traj.snapshots[0])]
+    assert ledger.initial_dirichlet == reference_ledger(traj).initial_dirichlet
+
+
 def test_ledger_without_records_recomputes_every_step(periodic32,
                                                       count_backtraces):
     a, _ = taylor_green_field(0.0, periodic32)
@@ -223,7 +270,7 @@ def test_heat_flow_regime_small_constant(periodic32):
     oracle = TaylorGreenOracle(amplitude=1e-6)
     a, _ = taylor_green_field(0.0, periodic32, oracle)
     cfg = DnsConfig(h=0.0125, T=0.1, grid=periodic32)
-    rep = check_step_inequality(build_energy_ledger(run(a, cfg)))
+    rep = check_step_inequality(ledger_from_results(run(a, cfg)))
     assert rep.all_hold
     assert rep.max_fitted_c < 0.1
 
@@ -296,7 +343,7 @@ def test_fitted_c_stable_under_grid_refinement():
                                     amplitude=32.0)
         cfg = DnsConfig(h=0.005, T=0.025, grid=spec,
                         interp_order=InterpOrder.CUBIC)
-        ledger = build_energy_ledger(run(a, cfg))
+        ledger = ledger_from_results(run(a, cfg))
         cs.append(check_step_inequality(ledger).max_fitted_c)
     assert cs[0] > 0.1          # non-degenerate regime
     assert stable_within_factor(cs, factor=2.0)
@@ -322,11 +369,11 @@ def test_cumulative_taylor_green(tg_mini_run):
 def test_cumulative_single_step_reduces_to_first_row(periodic32):
     a, _ = taylor_green_field(0.0, periodic32)
     cfg = DnsConfig(h=0.05, T=0.05, grid=periodic32)
-    traj = run(a, cfg)
-    ledger = build_energy_ledger(traj)
+    summary = run(a, cfg)
+    ledger = ledger_from_results(summary)
     assert len(ledger) == 1
     step = check_step_inequality(ledger)
-    cum = check_cumulative_estimate(ledger, traj.final_time)
+    cum = check_cumulative_estimate(ledger, summary.final_time)
     assert step.all_hold and cum.holds
     row = ledger.rows[0]
     assert cum.max_lhs == pytest.approx(row.kinetic_shifted
@@ -340,7 +387,7 @@ def test_assumption_a_zero_datum(periodic32):
     trajs = []
     for h in (0.05, 0.025):
         cfg = DnsConfig(h=h, T=0.1, grid=periodic32)
-        trajs.append(run(VelocityField.zeros(periodic32), cfg))
+        trajs.append(collected_run(VelocityField.zeros(periodic32), cfg))
     rep = monitor_assumption_a(trajs)
     assert rep.alpha == 0.0
     assert rep.max_gradients == (0.0, 0.0)
@@ -348,8 +395,8 @@ def test_assumption_a_zero_datum(periodic32):
 
 def test_assumption_a_taylor_green_bounded(periodic32):
     a, _ = taylor_green_field(0.0, periodic32)
-    trajs = [run(a, DnsConfig(h=h, T=0.1, grid=periodic32,
-                              interp_order=InterpOrder.CUBIC))
+    trajs = [collected_run(a, DnsConfig(h=h, T=0.1, grid=periodic32,
+                                        interp_order=InterpOrder.CUBIC))
              for h in (0.05, 0.025, 0.0125)]
     rep = monitor_assumption_a(trajs)
     assert abs(rep.alpha) < 0.15
@@ -398,11 +445,37 @@ def test_material_derivative_validates_args(periodic32):
 # ---------------------------------------------------------------------------
 # time increments
 
+def _direct_max_increment(traj):
+    return max(norm_l2(traj.snapshots[n] - traj.snapshots[n - 1])
+               for n in range(1, len(traj.snapshots)))
+
+
 def test_max_step_increment(tg_mini_run):
     m = max_step_increment(tg_mini_run)
-    direct = max(norm_l2(tg_mini_run.snapshots[n] - tg_mini_run.snapshots[n - 1])
-                 for n in range(1, len(tg_mini_run.snapshots)))
-    assert m == direct > 0.0
+    assert m == _direct_max_increment(tg_mini_run) > 0.0
+
+
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_max_step_increment_recomputes_only_edited_steps(tg_mini_run,
+                                                         monkeypatch, k):
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return fields.distance_sq(a, b)
+
+    monkeypatch.setattr(analysis, "distance_sq", counted)
+    traj = _own_copy(tg_mini_run)
+    max_step_increment(traj)
+    assert calls == []
+    # the largest increment is the edited snapshot's, so the result
+    # shows that the recomputed steps were read
+    traj.replace_snapshot(k, -traj.snapshots[k])
+    m = max_step_increment(traj)
+    last = len(traj.snapshots) - 1
+    touched = [n for n in (k, k + 1) if 1 <= n <= last]
+    assert [id(v) for v in calls] == [id(traj.snapshots[n]) for n in touched]
+    assert m == _direct_max_increment(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +537,8 @@ def test_weak_residual_shrinks_with_h(periodic32):
     phis = default_test_functions()
     res = []
     for h in (0.025, 0.0125):
-        traj = run(a, DnsConfig(h=h, T=T, grid=periodic32,
-                                interp_order=InterpOrder.CUBIC))
+        traj = collected_run(a, DnsConfig(h=h, T=T, grid=periodic32,
+                                          interp_order=InterpOrder.CUBIC))
         res.append([abs(rep.linear_residual)
                     for rep in weak_residual(traj, phis)])
     for r_coarse, r_fine in zip(res[0], res[1]):

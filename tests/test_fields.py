@@ -23,6 +23,7 @@ from dnsflow.fields import (
     _parseval_norm_sq,
     _partials,
     _spectral_kit,
+    distance_sq,
     quadrature_weights,
     velocity_jacobian,
 )
@@ -331,10 +332,71 @@ def test_per_slice_partials_match_batched_transform(spec, lead):
     assert np.array_equal(_partials(spec, data), _old_partials(spec, data))
 
 
+@pytest.mark.parametrize("spec_name", ["periodic32", "dirichlet32"])
+def test_distance_sq_is_the_inner_product_of_the_difference(spec_name,
+                                                            request):
+    # the step's kinetic terms and the ledger's increments read this sum
+    # where they formed the difference field before: to the bit
+    spec = request.getfixturevalue(spec_name)
+    rng = np.random.default_rng(11)
+    for scale in (1e-6, 1.0, 1e6):
+        a, b = (VelocityField(spec, scale * rng.normal(
+            size=(2,) + spec.node_shape)) for _ in range(2))
+        d = a - b
+        assert distance_sq(a, b) == inner_product_l2(d, d)
+
+
 def test_inner_product_spec_mismatch(periodic32, periodic64):
     with pytest.raises(ValueError):
         inner_product_l2(VelocityField.zeros(periodic32),
                          VelocityField.zeros(periodic64))
+
+
+def _plain_parseval(spec, *f_hats, symbol=1.0):
+    # the Parseval sum as it stood before its overflow guard, verbatim
+    nx, ny = spec.cells
+    col = np.full(ny // 2 + 1, 2.0)
+    col[0] = col[-1] = 1.0
+    total = sum(np.sum(col * symbol * (f.real ** 2 + f.imag ** 2))
+                for f in f_hats)
+    return float(spec.spacing ** 2 / (nx * ny) * total)
+
+
+def _taylor_green(spec, amplitude):
+    from dnsflow import TaylorGreenOracle, taylor_green_field
+    return taylor_green_field(0.0, spec, TaylorGreenOracle(amplitude))[0]
+
+
+def test_grad_norm_sq_survives_squared_spectra_overflow():
+    # the rfft2 spectra of a 16^2 Taylor-Green datum are ~N^2 A / 4: at
+    # A = 1e150 their squares are finite and the sum is today's to the
+    # bit; at 1e152 they overflow, while int |Da|^2 = 3.95e305 does not
+    spec = GridSpec(16)
+    K2 = _spectral_kit(spec)[2]
+    unit = grad_norm_sq(_taylor_green(spec, 1.0))
+    v = _taylor_green(spec, 1e150)
+    plain = sum(_plain_parseval(spec, np.fft.rfft2(c), symbol=K2)
+                for c in v.data)
+    assert math.isfinite(plain)
+    assert grad_norm_sq(v) == plain
+    huge = grad_norm_sq(_taylor_green(spec, 1e152))
+    assert huge == pytest.approx(1e304 * unit, rel=1e-14)
+    assert huge == pytest.approx(3.95e305, rel=1e-3)
+
+
+def test_parseval_norm_sq_overflows_only_with_its_integral(periodic32):
+    # a constant field c: one spectral sample 32^2 c, int |f|^2 = 4 pi^2 c^2
+    f_hat = np.fft.rfft2(np.ones(periodic32.node_shape))
+    unit = _parseval_norm_sq(periodic32, f_hat)
+    assert unit == pytest.approx(4.0 * math.pi ** 2, rel=1e-14)
+    # c = 1e152: the sample's square overflows, the integral does not
+    assert _parseval_norm_sq(periodic32, f_hat * 1e152) == pytest.approx(
+        1e304 * unit, rel=1e-14)
+    # c = 1e300: the integral itself leaves the double range
+    assert _parseval_norm_sq(periodic32, f_hat * 1e300) == math.inf
+    # spectra that are not finite are not rescaled
+    f_hat[0, 0] = np.inf
+    assert _parseval_norm_sq(periodic32, f_hat) == math.inf
 
 
 def test_grad_norm_sq_zero(periodic32):

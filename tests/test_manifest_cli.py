@@ -15,9 +15,10 @@ from dnsflow.manifest import (
     load_manifest,
     parse_manifest,
 )
-from dnsflow.scheme import Trajectory, run
+from dnsflow.scheme import Trajectory
 
 from conftest import (
+    collected_run,
     exactly_solenoidal_box_field,
     failing_cg,
     leaky_stokes,
@@ -220,7 +221,7 @@ def test_cli_verify_flags_fault_at_each_end(tmp_path, fault):
 def torus_ladder():
     man = parse_manifest(BASE_CFG)
     a = cli._build_initial(man)
-    return man, [run(a, cfg) for cfg in _ladder_configs(man)]
+    return man, [collected_run(a, cfg) for cfg in _ladder_configs(man)]
 
 
 def _divergence_check(man, trajs):

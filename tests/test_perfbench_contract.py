@@ -1,14 +1,17 @@
-"""The benchmark's traced child wraps layer functions by name.
+"""The benchmark's child process wraps layer functions by name.
 
 `perfbench/child.py --trace 1` replaces module attributes such as
 `analysis.ledger_from_results` and `analysis.backtrace` with span
 recorders via `getattr`, so renaming or dropping one breaks traced
-benchmark runs and nothing else. These tests run the child on tiny
+benchmark runs and nothing else. `--trace 0` stamps each `dns_step`
+entry and each return of `run` through `cli`'s binding, from which the
+benchmark takes its step times. These tests run the child on tiny
 commands and check that the wrapped functions still exist and are
-called, and that the ledger back-traces only the steps whose snapshots
-were edited after the run.
+called, that the ledger back-traces only the steps whose snapshots were
+edited after the run, and that a run keeps no step's fields.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -44,20 +47,24 @@ h = 0.025, 0.0125
 """
 
 
-def _traced(tmp_path, command, config_text, *extra, code=0):
+def _child(tmp_path, command, config_text, *extra, trace="1", code=0):
     cfg = tmp_path / "case.cfg"
     cfg.write_text(config_text)
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     # the argv of perfbench/run.py, whose --threads 1 the CLI still accepts
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--trace", "1",
-         "--record", str(record), "--run-id", "contract", "--",
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--trace",
+         trace, "--record", str(record), "--run-id", "contract", "--",
          command, "--config", str(cfg), "--out", str(tmp_path / "out"),
          "--threads", "1", "--seed", "1", *extra],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
-    return json.loads(record.read_text())["spans"]
+    return json.loads(record.read_text())
+
+
+def _traced(tmp_path, command, config_text, *extra, code=0):
+    return _child(tmp_path, command, config_text, *extra, code=code)["spans"]
 
 
 @pytest.mark.parametrize("command,config,ledger", [
@@ -74,6 +81,11 @@ def test_traced_child_finds_every_layer_hook(tmp_path, command, config,
         # binding, which projection.leray_s and leray_calls read
         assert sum(s["name"] == "projection.leray_project"
                    for s in spans) == 1
+        # run keeps v_0 and v_N (17^2 nodes, two components), no step's
+        # fields: scheme.retained_mb reads these bytes
+        (run_span,) = [s for s in spans if s["name"] == "scheme.run"]
+        field_bytes = 2 * 17 * 17 * 8
+        assert run_span["attrs"]["retained_bytes"] <= 2 * field_bytes
     if command == "verify":
         # the traced child wraps both by name: a verify that stopped
         # calling them would leave their per-layer metrics empty
@@ -99,3 +111,20 @@ def test_traced_child_sees_ledger_backtraces_after_fault(tmp_path):
                     and s["parent"] >= 0
                     and spans[s["parent"]]["name"] == ledger]
     assert len(under_ledger) == 2
+
+
+@pytest.mark.parametrize("command,config,steps", [
+    ("run", BOX_RUN, [2]),
+    ("verify", TORUS_VERIFY, [2, 4]),
+], ids=["box-run", "torus-verify"])
+def test_untraced_child_stamps_every_step_and_rung(tmp_path, command, config,
+                                                   steps):
+    # one run_returns stamp per rung and one steps stamp per step, each
+    # rung's steps before its return: every command must call run through
+    # cli's own binding, or the benchmark has no step times to read
+    record = _child(tmp_path, command, config, trace="0")
+    returns, stamps = record["run_returns"], record["steps"]
+    assert len(returns) == len(steps)
+    assert len(stamps) == sum(steps)
+    assert ([sum(t < end for t in stamps) for end in returns]
+            == list(itertools.accumulate(steps)))

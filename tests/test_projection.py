@@ -535,8 +535,8 @@ def test_box_run_matches_cg_reference(monkeypatch):
 
     monkeypatch.setattr(projection, "_box_solver", reference_solver)
     ref = run(a, cfg)
-    assert len(fast.results) == len(ref.results) == 4
-    v_fast, v_ref = fast.snapshots[-1], ref.snapshots[-1]
+    assert len(fast.records) == len(ref.records) == 4
+    v_fast, v_ref = fast.final, ref.final
     assert norm_l2(v_fast - v_ref) < 1e-10 * norm_l2(v_ref)
 
 
@@ -645,8 +645,8 @@ from dnsflow import (BoundaryCondition, DnsConfig, GridSpec,
 spec = GridSpec(128, bc=BoundaryCondition.DIRICHLET_ZERO)
 res = run(random_solenoidal_field(spec, seed=41),
           DnsConfig(h=0.0125, T=0.05, grid=spec))
-np.save(sys.argv[1], res.snapshots[-1].data)
-print(len(res.results))
+np.save(sys.argv[1], res.final.data)
+print(len(res.records))
 """
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from dnsflow.projection import HelmholtzParts
 from dnsflow.scheme import _cg, energy_terms
 
 from conftest import (
+    collected_run,
     exactly_solenoidal_box_field,
     failing_cg,
     leaky_stokes,
@@ -259,7 +261,7 @@ def test_el_residual_matches_leray_split(small_run):
 def test_el_residual_matches_leray_split_box64():
     spec = GridSpec(64, bc=BoundaryCondition.DIRICHLET_ZERO)
     cfg = DnsConfig(h=0.0125, T=0.0125, grid=spec)
-    traj = run(random_solenoidal_field(spec, seed=41), cfg)
+    traj = collected_run(random_solenoidal_field(spec, seed=41), cfg)
     _assert_el_residual_near_split(traj.results, cfg)
 
 
@@ -284,7 +286,7 @@ def test_direct_path_shares_one_projection(bc):
     cfg = DnsConfig(h=0.0125, T=0.025, grid=spec, nu=0.7,
                     path=SolvePath.DIRECT_MINIMIZE, cross_check=True,
                     minimizer_tol=1e-8)
-    traj = run(random_solenoidal_field(spec, seed=23), cfg)
+    traj = collected_run(random_solenoidal_field(spec, seed=23), cfg)
     for r in traj.results:
         assert r.path_disagreement is not None
         assert np.array_equal(
@@ -415,7 +417,7 @@ def test_cg_refuses_overflowing_right_hand_side():
 
 def test_run_zero_datum(periodic32):
     cfg = DnsConfig(h=0.05, T=0.2, grid=periodic32)
-    traj = run(VelocityField.zeros(periodic32), cfg)
+    traj = collected_run(VelocityField.zeros(periodic32), cfg)
     assert len(traj.snapshots) == cfg.n_steps + 1
     for snap in traj.snapshots:
         assert np.all(snap.data == 0.0)
@@ -426,9 +428,9 @@ def test_run_projects_dirty_datum(periodic32):
     from conftest import random_velocity
     dirty = random_velocity(periodic32, 21)
     cfg = DnsConfig(h=0.05, T=0.1, grid=periodic32)
-    traj = run(dirty, cfg)
-    assert traj.projected_initial
-    assert np.max(np.abs(divergence(traj.snapshots[0]).data)) < 1e-11
+    summary = run(dirty, cfg)
+    assert summary.projected_initial
+    assert np.max(np.abs(divergence(summary.initial).data)) < 1e-11
 
 
 def test_run_streams_to_sinks(periodic32):
@@ -439,20 +441,44 @@ def test_run_streams_to_sinks(periodic32):
     assert seen == [1, 2, 3, 4]
 
 
+def test_run_memory_does_not_grow_with_steps():
+    # with no collecting sink a run keeps its step records, the datum and
+    # the final field: 40 steps retain no more than 20 steps and a field
+    spec = GridSpec(128)
+    a = random_solenoidal_field(spec, seed=5)
+    h = 2.0 ** -7
+
+    def retained(n_steps):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            summary = run(a, DnsConfig(h=h, T=n_steps * h, grid=spec))
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(summary.records) == n_steps
+        assert summary.initial is a
+        return kept
+
+    run(a, DnsConfig(h=h, T=h, grid=spec))   # builds the cached symbols
+    assert retained(40) <= retained(20) + a.data.nbytes
+
+
 def test_run_matches_floor_step_count(periodic32):
     cfg = DnsConfig(h=0.15, T=0.5, grid=periodic32)   # T/h not integral
     assert cfg.n_steps == 3
     a, _ = taylor_green_field(0.0, periodic32)
-    traj = run(a, cfg)
-    assert traj.final_time == pytest.approx(0.45)
+    summary = run(a, cfg)
+    assert summary.final_time == pytest.approx(0.45)
+    assert len(summary.records) == 3
 
 
 def test_run_is_deterministic(periodic32):
     a = random_solenoidal_field(periodic32, seed=12)
     cfg = DnsConfig(h=0.025, T=0.1, grid=periodic32,
                     interp_order=InterpOrder.CUBIC)
-    t1 = run(a, cfg)
-    t2 = run(a, cfg)
+    t1 = collected_run(a, cfg)
+    t2 = collected_run(a, cfg)
     for s1, s2 in zip(t1.snapshots, t2.snapshots):
         assert np.array_equal(s1.data, s2.data)
 
@@ -463,9 +489,9 @@ def test_run_mini_ladder_errors_shrink(periodic32):
     for h in (0.05, 0.025):
         cfg = DnsConfig(h=h, T=0.2, grid=periodic32,
                         interp_order=InterpOrder.CUBIC)
-        traj = run(a, cfg)
-        exact, _ = taylor_green_field(traj.final_time, periodic32)
-        errs.append(norm_l2(traj.snapshots[-1] - exact))
+        summary = run(a, cfg)
+        exact, _ = taylor_green_field(summary.final_time, periodic32)
+        errs.append(norm_l2(summary.final - exact))
     assert errs[1] < errs[0]
 
 
@@ -474,7 +500,7 @@ def test_run_dirichlet_energy_decays_taylor_green(periodic32):
     a, _ = taylor_green_field(0.0, periodic32)
     cfg = DnsConfig(h=0.025, T=0.2, grid=periodic32,
                     interp_order=InterpOrder.CUBIC)
-    traj = run(a, cfg)
+    traj = collected_run(a, cfg)
     energies = [grad_norm_sq(v) for v in traj.snapshots]
     assert all(e2 <= e1 for e1, e2 in zip(energies, energies[1:]))
 
@@ -495,7 +521,7 @@ def test_box_step_certifies_divergence_relative_to_field():
     # 5.0e-16 max |v| / dx
     a, cfg = _large_box_run()
     assert np.max(np.abs(divergence(a).data)) == 0.0
-    traj = run(a, cfg)
+    traj = collected_run(a, cfg)
     assert not traj.projected_initial
     for res in traj.results:
         assert res.max_divergence > scheme.DIV_FREE_BOUND[cfg.grid.bc]
@@ -509,8 +535,8 @@ def test_torus_run_certifies_large_amplitude_field():
     spec = GridSpec(256)
     a = leray_project(random_solenoidal_field(spec, seed=7,
                                               amplitude=1e4)).solenoidal
-    traj = run(a, DnsConfig(h=1e-5, T=2e-5, grid=spec))
-    assert (max(r.max_divergence for r in traj.results)
+    summary = run(a, DnsConfig(h=1e-5, T=2e-5, grid=spec))
+    assert (max(r.max_divergence for r in summary.records)
             > scheme.DIV_FREE_BOUND[spec.bc])
 
 
@@ -608,12 +634,12 @@ def test_run_gate_scales_with_the_datum(periodic32):
         max_div = np.max(np.abs(divergence(a_eps).data))
         assert 1e-10 < max_div
         assert (max_div > scheme.div_free_bound(a_eps)) == projected
-        traj = run(a_eps, DnsConfig(h=0.0125, T=0.0125, grid=periodic32))
-        assert traj.projected_initial == projected
+        summary = run(a_eps, DnsConfig(h=0.0125, T=0.0125, grid=periodic32))
+        assert summary.projected_initial == projected
         if projected:
-            assert np.max(np.abs(divergence(traj.snapshots[0]).data)) <= 1e-10
+            assert np.max(np.abs(divergence(summary.initial).data)) <= 1e-10
         else:
-            assert traj.snapshots[0] is a_eps
+            assert summary.initial is a_eps
 
 
 def test_config_validation(periodic32):

@@ -39,7 +39,9 @@ from dnsflow.fields import (
     velocity_jacobian,
 )
 from dnsflow.manifest import parse_manifest
-from dnsflow.scheme import Trajectory, run
+from dnsflow.scheme import Trajectory
+
+from conftest import collected_run
 
 TORUS_CFG = textwrap.dedent("""\
     [grid]
@@ -136,7 +138,7 @@ def _weak_bits(reports):
 def _ladder(text):
     man = parse_manifest(text)
     a = cli._build_initial(man)
-    return man, [run(a, cfg) for cfg in _ladder_configs(man)]
+    return man, [collected_run(a, cfg) for cfg in _ladder_configs(man)]
 
 
 @pytest.fixture(scope="module")

@@ -21,11 +21,12 @@ from dnsflow import (
     default_test_functions,
     gradient,
     random_solenoidal_field,
-    run,
     taylor_green_field,
     weak_residual,
 )
 from dnsflow.fields import quadrature_weights
+
+from conftest import collected_run
 
 
 def _closures(T, modes):
@@ -134,12 +135,13 @@ def test_batched_matches_closure_reference(ladder):
     assert len(phis) == 5
     for h in hs:
         _assert_matches_reference(
-            run(a, DnsConfig(h=h, T=T, grid=spec,
-                             interp_order=InterpOrder.CUBIC)), phis)
+            collected_run(a, DnsConfig(h=h, T=T, grid=spec,
+                                       interp_order=InterpOrder.CUBIC)),
+            phis)
 
 
 def test_batched_matches_closure_reference_on_box():
     spec = GridSpec(32, bc=BoundaryCondition.DIRICHLET_ZERO)
     a = random_solenoidal_field(spec, seed=3)
-    traj = run(a, DnsConfig(h=0.05, T=0.2, grid=spec))
+    traj = collected_run(a, DnsConfig(h=0.05, T=0.2, grid=spec))
     _assert_matches_reference(traj, default_test_functions())
