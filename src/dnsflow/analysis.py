@@ -24,8 +24,9 @@ divergence-free and vanishes at t = 0 and t = T by construction.
 velocity Jacobian per snapshot. It reduces that Jacobian to max |Dv|
 for the gradient monitor and, given the weighted psi and D psi grids,
 to every snapshot's weak-form inner products against all phi at once.
-``monitor_assumption_a`` and ``weak_residual`` take its results from a
-caller that holds them, and make their own pass otherwise.
+``weak_residual`` takes its inner products from a caller that holds
+them, and makes its own pass otherwise; ``monitor_assumption_a`` fits
+the rungs' max |Dv| against their h and reads no field.
 """
 
 from __future__ import annotations
@@ -219,8 +220,11 @@ def check_cumulative_estimate(ledger: EnergyLedger, T: float) -> CumulativeRepor
 
     For every n the partial sum of shifted kinetic terms plus half the
     current Dirichlet energy must stay below C' e^{C' T} times the
-    initial Dirichlet energy, with C' = max(max fitted C, 1). It never
-    holds with a non-finite ledger term, left side or bound.
+    initial Dirichlet energy, with C' = max(max fitted C, 1). Where that
+    product overflows while the initial energy, the left side and every
+    ledger term are finite, the comparison is made in logarithms. It
+    never holds with a non-finite ledger term or left side, or an
+    infinite C'.
     """
     e0 = ledger.initial_dirichlet
     step_report = check_step_inequality(ledger)
@@ -234,10 +238,18 @@ def check_cumulative_estimate(ledger: EnergyLedger, T: float) -> CumulativeRepor
         max_lhs = max(max_lhs, lhs)
     if not math.isfinite(c_prime):
         return CumulativeReport(False, c_prime, math.inf, max_lhs)
-    bound = _growth(c_prime, T) * e0
+    # with e0 = 0 the bound is 0 even where the growth factor overflows
+    bound = 0.0 if e0 == 0.0 else _growth(c_prime, T) * e0
     finite = (all(map(_terms_finite, ledger.rows))
-              and all(map(math.isfinite, (e0, max_lhs, bound))))
-    holds = finite and (max_lhs <= bound or max_lhs == 0.0)
+              and all(map(math.isfinite, (e0, max_lhs))))
+    if math.isfinite(bound):
+        holds = finite and (max_lhs <= bound or max_lhs == 0.0)
+    else:
+        # the bound leaves the double range, the left side does not:
+        # compare logarithms
+        holds = finite and (max_lhs == 0.0 or math.log(max_lhs)
+                            <= math.log(c_prime) + c_prime * T
+                            + math.log(e0))
     return CumulativeReport(holds, c_prime, bound, max_lhs)
 
 
@@ -277,27 +289,25 @@ class GradientScalingReport:
     within_assumption: bool  # alpha <= 0.5 + 0.1
 
 
-def monitor_assumption_a(trajectories: Sequence[Trajectory],
-                         max_gradients: Sequence[float] | None = None,
+def monitor_assumption_a(hs: Sequence[float],
+                         max_gradients: Sequence[float],
                          ) -> GradientScalingReport:
     """Fit max_n |Dv_n|_inf ~ h^(-alpha) across an h-ladder of runs.
 
-    ``max_gradients[k]`` is trajectory k's :attr:`SnapshotPass.max_gradient`,
-    for callers that already hold it.
+    ``hs[k]`` is rung k's time step and ``max_gradients[k]`` its
+    :attr:`SnapshotPass.max_gradient`: the fit needs no field, so a
+    caller can drop each rung once it is reduced.
     """
-    if len(trajectories) < 2:
+    if len(hs) < 2:
         raise ValueError("need at least two runs to fit a scaling exponent")
-    if max_gradients is None:
-        max_gradients = [snapshot_pass(t).max_gradient for t in trajectories]
-    hs = [traj.cfg.h for traj in trajectories]
+    hs = tuple(hs)
     grads = list(max_gradients)
     if max(grads) <= 1e-14:
         alpha = 0.0
     else:
         logs = np.log(np.maximum(grads, 1e-300))
         alpha = float(-np.polyfit(np.log(hs), logs, 1)[0])
-    return GradientScalingReport(tuple(hs), tuple(grads), alpha,
-                                 alpha <= 0.6)
+    return GradientScalingReport(hs, tuple(grads), alpha, alpha <= 0.6)
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,12 @@ def taylor_green_field(t: float, spec: GridSpec,
         raise ValueError("the Taylor-Green oracle needs extent 2 pi per axis")
     if oracle is None:
         oracle = TaylorGreenOracle()
-    X, Y = spec.mesh()
-    u, v = oracle.velocity(X, Y, t)
-    p = oracle.pressure(X, Y, t)
+    # every field is a product or sum of one factor per axis: the trig
+    # runs on the axes and broadcasts, the same samples as on the mesh
+    x = spec.axis_nodes(0)[:, None]
+    y = spec.axis_nodes(1)[None, :]
+    u, v = oracle.velocity(x, y, t)
+    p = oracle.pressure(x, y, t)
     return (VelocityField(spec, np.stack([u, v])),
             ScalarField(spec, p).demeaned())
 

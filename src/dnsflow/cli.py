@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage, config or I/O
 error, 3 solver failure.
 
 ``run`` writes each snapshot from a sink and builds its ledger and
-report from the step records, so it keeps no step's fields; ``verify``
-collects every rung's fields, which its checks read.
+report from the step records, so it keeps no step's fields. ``verify``
+collects one rung's velocities at a time, reduces them to the scalars
+the ladder checks compare (:class:`RungReduction`) and drops them
+before the next rung runs.
 """
 
 from __future__ import annotations
@@ -141,29 +143,75 @@ def cmd_run(man: RunManifest) -> int:
     return EXIT_OK
 
 
-def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str, bool, str]]:
-    """Run every mandatory check over the ladder; returns (name, ok, detail)."""
+@dataclasses.dataclass(frozen=True)
+class RungReduction:
+    """One verify rung reduced to the scalars the ladder checks compare,
+    so that the rung's fields can be dropped before the next rung runs.
+
+    ``worst_divergence`` is (max |div v_n| / bound, max |div v_n|, bound,
+    h, n) of the snapshot whose divergence is largest against its
+    ``div_free_bound``; ``weak_residuals`` holds |linear residual| per
+    test function, None on the box.
+    """
+
+    h: float
+    worst_divergence: tuple[float, float, float, float, int]
+    divergence_ok: bool
+    step_inequality_holds: bool
+    max_fitted_c: float
+    cumulative: analysis.CumulativeReport
+    max_gradient: float
+    max_increment: float
+    weak_residuals: tuple[float, ...] | None
+
+
+def _reduce_rung(traj: Trajectory, phis, grids) -> RungReduction:
+    """Reduce one rung's trajectory; ``phis`` and their
+    :func:`analysis.weighted_test_grids` are None on the box."""
+    h = traj.cfg.h
+    # the rule each step meets in run: max |div v_n| <= div_free_bound(v_n),
+    # which scales with max |v_n| / dx
+    divs = [(div / bound, div, bound, h, n)
+            for n, (div, bound) in enumerate(
+                analysis.divergence_by_snapshot(traj), start=1)]
+    ledger = analysis.build_energy_ledger(traj)
+    step_rep = analysis.check_step_inequality(ledger)
+    cum = analysis.check_cumulative_estimate(ledger, traj.final_time)
+    # one walk over the snapshots, one velocity Jacobian per snapshot,
+    # feeds both the gradient monitor and the weak residual
+    snap_pass = analysis.snapshot_pass(traj, grids)
+    weak = None
+    if grids is not None:
+        reports = analysis.weak_residual(traj, phis, snap_pass.inner_products)
+        weak = tuple(abs(rep.linear_residual) for rep in reports)
+    return RungReduction(
+        h=h, worst_divergence=max(divs),
+        divergence_ok=all(d <= b for _, d, b, _, _ in divs),
+        step_inequality_holds=step_rep.all_hold,
+        max_fitted_c=step_rep.max_fitted_c, cumulative=cum,
+        max_gradient=snap_pass.max_gradient,
+        max_increment=analysis.max_step_increment(traj),
+        weak_residuals=weak)
+
+
+def _ladder_checks(man: RunManifest, rungs: list[RungReduction],
+                   ) -> list[tuple[str, bool, str]]:
+    """Run every mandatory check over the reduced ladder; returns
+    (name, ok, detail)."""
     cfg = man.cfg
     checks: list[tuple[str, bool, str]] = []
-    periodic = cfg.grid.bc is BoundaryCondition.PERIODIC
 
-    # the rule each step meets in run: max |div v_n| <= div_free_bound(v_n),
-    # which scales with max |v_n| / dx; the detail names the snapshot
-    # whose divergence is largest against its bound
-    divs = [(div / bound, div, bound, t.cfg.h, n) for t in trajs
-            for n, (div, bound) in enumerate(analysis.divergence_by_snapshot(t),
-                                             start=1)]
-    _, div, bound, h, n = max(divs)
+    # the detail names the snapshot whose divergence is largest against
+    # its bound
+    _, div, bound, h, n = max(r.worst_divergence for r in rungs)
     checks.append(("divergence_free_steps",
-                   all(d <= b for _, d, b, _, _ in divs),
+                   all(r.divergence_ok for r in rungs),
                    f"max_divergence={div:.3e} bound={bound:.3e} "
                    f"h={h:g} n={n}"))
 
-    ledgers = [analysis.build_energy_ledger(t) for t in trajs]
-    step_reports = [analysis.check_step_inequality(led) for led in ledgers]
-    all_hold = all(rep.all_hold for rep in step_reports)
-    max_cs = [rep.max_fitted_c for rep in step_reports]
-    checks.append(("step_inequality_every_rung", all_hold,
+    max_cs = [r.max_fitted_c for r in rungs]
+    checks.append(("step_inequality_every_rung",
+                   all(r.step_inequality_holds for r in rungs),
                    "max_fitted_c per rung: "
                    + ", ".join(f"{c:.3e}" for c in max_cs)))
 
@@ -171,29 +219,19 @@ def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str,
     checks.append(("fitted_c_h_stable", stable,
                    "max/min within factor 2 (or all at the dissipative floor)"))
 
-    cums = [analysis.check_cumulative_estimate(led, t.final_time)
-            for led, t in zip(ledgers, trajs)]
+    cums = [r.cumulative for r in rungs]
     checks.append(("cumulative_energy_estimate", all(c.holds for c in cums),
                    "; ".join(f"lhs={c.max_lhs:.3e} bound={c.bound:.3e}"
                              for c in cums)))
 
-    # one walk over each rung's snapshots, one velocity Jacobian per
-    # snapshot, feeds both the gradient monitor and the weak residual;
-    # every rung shares [grid], so the test grids are built once
-    grids = None
-    if periodic:
-        phis = analysis.default_test_functions()
-        grids = analysis.weighted_test_grids(phis, cfg.grid)
-    passes = [analysis.snapshot_pass(t, grids) for t in trajs]
-
     alpha_rep = analysis.monitor_assumption_a(
-        trajs, max_gradients=[p.max_gradient for p in passes])
+        [r.h for r in rungs], [r.max_gradient for r in rungs])
     checks.append(("gradient_scaling_monitor",
                    math.isfinite(alpha_rep.alpha),
                    f"alpha={alpha_rep.alpha:.4f} "
                    f"within_sqrt_h={alpha_rep.within_assumption}"))
 
-    increments = [analysis.max_step_increment(t) for t in trajs]
+    increments = [r.max_increment for r in rungs]
     ratios = [increments[i] / increments[i + 1]
               for i in range(len(increments) - 1)
               if increments[i + 1] > 0.0]
@@ -203,13 +241,11 @@ def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str,
     checks.append(("interpolant_increment_halving", halving,
                    "ratios: " + ", ".join(f"{r:.3f}" for r in ratios)))
 
-    if periodic:
-        reports = [analysis.weak_residual(t, phis, p.inner_products)
-                   for t, p in zip(trajs, passes)]
+    if cfg.grid.bc is BoundaryCondition.PERIODIC:
         decreasing = True
         details = []
-        for k in range(len(phis)):
-            residuals = [abs(rep[k].linear_residual) for rep in reports]
+        for k in range(len(rungs[0].weak_residuals)):
+            residuals = [r.weak_residuals[k] for r in rungs]
             zero_floor = 1e-12
             for i in range(len(residuals) - 1):
                 if residuals[i + 1] > max(residuals[i], zero_floor):
@@ -234,23 +270,44 @@ def _verify_checks(man: RunManifest, trajs: list[Trajectory]) -> list[tuple[str,
     return checks
 
 
+def _weak_form_tests(man: RunManifest):
+    """The test functions and their weighted grids, built once for every
+    rung on [grid]; (None, None) on the box, which has no weak-form
+    check."""
+    if man.cfg.grid.bc is not BoundaryCondition.PERIODIC:
+        return None, None
+    phis = analysis.default_test_functions()
+    return phis, analysis.weighted_test_grids(phis, man.cfg.grid)
+
+
+def _verify_rung(a: VelocityField, cfg: DnsConfig, phis, grids,
+                 fault: int | None) -> RungReduction:
+    """Run one rung, negate snapshot ``fault`` if given, and reduce it;
+    its fields are dropped on return."""
+    sink = CollectingSink()
+    traj = sink.trajectory(run(a, cfg, sinks=[sink]))
+    if fault is not None:
+        traj.replace_snapshot(fault, -traj.snapshots[fault])
+    return _reduce_rung(traj, phis, grids)
+
+
 def cmd_verify(man: RunManifest, inject_fault: int | None = None) -> int:
     configs = _ladder_configs(man)
+    # rung 0 stores snapshots 0 .. n_steps
+    last = configs[0].n_steps
+    if inject_fault is not None and not 0 <= inject_fault <= last:
+        raise ConfigError(f"fault index {inject_fault} outside the "
+                          f"trajectory (0..{last})")
     out = Path(man.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     a = _build_initial(man)
-    # the checks below read every step's fields, so each rung keeps them
-    trajs = []
-    for cfg in configs:
-        sink = CollectingSink()
-        trajs.append(sink.trajectory(run(a, cfg, sinks=[sink])))
-    if inject_fault is not None:
-        traj = trajs[0]
-        if not 0 <= inject_fault < len(traj.snapshots):
-            raise ConfigError(f"fault index {inject_fault} outside the "
-                              f"trajectory (0..{len(traj.snapshots) - 1})")
-        traj.replace_snapshot(inject_fault, -traj.snapshots[inject_fault])
-    checks = _verify_checks(man, trajs)
+    phis, grids = _weak_form_tests(man)
+    # each rung is reduced, and its fields dropped, before the next one
+    # runs: memory is bounded by the largest rung's velocities
+    rungs = [_verify_rung(a, cfg, phis, grids,
+                          inject_fault if k == 0 else None)
+             for k, cfg in enumerate(configs)]
+    checks = _ladder_checks(man, rungs)
     lines = []
     for name, ok, detail in checks:
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")

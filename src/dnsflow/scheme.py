@@ -14,8 +14,9 @@ convex, so the two must agree; a cross-check mode measures their gap.
 and the back-traced w) goes to the caller's sinks and is dropped, and
 the run keeps one :class:`StepRecord` per step, the datum it stepped
 from and the final field (:class:`RunSummary`). A caller that reads
-every step's fields after the run passes a :class:`CollectingSink`,
-which rebuilds the :class:`Trajectory`.
+every step's velocity after the run passes a :class:`CollectingSink`,
+which keeps each v and rebuilds the :class:`Trajectory` from them and
+the summary's records.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -168,7 +170,7 @@ class RunSummary:
     """What :func:`run` keeps: one :class:`StepRecord` per step, the
     datum it stepped from (after any projection) with its int |Da|^2,
     and the final field. Every step's fields went to the sinks only; a
-    :class:`CollectingSink` keeps them."""
+    :class:`CollectingSink` keeps each step's v."""
 
     cfg: DnsConfig
     initial: VelocityField
@@ -193,50 +195,50 @@ class RunSummary:
 
 @dataclass
 class Trajectory:
-    """The produced sequence v_0 ... v_{N_T} plus per-step results, as a
-    :class:`CollectingSink` rebuilds it.
+    """The produced sequence v_0 ... v_{N_T} and one :class:`StepRecord`
+    per step, as a :class:`CollectingSink` rebuilds it.
 
-    Snapshot 0 as held at construction is remembered, so that
-    :meth:`step_record` and :meth:`datum_dirichlet` can tell the run's
-    own fields from later edits. ``initial_dirichlet`` is the run's
-    int |Dv_0|^2, None where no run computed it.
+    The records describe the snapshots held at construction, which are
+    remembered, so that :meth:`step_record` and :meth:`datum_dirichlet`
+    can tell the run's own fields from later edits.
+    ``initial_dirichlet`` is the run's int |Dv_0|^2, None where no run
+    computed it.
     """
 
     cfg: DnsConfig
     snapshots: list[VelocityField]
-    results: list[StepResult]
+    records: Sequence[StepRecord]
     projected_initial: bool = False
     initial_dirichlet: float | None = None
-    _initial: VelocityField | None = field(init=False, repr=False,
-                                           compare=False)
+    _own: tuple[VelocityField, ...] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
-        self._initial = self.snapshots[0] if self.snapshots else None
+        self._own = tuple(self.snapshots)
 
-    def step_record(self, n: int) -> StepResult | None:
+    def _is_own(self, n: int) -> bool:
+        return n < len(self._own) and self.snapshots[n] is self._own[n]
+
+    def step_record(self, n: int) -> StepRecord | None:
         """The record of step n (1-based) while it still describes the
         stored snapshots, else None.
 
-        It does while ``snapshots[n]`` is the record's own v and
-        ``snapshots[n - 1]`` is the field the step started from: the
-        previous record's v, or for n = 1 the snapshot 0 held at
-        construction. The test is identity, so any replacement of either
-        snapshot, by :meth:`replace_snapshot` or by list assignment,
-        sends the caller back to recomputing from the snapshots.
+        It does while ``snapshots[n - 1]`` and ``snapshots[n]`` are the
+        objects held at construction. The test is identity, so any
+        replacement of either snapshot, by :meth:`replace_snapshot` or by
+        list assignment, sends the caller back to recomputing from the
+        snapshots.
         """
-        if not 1 <= n < len(self.snapshots) or n > len(self.results):
+        if not 1 <= n < len(self.snapshots) or n > len(self.records):
             return None
-        record = self.results[n - 1]
-        start = self._initial if n == 1 else self.results[n - 2].v
-        if (self.snapshots[n] is record.v
-                and self.snapshots[n - 1] is start):
-            return record
+        if self._is_own(n) and self._is_own(n - 1):
+            return self.records[n - 1]
         return None
 
     def datum_dirichlet(self) -> float | None:
         """The run's int |Dv_0|^2 while snapshot 0 is the field held at
         construction, else None (the identity rule of step_record)."""
-        if self.snapshots and self.snapshots[0] is self._initial:
+        if self.snapshots and self._is_own(0):
             return self.initial_dirichlet
         return None
 
@@ -254,23 +256,24 @@ class Trajectory:
 
 
 class CollectingSink:
-    """A :func:`run` sink that keeps every StepResult, for callers that
-    read every step's fields after the run: ``verify``'s checks and
-    tests. :meth:`trajectory` rebuilds the run's Trajectory."""
+    """A :func:`run` sink that keeps each step's v, for callers that read
+    every snapshot after the run: ``verify``'s checks and tests. The
+    step's p and w are dropped with the rest of its StepResult.
+    :meth:`trajectory` rebuilds the run's Trajectory from these fields
+    and the summary's records."""
 
     def __init__(self):
-        self.results: list[StepResult] = []
+        self.velocities: list[VelocityField] = []
 
     def __call__(self, n: int, result: StepResult) -> None:
-        self.results.append(result)
+        self.velocities.append(result.v)
 
     def trajectory(self, summary: RunSummary) -> Trajectory:
         """The Trajectory of the run that returned ``summary`` and fed
         this sink."""
         return Trajectory(cfg=summary.cfg,
-                          snapshots=[summary.initial]
-                          + [r.v for r in self.results],
-                          results=self.results,
+                          snapshots=[summary.initial, *self.velocities],
+                          records=summary.records,
                           projected_initial=summary.projected_initial,
                           initial_dirichlet=summary.initial_dirichlet)
 

@@ -38,6 +38,7 @@ from dnsflow import (
     taylor_green_field,
     weak_residual,
 )
+from dnsflow.analysis import snapshot_pass
 from dnsflow.cli import main
 
 from conftest import collected_run
@@ -191,15 +192,20 @@ def test_criterion_7_convergence_to_exact_solution():
             f"orders={['%.3f' % o for o in orders]}")
 
 
+def _monitor(trajs):
+    return monitor_assumption_a([t.cfg.h for t in trajs],
+                                [snapshot_pass(t).max_gradient for t in trajs])
+
+
 def test_criterion_8_gradient_scaling_monitor(tg_ladder):
     trajs, _, _ = tg_ladder
-    smooth = monitor_assumption_a(trajs)
+    smooth = _monitor(trajs)
     rough_trajs = []
     a = random_solenoidal_field(GRID64, seed=2718, k_min=8, k_max=16)
     for h in (1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0):
         cfg = DnsConfig(h=h, T=0.1, grid=GRID64)
         rough_trajs.append(collected_run(a, cfg))
-    rough = monitor_assumption_a(rough_trajs)
+    rough = _monitor(rough_trajs)
     rough_finite = (math.isfinite(rough.alpha)
                     and all(math.isfinite(g) for g in rough.max_gradients))
     _report("criterion 8 gradient scaling monitor",

@@ -30,7 +30,7 @@ from dnsflow import (
     weak_residual,
 )
 from dnsflow import analysis, fields
-from dnsflow.analysis import LedgerRow
+from dnsflow.analysis import LedgerRow, snapshot_pass
 from dnsflow.fields import (
     grad_norm_sq,
     inner_product_l2,
@@ -119,7 +119,7 @@ def _own_copy(traj):
     # a trajectory over the same field and record objects, whose snapshot
     # list can be edited without touching the shared fixture
     return Trajectory(cfg=traj.cfg, snapshots=list(traj.snapshots),
-                      results=traj.results,
+                      records=traj.records,
                       initial_dirichlet=traj.initial_dirichlet)
 
 
@@ -128,7 +128,7 @@ def test_ledger_builders_agree(small_run):
     # equal the recomputation from the snapshots exactly
     ref = reference_ledger(small_run)
     ledger = build_energy_ledger(small_run)
-    assert len(ledger) == len(ref) == len(small_run.results)
+    assert len(ledger) == len(ref) == len(small_run.records)
     assert ledger.initial_dirichlet == ref.initial_dirichlet
     assert ledger.rows == ref.rows
 
@@ -159,16 +159,20 @@ def test_ledger_from_records_equals_collected_ledger(bc):
 
 def test_step_record_follows_snapshot_identity(tg_mini_run):
     traj = _own_copy(tg_mini_run)
-    n_steps = len(traj.results)
+    n_steps = len(traj.records)
     for n in range(1, n_steps + 1):
-        assert traj.step_record(n) is traj.results[n - 1]
+        assert traj.step_record(n) is traj.records[n - 1]
     for n in (0, n_steps + 1):
         assert traj.step_record(n) is None
     # an equal field that is not the run's own object is an edit
     traj.snapshots[3] = traj.snapshots[3] * 1.0
     assert traj.step_record(3) is None and traj.step_record(4) is None
-    assert traj.step_record(2) is traj.results[1]
-    assert traj.step_record(5) is traj.results[4]
+    assert traj.step_record(2) is traj.records[1]
+    assert traj.step_record(5) is traj.records[4]
+    # putting the run's own object back restores both records
+    traj.snapshots[3] = tg_mini_run.snapshots[3]
+    assert traj.step_record(3) is traj.records[2]
+    assert traj.step_record(4) is traj.records[3]
 
 
 def test_ledger_reuses_records_on_untouched_run(tg_mini_run,
@@ -229,7 +233,7 @@ def test_ledger_without_records_recomputes_every_step(periodic32,
                                                       count_backtraces):
     a, _ = taylor_green_field(0.0, periodic32)
     cfg = DnsConfig(h=0.05, T=0.2, grid=periodic32)
-    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, results=[])
+    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, records=[])
     ledger = build_energy_ledger(steady)
     assert len(count_backtraces) == 4
     assert len(ledger) == 4
@@ -238,7 +242,7 @@ def test_ledger_without_records_recomputes_every_step(periodic32,
 
 def test_ledger_terms_finite_nonnegative(tg_mini_run):
     ledger = build_energy_ledger(tg_mini_run)
-    assert len(ledger) == len(tg_mini_run.results)
+    assert len(ledger) == len(tg_mini_run.records)
     for row in ledger.rows:
         assert row.kinetic_shifted >= 0.0
         assert row.kinetic_plain >= 0.0
@@ -250,7 +254,7 @@ def test_ledger_csv_shape(tg_mini_run):
     text = ledger_to_csv(build_energy_ledger(tg_mini_run))
     lines = text.strip().split("\n")
     assert lines[0] == "n,t,kinetic_shifted,kinetic_plain,dirichlet,fitted_c"
-    assert len(lines) == 1 + len(tg_mini_run.results)
+    assert len(lines) == 1 + len(tg_mini_run.records)
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == pytest.approx(0.025)
@@ -310,9 +314,84 @@ def test_cumulative_estimate_fails_non_finite_row_or_bound():
     huge = EnergyLedger(first.rows, initial_dirichlet=math.inf)
     rep = check_cumulative_estimate(huge, 0.1)
     assert rep.bound == math.inf and not rep.holds
-    # so does a growth factor exp(C' T) beyond the double range
+    # a growth factor exp(C' T) beyond the double range makes it infinite
+    # too, but with finite terms the estimate is decided in logarithms
     rep = check_cumulative_estimate(first, 1e3)
-    assert rep.bound == math.inf and not rep.holds
+    assert rep.bound == math.inf and rep.holds
+
+
+def _cumulative_before_logs(ledger, T):
+    """check_cumulative_estimate as it stood before overflowing bounds were
+    compared in logarithms, copied verbatim: the reference wherever its
+    bound is finite."""
+    e0 = ledger.initial_dirichlet
+    step_report = check_step_inequality(ledger)
+    c_prime = max(step_report.max_fitted_c, 1.0)
+    lhs = 0.0
+    max_lhs = 0.0
+    kin_sum = 0.0
+    for r in ledger.rows:
+        kin_sum += r.kinetic_shifted
+        lhs = kin_sum + 0.5 * r.dirichlet
+        max_lhs = max(max_lhs, lhs)
+    if not math.isfinite(c_prime):
+        return analysis.CumulativeReport(False, c_prime, math.inf, max_lhs)
+    bound = analysis._growth(c_prime, T) * e0
+    finite = (all(map(analysis._terms_finite, ledger.rows))
+              and all(map(math.isfinite, (e0, max_lhs, bound))))
+    holds = finite and (max_lhs <= bound or max_lhs == 0.0)
+    return analysis.CumulativeReport(holds, c_prime, bound, max_lhs)
+
+
+def _one_row_ledger(kinetic, dirichlet, fitted_c, e0):
+    row = LedgerRow(n=1, t=0.1, kinetic_shifted=kinetic, kinetic_plain=kinetic,
+                    dirichlet=dirichlet, dirichlet_prev=e0, fitted_c=fitted_c)
+    return EnergyLedger((row,), initial_dirichlet=e0)
+
+
+def test_cumulative_estimate_unchanged_where_bound_is_finite():
+    finite_cases = 0
+    for e0 in (0.0, 1e-300, 0.5, 4.0, 1e300, math.inf, math.nan):
+        for kinetic in (0.0, 1.0, 1e200, 1e308, math.inf):
+            for c in (0.0, 3.0, 700.0, math.inf):
+                for T in (0.1, 1.0, 2.0):
+                    ledger = _one_row_ledger(kinetic, 1.0, c, e0)
+                    old = _cumulative_before_logs(ledger, T)
+                    if math.isfinite(old.bound):
+                        finite_cases += 1
+                        assert check_cumulative_estimate(ledger, T) == old
+    assert finite_cases > 100
+
+
+def test_cumulative_estimate_compares_overflowing_bound_in_logs():
+    # a 16^2 Taylor-Green torus at amplitude 1e152: C' e^{C' T} E_0 ~ 1.7e312
+    # lies beyond the double range, far above the accumulated energy
+    spec = GridSpec(16)
+    a, _ = taylor_green_field(0.0, spec, TaylorGreenOracle(amplitude=1e152))
+    summary = run(a, DnsConfig(h=0.05, T=0.1, grid=spec))
+    rep = check_cumulative_estimate(ledger_from_results(summary),
+                                    summary.final_time)
+    assert rep.holds
+    assert rep.bound == math.inf
+    assert f"{rep.max_lhs:.6e}" == "1.370831e+306"
+    assert f"{rep.c_prime:.6e}" == "1.059897e+02"
+
+
+def test_cumulative_estimate_fails_in_range():
+    # the bound 1 * e^{0.1} * 4 is finite and the left side 101 exceeds it
+    ledger = _one_row_ledger(100.0, 2.0, 0.0, 4.0)
+    rep = check_cumulative_estimate(ledger, 0.1)
+    assert rep.bound == math.exp(0.1) * 4.0
+    assert rep.max_lhs == 101.0 and not rep.holds
+
+
+def test_cumulative_estimate_zero_datum_with_overflowing_growth():
+    # e^{C' T} overflows, but with E_0 = 0 the bound is 0: only a zero
+    # left side meets it (the product in floating point is inf * 0 = nan)
+    for kinetic, holds in ((0.0, True), (1.0, False)):
+        ledger = _one_row_ledger(kinetic, 0.0, 0.0, 0.0)
+        rep = check_cumulative_estimate(ledger, 1e3)
+        assert rep.bound == 0.0 and rep.holds == holds
 
 
 def test_fitted_c_matches_inequality(tg_mini_run):
@@ -383,12 +462,17 @@ def test_cumulative_single_step_reduces_to_first_row(periodic32):
 # ---------------------------------------------------------------------------
 # gradient scaling monitor
 
+def _monitor(trajs):
+    return monitor_assumption_a([t.cfg.h for t in trajs],
+                                [snapshot_pass(t).max_gradient for t in trajs])
+
+
 def test_assumption_a_zero_datum(periodic32):
     trajs = []
     for h in (0.05, 0.025):
         cfg = DnsConfig(h=h, T=0.1, grid=periodic32)
         trajs.append(collected_run(VelocityField.zeros(periodic32), cfg))
-    rep = monitor_assumption_a(trajs)
+    rep = _monitor(trajs)
     assert rep.alpha == 0.0
     assert rep.max_gradients == (0.0, 0.0)
 
@@ -398,14 +482,14 @@ def test_assumption_a_taylor_green_bounded(periodic32):
     trajs = [collected_run(a, DnsConfig(h=h, T=0.1, grid=periodic32,
                                         interp_order=InterpOrder.CUBIC))
              for h in (0.05, 0.025, 0.0125)]
-    rep = monitor_assumption_a(trajs)
+    rep = _monitor(trajs)
     assert abs(rep.alpha) < 0.15
     assert rep.within_assumption
 
 
 def test_assumption_a_needs_a_ladder(tg_mini_run):
     with pytest.raises(ValueError):
-        monitor_assumption_a([tg_mini_run])
+        _monitor([tg_mini_run])
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +592,7 @@ def test_weak_residual_steady_trajectory(periodic32):
     # only int eta dt <Dv, D psi>, with int eta = 8 (0.2) / 15
     a, _ = taylor_green_field(0.0, periodic32)
     cfg = DnsConfig(h=0.05, T=0.22, grid=periodic32)
-    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, results=[])
+    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, records=[])
     assert steady.final_time == pytest.approx(0.2)
     phi = analysis.TestFunction(((1, 1, 1.0), (3, 1, 0.6)))
     _, dpsi = phi.on_grid(periodic32)

@@ -50,6 +50,23 @@ def test_oracle_jacobian_is_the_closed_form_bitwise():
                 assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("cells", [8, 16, 64, 100, 256])
+def test_taylor_green_field_is_the_mesh_evaluation_bitwise(cells):
+    # the sampler takes the trig of each axis once and broadcasts; the
+    # samples are the oracle's on the full mesh to the bit, signs of zero
+    # included
+    spec = GridSpec(cells)
+    X, Y = spec.mesh()
+    for amplitude in (1.0, 3.7, -2.0, 1e152):
+        oracle = TaylorGreenOracle(amplitude=amplitude, nu=0.7)
+        for t in (0.0, 0.37, 1.9):
+            v, p = taylor_green_field(t, spec, oracle)
+            u_ref, v_ref = oracle.velocity(X, Y, t)
+            p_ref = bench.ScalarField(spec, oracle.pressure(X, Y, t))
+            assert v.data.tobytes() == np.stack([u_ref, v_ref]).tobytes()
+            assert p.data.tobytes() == p_ref.demeaned().data.tobytes()
+
+
 def test_oracle_divergence_free_at_random_points():
     oracle = TaylorGreenOracle()
     rng = np.random.default_rng(5)

@@ -225,7 +225,9 @@ def torus_ladder():
 
 
 def _divergence_check(man, trajs):
-    return next(check for check in cli._verify_checks(man, trajs)
+    phis, grids = cli._weak_form_tests(man)
+    rungs = [cli._reduce_rung(t, phis, grids) for t in trajs]
+    return next(check for check in cli._ladder_checks(man, rungs)
                 if check[0] == "divergence_free_steps")
 
 
@@ -242,7 +244,7 @@ def test_verify_divergence_check_reads_step_records(torus_ladder,
              for traj in trajs
              for n, snap in enumerate(traj.snapshots[1:], start=1)]
     assert [s[0] for s in snaps] == [r.max_divergence
-                                     for traj in trajs for r in traj.results]
+                                     for traj in trajs for r in traj.records]
     calls = []
     monkeypatch.setattr(scheme, "divergence",
                         lambda v: calls.append(v) or divergence(v))
@@ -258,7 +260,7 @@ def test_verify_divergence_check_fails_on_edited_snapshot(torus_ladder):
     man, trajs = torus_ladder
     first = trajs[0]
     edited = Trajectory(cfg=first.cfg, snapshots=list(first.snapshots),
-                        results=first.results)
+                        records=first.records)
     bad = random_velocity(first.cfg.grid, seed=3)
     edited.snapshots[1] = bad
     bad_div = float(np.max(np.abs(divergence(bad).data)))

@@ -220,14 +220,23 @@ def test_step_result_invariants_dirichlet(dirichlet32):
     assert abs(res.p.mean()) < 1e-12
 
 
+def _collected_steps(traj):
+    """(v_prev, v, w, record) of each step of a collected trajectory. The
+    sink keeps no w: it is recomputed as dns_step computes it,
+    backtrace(v_prev, h, order), so it is the step's own w to the bit."""
+    cfg = traj.cfg
+    for v_prev, v, r in zip(traj.snapshots, traj.snapshots[1:], traj.records):
+        yield v_prev, v, backtrace(v_prev, cfg.h, cfg.interp_order), r
+
+
 def test_step_records_its_diagnostics(small_run):
     cfg = small_run.cfg
-    for v_prev, r in zip(small_run.snapshots, small_run.results):
-        assert r.max_divergence == float(np.max(np.abs(divergence(r.v).data)))
-        assert (r.kinetic_shifted, r.dirichlet) == energy_terms(r.v, r.w, cfg.h)
+    for v_prev, v, w, r in _collected_steps(small_run):
+        assert r.max_divergence == float(np.max(np.abs(divergence(v).data)))
+        assert (r.kinetic_shifted, r.dirichlet) == energy_terms(v, w, cfg.h)
         assert r.functional_value == r.kinetic_shifted + 0.5 * cfg.nu * r.dirichlet
         assert r.functional_value == functional_value(
-            r.v, v_prev, cfg.h, cfg.nu, cfg.interp_order)
+            v, v_prev, cfg.h, cfg.nu, cfg.interp_order)
 
 
 def _two_projection_pressure(v, w, h, nu):
@@ -242,12 +251,13 @@ def _two_projection_el_residual(v, w, h, nu):
     return norm_l2(leray_project(resid).solenoidal)
 
 
-def _assert_el_residual_near_split(results, cfg):
+def _assert_el_residual_near_split(traj):
     # the el_residual gates of the step invariant tests: 1e-9 on the
     # torus, 1e-8 on the box
+    cfg = traj.cfg
     tol = 1e-9 if cfg.grid.is_periodic else 1e-8
-    for r in results:
-        split = _two_projection_el_residual(r.v, r.w, cfg.h, cfg.nu)
+    for _, v, w, r in _collected_steps(traj):
+        split = _two_projection_el_residual(v, w, cfg.h, cfg.nu)
         assert abs(r.el_residual - split) <= tol
 
 
@@ -255,14 +265,14 @@ def test_el_residual_matches_leray_split(small_run):
     # the Euler-Lagrange path reports its solve's momentum residual / h,
     # which bounds the split of (v - w)/h - nu lap(v) from above; on the
     # direct path the two are the same split
-    _assert_el_residual_near_split(small_run.results, small_run.cfg)
+    _assert_el_residual_near_split(small_run)
 
 
 def test_el_residual_matches_leray_split_box64():
     spec = GridSpec(64, bc=BoundaryCondition.DIRICHLET_ZERO)
     cfg = DnsConfig(h=0.0125, T=0.0125, grid=spec)
     traj = collected_run(random_solenoidal_field(spec, seed=41), cfg)
-    _assert_el_residual_near_split(traj.results, cfg)
+    _assert_el_residual_near_split(traj)
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda b: b.value)
@@ -287,11 +297,17 @@ def test_direct_path_shares_one_projection(bc):
                     path=SolvePath.DIRECT_MINIMIZE, cross_check=True,
                     minimizer_tol=1e-8)
     traj = collected_run(random_solenoidal_field(spec, seed=23), cfg)
-    for r in traj.results:
+    for v_prev, v, r in zip(traj.snapshots, traj.snapshots[1:],
+                            traj.records):
+        # the sink keeps no p or w: redo the step, which is deterministic
+        res = dns_step(v_prev, cfg)
+        assert np.array_equal(res.v.data, v.data)
+        assert res.record() == r
         assert r.path_disagreement is not None
         assert np.array_equal(
-            r.p.data, _two_projection_pressure(r.v, r.w, cfg.h, cfg.nu).data)
-        assert r.el_residual == _two_projection_el_residual(r.v, r.w, cfg.h,
+            res.p.data,
+            _two_projection_pressure(v, res.w, cfg.h, cfg.nu).data)
+        assert r.el_residual == _two_projection_el_residual(v, res.w, cfg.h,
                                                             cfg.nu)
 
 
@@ -523,10 +539,10 @@ def test_box_step_certifies_divergence_relative_to_field():
     assert np.max(np.abs(divergence(a).data)) == 0.0
     traj = collected_run(a, cfg)
     assert not traj.projected_initial
-    for res in traj.results:
-        assert res.max_divergence > scheme.DIV_FREE_BOUND[cfg.grid.bc]
-        assert (res.max_divergence
-                <= 1e-15 * np.max(np.abs(res.v.data)) / cfg.grid.spacing)
+    for v, r in zip(traj.snapshots[1:], traj.records):
+        assert r.max_divergence > scheme.DIV_FREE_BOUND[cfg.grid.bc]
+        assert (r.max_divergence
+                <= 1e-15 * np.max(np.abs(v.data)) / cfg.grid.spacing)
 
 
 def test_torus_run_certifies_large_amplitude_field():
