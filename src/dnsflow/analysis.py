@@ -9,11 +9,11 @@ time interpolants) and the discrete weak-form residual.
 A ledger row needs only its step's record: the shifted kinetic and
 Dirichlet terms and int |v_n - v_{n-1}|^2. ``ledger_from_results``
 builds the ledger from a :class:`RunSummary`'s records alone.
-``build_energy_ledger`` and ``max_step_increment`` take a collected
-:class:`Trajectory`; they reuse each step's record while both snapshots
-the step touches are the run's own fields, and the run's int |Dv_0|^2
-while snapshot 0 is its own, and recompute from the stored snapshots
-otherwise, so a snapshot edited after the run is still checked.
+``build_energy_ledger``, ``max_step_increment`` and
+``divergence_by_snapshot`` take a collected :class:`Trajectory`; they
+read each step's record and the run's int |Dv_0|^2 from it, and
+recompute from the stored snapshots where it holds None, which is
+where :meth:`Trajectory.with_snapshot` edited a snapshot after the run.
 
 Weak-form test functions are separable, phi = eta(t) curl psi(x): a
 ``TestFunction`` holds only the stream modes of psi, and the time bump
@@ -126,12 +126,10 @@ def ledger_from_results(summary: RunSummary) -> EnergyLedger:
 def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
     """The energy ledger of a trajectory, one row per step.
 
-    A step's terms come from its own record while both snapshots the
-    step touches are the run's own fields (:meth:`Trajectory.step_record`),
-    and int |Dv_0|^2 from the run while snapshot 0 is its own datum
-    (:meth:`Trajectory.datum_dirichlet`). Otherwise they are recomputed
-    from the stored snapshots, back-trace included, so an edit made after
-    the run, such as an injected fault, reaches the ledger. A record
+    A step's terms come from its record, and int |Dv_0|^2 from the
+    trajectory; where either is None (a snapshot edited by
+    :meth:`Trajectory.with_snapshot`, such as an injected fault) it is
+    recomputed from the stored snapshots, back-trace included. A record
     holds the same function of the same fields, so either way a row is
     the same to the bit, and equals :func:`ledger_from_results` of the
     run's summary.
@@ -139,18 +137,16 @@ def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
     h, order = traj.cfg.h, traj.cfg.interp_order
     snaps = traj.snapshots
 
-    def terms(n: int) -> tuple[float, float, float]:
-        record = traj.step_record(n)
+    def terms(record, v_prev, v) -> tuple[float, float, float]:
         if record is not None:
             return _record_terms(record)
-        v, v_prev = snaps[n], snaps[n - 1]
         kin_s, dirichlet = energy_terms(v, backtrace(v_prev, h, order), h)
         return kin_s, distance_sq(v, v_prev), dirichlet
 
-    initial = traj.datum_dirichlet()
+    initial = traj.initial_dirichlet
     if initial is None:
         initial = grad_norm_sq(snaps[0])
-    return _ledger(h, initial, map(terms, range(1, len(snaps))))
+    return _ledger(h, initial, map(terms, traj.records, snaps, snaps[1:]))
 
 
 def ledger_to_csv(ledger: EnergyLedger) -> str:
@@ -371,34 +367,30 @@ def material_derivative_identity(field: AnalyticVectorField, h: float,
 def max_step_increment(traj: Trajectory) -> float:
     """max_n |v_n - v_{n-1}|_L2, the gap between the two interpolants.
 
-    A step's record holds int |v_n - v_{n-1}|^2: it is read while the
-    step's snapshots are the run's own (:meth:`Trajectory.step_record`),
-    and recomputed from the snapshots otherwise, as the energy ledger
-    does; either way the same sum, to the bit, that ``norm_l2`` takes.
+    A step's record holds int |v_n - v_{n-1}|^2; where the record is
+    None it is recomputed from the snapshots, as the energy ledger does:
+    either way the same sum, to the bit, that ``norm_l2`` takes.
     """
     snaps = traj.snapshots
 
-    def increment_sq(n: int) -> float:
-        record = traj.step_record(n)
+    def increment_sq(record, v_prev, v) -> float:
         if record is not None:
             return record.increment_sq
-        return distance_sq(snaps[n], snaps[n - 1])
+        return distance_sq(v, v_prev)
 
-    return max(math.sqrt(max(increment_sq(n), 0.0))
-               for n in range(1, len(snaps)))
+    return max(math.sqrt(max(sq, 0.0))
+               for sq in map(increment_sq, traj.records, snaps, snaps[1:]))
 
 
 def divergence_by_snapshot(traj: Trajectory) -> list[tuple[float, float]]:
     """(max |div v_n|, div_free_bound(v_n)) for each stored snapshot
     after the first.
 
-    A step's record holds max |div v| of its own v: it is read while the
-    step's snapshots are the run's own (:meth:`Trajectory.step_record`),
-    and recomputed from the snapshot otherwise, as the energy ledger does.
+    A step's record holds max |div v| of its own v; where the record is
+    None it is recomputed from the snapshot, as the energy ledger does.
     """
     out = []
-    for n, snap in enumerate(traj.snapshots[1:], start=1):
-        record = traj.step_record(n)
+    for record, snap in zip(traj.records, traj.snapshots[1:]):
         div = record.max_divergence if record is not None else _max_div(snap)
         out.append((div, div_free_bound(snap)))
     return out

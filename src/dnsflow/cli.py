@@ -287,7 +287,7 @@ def _verify_rung(a: VelocityField, cfg: DnsConfig, phis, grids,
     sink = CollectingSink()
     traj = sink.trajectory(run(a, cfg, sinks=[sink]))
     if fault is not None:
-        traj.replace_snapshot(fault, -traj.snapshots[fault])
+        traj = traj.with_snapshot(fault, -traj.snapshots[fault])
     return _reduce_rung(traj, phis, grids)
 
 

@@ -118,11 +118,6 @@ class GridSpec:
             return self.cells
         return (self.cells[0] + 1, self.cells[1] + 1)
 
-    @property
-    def node_count(self) -> int:
-        nx, ny = self.node_shape
-        return nx * ny
-
     def axis_nodes(self, axis: int) -> np.ndarray:
         return np.arange(self.node_shape[axis]) * self.spacing
 

@@ -10,21 +10,19 @@ for the back-traced field) and direct minimization by conjugate
 gradients on divergence-free fields (oracle path). The functional is
 convex, so the two must agree; a cross-check mode measures their gap.
 
-``run`` streams: each step's :class:`StepResult` (its scalars plus v, p
-and the back-traced w) goes to the caller's sinks and is dropped, and
-the run keeps one :class:`StepRecord` per step, the datum it stepped
-from and the final field (:class:`RunSummary`). A caller that reads
-every step's velocity after the run passes a :class:`CollectingSink`,
-which keeps each v and rebuilds the :class:`Trajectory` from them and
-the summary's records.
+``run`` streams: each step's :class:`StepResult` (its scalars plus v
+and p) goes to the caller's sinks and is dropped, and the run keeps one
+:class:`StepRecord` per step, the datum it stepped from and the final
+field (:class:`RunSummary`). A caller that reads every step's velocity
+after the run passes a :class:`CollectingSink`, which keeps each v and
+rebuilds the :class:`Trajectory` from them and the summary's records.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -151,13 +149,11 @@ class StepRecord:
 
 @dataclass(frozen=True, kw_only=True)
 class StepResult(StepRecord):
-    """One step's record and fields: v, its pressure p and the
-    back-traced w. :func:`run` hands each to its sinks and keeps only
-    :meth:`record`."""
+    """One step's record and fields: v and its pressure p. :func:`run`
+    hands each to its sinks and keeps only :meth:`record`."""
 
     v: VelocityField
     p: ScalarField
-    w: VelocityField
 
     def record(self) -> StepRecord:
         """The step's scalars, without its fields."""
@@ -193,54 +189,44 @@ class RunSummary:
         return self.cfg.n_steps * self.cfg.h
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """The produced sequence v_0 ... v_{N_T} and one :class:`StepRecord`
     per step, as a :class:`CollectingSink` rebuilds it.
 
-    The records describe the snapshots held at construction, which are
-    remembered, so that :meth:`step_record` and :meth:`datum_dirichlet`
-    can tell the run's own fields from later edits.
-    ``initial_dirichlet`` is the run's int |Dv_0|^2, None where no run
-    computed it.
+    ``records[n - 1]`` is step n's record, or None where step n must be
+    recomputed from the snapshots; ``initial_dirichlet`` is int |Dv_0|^2,
+    or None likewise. :meth:`with_snapshot` is the one edit, and clears
+    what it invalidates.
     """
 
     cfg: DnsConfig
-    snapshots: list[VelocityField]
-    records: Sequence[StepRecord]
-    projected_initial: bool = False
+    snapshots: tuple[VelocityField, ...]
+    records: tuple[StepRecord | None, ...]
     initial_dirichlet: float | None = None
-    _own: tuple[VelocityField, ...] = field(init=False, repr=False,
-                                            compare=False)
 
     def __post_init__(self):
-        self._own = tuple(self.snapshots)
+        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        object.__setattr__(self, "records", tuple(self.records))
+        if len(self.records) != len(self.snapshots) - 1:
+            raise ValueError(f"{len(self.snapshots)} snapshots need "
+                             f"{len(self.snapshots) - 1} records, "
+                             f"not {len(self.records)}")
 
-    def _is_own(self, n: int) -> bool:
-        return n < len(self._own) and self.snapshots[n] is self._own[n]
-
-    def step_record(self, n: int) -> StepRecord | None:
-        """The record of step n (1-based) while it still describes the
-        stored snapshots, else None.
-
-        It does while ``snapshots[n - 1]`` and ``snapshots[n]`` are the
-        objects held at construction. The test is identity, so any
-        replacement of either snapshot, by :meth:`replace_snapshot` or by
-        list assignment, sends the caller back to recomputing from the
-        snapshots.
-        """
-        if not 1 <= n < len(self.snapshots) or n > len(self.records):
-            return None
-        if self._is_own(n) and self._is_own(n - 1):
-            return self.records[n - 1]
-        return None
-
-    def datum_dirichlet(self) -> float | None:
-        """The run's int |Dv_0|^2 while snapshot 0 is the field held at
-        construction, else None (the identity rule of step_record)."""
-        if self.snapshots and self._is_own(0):
-            return self.initial_dirichlet
-        return None
+    def with_snapshot(self, n: int, v: VelocityField) -> Trajectory:
+        """This trajectory with snapshot n replaced by v (``verify
+        --inject-fault``): the records of steps n and n + 1, the two that
+        touch it, become None, and so at n = 0 does int |Dv_0|^2."""
+        if not 0 <= n < len(self.snapshots):
+            raise IndexError(f"snapshot {n} outside "
+                             f"0..{len(self.snapshots) - 1}")
+        snapshots = list(self.snapshots)
+        snapshots[n] = v
+        records = [None if k in (n - 1, n) else r
+                   for k, r in enumerate(self.records)]
+        return replace(self, snapshots=snapshots, records=records,
+                       initial_dirichlet=(None if n == 0
+                                          else self.initial_dirichlet))
 
     @property
     def times(self) -> np.ndarray:
@@ -250,15 +236,11 @@ class Trajectory:
     def final_time(self) -> float:
         return self.cfg.n_steps * self.cfg.h
 
-    def replace_snapshot(self, n: int, v: VelocityField) -> None:
-        """Test hook: overwrite a stored snapshot (fault injection)."""
-        self.snapshots[n] = v
-
 
 class CollectingSink:
     """A :func:`run` sink that keeps each step's v, for callers that read
     every snapshot after the run: ``verify``'s checks and tests. The
-    step's p and w are dropped with the rest of its StepResult.
+    step's p is dropped with the rest of its StepResult.
     :meth:`trajectory` rebuilds the run's Trajectory from these fields
     and the summary's records."""
 
@@ -272,9 +254,8 @@ class CollectingSink:
         """The Trajectory of the run that returned ``summary`` and fed
         this sink."""
         return Trajectory(cfg=summary.cfg,
-                          snapshots=[summary.initial, *self.velocities],
+                          snapshots=(summary.initial, *self.velocities),
                           records=summary.records,
-                          projected_initial=summary.projected_initial,
                           initial_dirichlet=summary.initial_dirichlet)
 
 
@@ -423,7 +404,7 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
         raise SolverFailure(f"the step's solve leaves max divergence "
                             f"{max_div:.3e} above its bound {bound:.3e}")
     return StepResult(
-        v=v, p=p, w=w,
+        v=v, p=p,
         kinetic_shifted=kinetic,
         dirichlet=dirichlet,
         increment_sq=distance_sq(v, v_prev),
@@ -481,7 +462,7 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> RunSummary:
         for sink in sinks:
             sink(n, result)
         v = result.v
-        # drop the step's p and w before the next step builds its own
+        # drop the step's p before the next step builds its own
         del result
     return RunSummary(cfg=cfg, initial=a, initial_dirichlet=dirichlet,
                       final=v, records=tuple(records),

@@ -18,6 +18,7 @@ from dnsflow import (
     InterpOrder,
     SolvePath,
     TaylorGreenOracle,
+    backtrace,
     build_energy_ledger,
     check_cumulative_estimate,
     check_step_inequality,
@@ -135,7 +136,7 @@ def test_criterion_4_convexity_path_equivalence():
                                    path=SolvePath.DIRECT_MINIMIZE))
         gap = norm_l2(el.v - dm.v) / max(norm_l2(el.v), 1e-300)
         worst_gap = max(worst_gap, gap)
-        pw = leray_project(el.w).solenoidal
+        pw = leray_project(backtrace(a, h)).solenoidal
         comparison = functional_value(pw, a, h)
         minimality_ok = minimality_ok and (el.functional_value
                                            <= comparison + 1e-12)

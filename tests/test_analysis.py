@@ -29,7 +29,7 @@ from dnsflow import (
     taylor_green_field,
     weak_residual,
 )
-from dnsflow import analysis, fields
+from dnsflow import analysis, fields, scheme
 from dnsflow.analysis import LedgerRow, snapshot_pass
 from dnsflow.fields import (
     grad_norm_sq,
@@ -40,7 +40,7 @@ from dnsflow.fields import (
 from dnsflow.scheme import CollectingSink, Trajectory, energy_terms
 from dnsflow.scheme import backtrace as scheme_backtrace
 
-from conftest import collected_run
+from conftest import collected_run, random_velocity
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +115,6 @@ def count_backtraces(monkeypatch):
     return calls
 
 
-def _own_copy(traj):
-    # a trajectory over the same field and record objects, whose snapshot
-    # list can be edited without touching the shared fixture
-    return Trajectory(cfg=traj.cfg, snapshots=list(traj.snapshots),
-                      records=traj.records,
-                      initial_dirichlet=traj.initial_dirichlet)
-
-
 def test_ledger_builders_agree(small_run):
     # on every backend, path and order the rows from the step records
     # equal the recomputation from the snapshots exactly
@@ -157,22 +149,39 @@ def test_ledger_from_records_equals_collected_ledger(bc):
         assert row == other == expected
 
 
-def test_step_record_follows_snapshot_identity(tg_mini_run):
-    traj = _own_copy(tg_mini_run)
-    n_steps = len(traj.records)
-    for n in range(1, n_steps + 1):
-        assert traj.step_record(n) is traj.records[n - 1]
-    for n in (0, n_steps + 1):
-        assert traj.step_record(n) is None
-    # an equal field that is not the run's own object is an edit
-    traj.snapshots[3] = traj.snapshots[3] * 1.0
-    assert traj.step_record(3) is None and traj.step_record(4) is None
-    assert traj.step_record(2) is traj.records[1]
-    assert traj.step_record(5) is traj.records[4]
-    # putting the run's own object back restores both records
-    traj.snapshots[3] = tg_mini_run.snapshots[3]
-    assert traj.step_record(3) is traj.records[2]
-    assert traj.step_record(4) is traj.records[3]
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_with_snapshot_clears_exactly_the_touched_records(tg_mini_run,
+                                                          where):
+    traj = tg_mini_run
+    snaps, records = traj.snapshots, traj.records
+    initial = traj.initial_dirichlet
+    last = len(snaps) - 1
+    k = {"first": 0, "middle": last // 2, "last": last}[where]
+    faulty = -snaps[k]
+    edited = traj.with_snapshot(k, faulty)
+    # the steps touching snapshot k are k (ending there) and k + 1
+    # (starting there); every other record is the run's own
+    assert [r is None for r in edited.records] == [
+        n in (k, k + 1) for n in range(1, last + 1)]
+    assert all(e is r for e, r in zip(edited.records, records)
+               if e is not None)
+    assert [e is s for e, s in zip(edited.snapshots, snaps)] == [
+        n != k for n in range(last + 1)]
+    assert edited.snapshots[k] is faulty
+    assert edited.initial_dirichlet == (None if k == 0 else initial)
+    # the original is unchanged, and neither can be edited in place
+    assert traj.snapshots is snaps and traj.records is records
+    assert traj.initial_dirichlet == initial is not None
+    assert None not in records
+    for t in (traj, edited):
+        with pytest.raises(TypeError):
+            t.snapshots[k] = faulty
+        # one record per step
+        for wrong in (t.records[:-1], t.records + (None,)):
+            with pytest.raises(ValueError):
+                Trajectory(cfg=t.cfg, snapshots=t.snapshots, records=wrong)
+    with pytest.raises(IndexError):
+        traj.with_snapshot(-1, faulty)
 
 
 def test_ledger_reuses_records_on_untouched_run(tg_mini_run,
@@ -182,19 +191,12 @@ def test_ledger_reuses_records_on_untouched_run(tg_mini_run,
     assert ledger.rows == reference_ledger(tg_mini_run).rows
 
 
-@pytest.mark.parametrize("edit", ["replace_snapshot", "assignment"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_ledger_recomputes_exactly_the_edited_steps(tg_mini_run,
-                                                    count_backtraces,
-                                                    edit, where):
-    traj = _own_copy(tg_mini_run)
-    last = len(traj.snapshots) - 1
+                                                    count_backtraces, where):
+    last = len(tg_mini_run.snapshots) - 1
     k = {"first": 0, "middle": last // 2, "last": last}[where]
-    faulty = -traj.snapshots[k]
-    if edit == "replace_snapshot":
-        traj.replace_snapshot(k, faulty)
-    else:
-        traj.snapshots[k] = faulty
+    traj = tg_mini_run.with_snapshot(k, -tg_mini_run.snapshots[k])
     ledger = build_energy_ledger(traj)
     # the steps touching snapshot k are k (ending there) and k + 1
     # (starting there): each back-traces its own start once
@@ -218,12 +220,12 @@ def test_ledger_reads_the_runs_datum_energy_until_it_is_replaced(
         return grad_norm_sq(v)
 
     monkeypatch.setattr(analysis, "grad_norm_sq", counted)
-    traj = _own_copy(tg_mini_run)
+    traj = tg_mini_run
     assert build_energy_ledger(traj).initial_dirichlet == grad_norm_sq(
         traj.snapshots[0])
     assert calls == []
     # a replaced snapshot 0 (verify --inject-fault 0) is recomputed
-    traj.replace_snapshot(0, -traj.snapshots[0])
+    traj = traj.with_snapshot(0, -traj.snapshots[0])
     ledger = build_energy_ledger(traj)
     assert [id(v) for v in calls] == [id(traj.snapshots[0])]
     assert ledger.initial_dirichlet == reference_ledger(traj).initial_dirichlet
@@ -233,7 +235,7 @@ def test_ledger_without_records_recomputes_every_step(periodic32,
                                                       count_backtraces):
     a, _ = taylor_green_field(0.0, periodic32)
     cfg = DnsConfig(h=0.05, T=0.2, grid=periodic32)
-    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, records=[])
+    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, records=(None,) * 4)
     ledger = build_energy_ledger(steady)
     assert len(count_backtraces) == 4
     assert len(ledger) == 4
@@ -549,17 +551,45 @@ def test_max_step_increment_recomputes_only_edited_steps(tg_mini_run,
         return fields.distance_sq(a, b)
 
     monkeypatch.setattr(analysis, "distance_sq", counted)
-    traj = _own_copy(tg_mini_run)
+    traj = tg_mini_run
     max_step_increment(traj)
     assert calls == []
     # the largest increment is the edited snapshot's, so the result
     # shows that the recomputed steps were read
-    traj.replace_snapshot(k, -traj.snapshots[k])
+    traj = traj.with_snapshot(k, -traj.snapshots[k])
     m = max_step_increment(traj)
     last = len(traj.snapshots) - 1
     touched = [n for n in (k, k + 1) if 1 <= n <= last]
     assert [id(v) for v in calls] == [id(traj.snapshots[n]) for n in touched]
     assert m == _direct_max_increment(traj)
+
+
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_divergence_by_snapshot_recomputes_only_edited_steps(tg_mini_run,
+                                                            monkeypatch, k):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return scheme._max_div(v)
+
+    monkeypatch.setattr(analysis, "_max_div", counted)
+    clean = analysis.divergence_by_snapshot(tg_mini_run)
+    assert calls == []
+    assert [div for div, _ in clean] == [r.max_divergence
+                                         for r in tg_mini_run.records]
+    # a random field is far from solenoidal, so the result shows that
+    # the recomputed steps were read
+    traj = tg_mini_run.with_snapshot(
+        k, random_velocity(tg_mini_run.cfg.grid, seed=5))
+    edited = analysis.divergence_by_snapshot(traj)
+    last = len(traj.snapshots) - 1
+    touched = [n for n in (k, k + 1) if 1 <= n <= last]
+    assert [id(v) for v in calls] == [id(traj.snapshots[n]) for n in touched]
+    for n in range(1, last + 1):
+        div = scheme._max_div(traj.snapshots[n])
+        assert edited[n - 1] == (div, scheme.div_free_bound(traj.snapshots[n]))
+        assert (edited[n - 1] == clean[n - 1]) == (n != k)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +622,7 @@ def test_weak_residual_steady_trajectory(periodic32):
     # only int eta dt <Dv, D psi>, with int eta = 8 (0.2) / 15
     a, _ = taylor_green_field(0.0, periodic32)
     cfg = DnsConfig(h=0.05, T=0.22, grid=periodic32)
-    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, records=[])
+    steady = Trajectory(cfg=cfg, snapshots=[a] * 5, records=(None,) * 4)
     assert steady.final_time == pytest.approx(0.2)
     phi = analysis.TestFunction(((1, 1, 1.0), (3, 1, 0.6)))
     _, dpsi = phi.on_grid(periodic32)

@@ -15,7 +15,6 @@ from dnsflow.manifest import (
     load_manifest,
     parse_manifest,
 )
-from dnsflow.scheme import Trajectory
 
 from conftest import (
     collected_run,
@@ -259,10 +258,8 @@ def test_verify_divergence_check_reads_step_records(torus_ladder,
 def test_verify_divergence_check_fails_on_edited_snapshot(torus_ladder):
     man, trajs = torus_ladder
     first = trajs[0]
-    edited = Trajectory(cfg=first.cfg, snapshots=list(first.snapshots),
-                        records=first.records)
     bad = random_velocity(first.cfg.grid, seed=3)
-    edited.snapshots[1] = bad
+    edited = first.with_snapshot(1, bad)
     bad_div = float(np.max(np.abs(divergence(bad).data)))
     assert bad_div > 1e-3
     _, ok, detail = _divergence_check(man, [edited, *trajs[1:]])

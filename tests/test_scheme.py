@@ -32,7 +32,7 @@ from dnsflow import (
 from dnsflow import scheme
 from dnsflow.fields import NonFiniteFieldError, pin_walls, velocity_jacobian
 from dnsflow.projection import HelmholtzParts
-from dnsflow.scheme import _cg, energy_terms
+from dnsflow.scheme import CollectingSink, _cg, energy_terms
 
 from conftest import (
     collected_run,
@@ -147,7 +147,7 @@ def test_minimality_against_named_candidates(periodic32):
         v_prev = random_solenoidal_field(periodic32, seed=seed)
         cfg = DnsConfig(h=h, T=h, grid=periodic32)
         res = dns_step(v_prev, cfg)
-        pw = leray_project(res.w).solenoidal
+        pw = leray_project(backtrace(v_prev, h)).solenoidal
         for candidate in (pw, v_prev, VelocityField.zeros(periodic32)):
             assert res.functional_value <= (functional_value(candidate, v_prev, h)
                                             + 1e-12)
@@ -299,15 +299,16 @@ def test_direct_path_shares_one_projection(bc):
     traj = collected_run(random_solenoidal_field(spec, seed=23), cfg)
     for v_prev, v, r in zip(traj.snapshots, traj.snapshots[1:],
                             traj.records):
-        # the sink keeps no p or w: redo the step, which is deterministic
+        # the sink keeps no p: redo the step, which is deterministic; the
+        # step's w is the back-trace of v_prev, bitwise
         res = dns_step(v_prev, cfg)
+        w = backtrace(v_prev, cfg.h, cfg.interp_order)
         assert np.array_equal(res.v.data, v.data)
         assert res.record() == r
         assert r.path_disagreement is not None
         assert np.array_equal(
-            res.p.data,
-            _two_projection_pressure(v, res.w, cfg.h, cfg.nu).data)
-        assert r.el_residual == _two_projection_el_residual(v, res.w, cfg.h,
+            res.p.data, _two_projection_pressure(v, w, cfg.h, cfg.nu).data)
+        assert r.el_residual == _two_projection_el_residual(v, w, cfg.h,
                                                             cfg.nu)
 
 
@@ -433,11 +434,13 @@ def test_cg_refuses_overflowing_right_hand_side():
 
 def test_run_zero_datum(periodic32):
     cfg = DnsConfig(h=0.05, T=0.2, grid=periodic32)
-    traj = collected_run(VelocityField.zeros(periodic32), cfg)
+    sink = CollectingSink()
+    summary = run(VelocityField.zeros(periodic32), cfg, sinks=[sink])
+    traj = sink.trajectory(summary)
     assert len(traj.snapshots) == cfg.n_steps + 1
     for snap in traj.snapshots:
         assert np.all(snap.data == 0.0)
-    assert not traj.projected_initial
+    assert not summary.projected_initial
 
 
 def test_run_projects_dirty_datum(periodic32):
@@ -537,9 +540,10 @@ def test_box_step_certifies_divergence_relative_to_field():
     # 5.0e-16 max |v| / dx
     a, cfg = _large_box_run()
     assert np.max(np.abs(divergence(a).data)) == 0.0
-    traj = collected_run(a, cfg)
-    assert not traj.projected_initial
-    for v, r in zip(traj.snapshots[1:], traj.records):
+    sink = CollectingSink()
+    summary = run(a, cfg, sinks=[sink])
+    assert not summary.projected_initial
+    for v, r in zip(sink.velocities, summary.records):
         assert r.max_divergence > scheme.DIV_FREE_BOUND[cfg.grid.bc]
         assert (r.max_divergence
                 <= 1e-15 * np.max(np.abs(v.data)) / cfg.grid.spacing)

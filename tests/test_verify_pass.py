@@ -234,21 +234,13 @@ def _all_rungs_checks(man, trajs):
     return checks
 
 
-def _own_copy(traj):
-    # a trajectory over the same fields and records whose snapshot list
-    # can be edited without touching the shared fixture
-    return Trajectory(traj.cfg, list(traj.snapshots), traj.records,
-                      traj.projected_initial, traj.initial_dirichlet)
-
-
 def _faulted(trajs, fault):
     """The ladder with snapshot ``fault`` of the first rung negated, as
     ``verify --inject-fault`` does."""
-    trajs = [_own_copy(t) for t in trajs]
-    if fault is not None:
-        first = trajs[0]
-        first.replace_snapshot(fault, -first.snapshots[fault])
-    return trajs
+    if fault is None:
+        return trajs
+    first, *rest = trajs
+    return [first.with_snapshot(fault, -first.snapshots[fault]), *rest]
 
 
 def _per_rung_checks(man, trajs):
@@ -333,8 +325,9 @@ def test_per_rung_checks_match_all_rungs_code(request, ladder, fault):
     man, trajs = request.getfixturevalue(ladder)
     if fault == "last":
         fault = len(trajs[0].snapshots) - 1
-    expected = _all_rungs_checks(man, _faulted(trajs, fault))
-    assert _per_rung_checks(man, _faulted(trajs, fault)) == expected
+    trajs = _faulted(trajs, fault)
+    expected = _all_rungs_checks(man, trajs)
+    assert _per_rung_checks(man, trajs) == expected
     assert all(ok for _, ok, _ in expected) == (fault is None)
 
 
@@ -390,7 +383,7 @@ def test_pass_holds_one_jacobian_at_a_time():
     jac_bytes = velocity_jacobian(snaps[0]).nbytes
 
     def peak(n_steps):
-        traj = Trajectory(cfg, snaps[:n_steps + 1], [])
+        traj = Trajectory(cfg, snaps[:n_steps + 1], (None,) * n_steps)
         snapshot_pass(traj, grids)   # builds the cached spectral kit
         tracemalloc.start()
         try:
