@@ -41,6 +41,7 @@ import numpy as np
 from .fields import (
     GridSpec,
     NonFiniteFieldError,
+    _max_div,
     advection_term,
     distance_sq,
     grad_max_norm,
@@ -52,7 +53,6 @@ from .scheme import (
     RunSummary,
     StepRecord,
     Trajectory,
-    _max_div,
     backtrace,
     div_free_bound,
     energy_terms,

@@ -279,9 +279,5 @@ def convergence_study(base: DnsConfig, hs, cells_list=None,
             prev = raw[i - 1]
             order = (math.log2(prev.l2_error / row.l2_error)
                      / math.log2(prev.h / row.h))
-        rows.append(ConvergenceRow(h=row.h, cells=row.cells,
-                                   l2_error=row.l2_error, order=order,
-                                   max_fitted_c=row.max_fitted_c,
-                                   runtime_s=row.runtime_s,
-                                   compare_time=row.compare_time))
+        rows.append(replace(row, order=order))
     return ConvergenceTable(tuple(rows), target_time=base.T)

@@ -11,14 +11,16 @@ Two backends share one node-collocated layout:
   Jacobian in physical space; every transform is 2-D, one slice per call.
   Both start from ``_velocity_spectra``, the one forward transform of a
   velocity field: :func:`divergence` and :func:`grad_norm_sq` each take
-  their own, while the torus Stokes solve takes one of the v it returns
-  and reads both its divergence and its Dirichlet energy from it.
+  their own, while :func:`divergence_and_dirichlet` takes one and reads
+  both from it.
 * dirichlet: (n+1) x (n+1) nodes on [0, L] x [0, L], central differences
   with one-sided closures at the walls, trapezoidal quadrature. Velocity
   samples on the walls are pinned to zero.
 
 Both field types share one base and are immutable after construction;
 every operator is a pure function returning a new field.
+:func:`divergence_and_dirichlet` is the one measurement that certifies
+a field the scheme keeps, on either backend: max |div v| and int |Dv|^2.
 """
 
 from __future__ import annotations
@@ -394,7 +396,7 @@ def gradient(f: ScalarField) -> VelocityField:
 def _velocity_spectra(v: VelocityField) -> tuple[np.ndarray, np.ndarray]:
     """rfft2 half-spectra of both components of a torus field, one 2-D
     transform each: the one transform of v that :func:`divergence`,
-    :func:`grad_norm_sq` and the torus Stokes solve's diagnostics read."""
+    :func:`grad_norm_sq` and :func:`divergence_and_dirichlet` read."""
     return np.fft.rfft2(v.u), np.fft.rfft2(v.v)
 
 
@@ -421,6 +423,27 @@ def divergence(v: VelocityField) -> ScalarField:
         return ScalarField(spec, _divergence_from_spectra(
             spec, *_velocity_spectra(v)))
     return ScalarField(spec, _fd_divergence(spec, v.u, v.v))
+
+
+def _max_div(v: VelocityField) -> float:
+    return float(np.max(np.abs(divergence(v).data)))
+
+
+def divergence_and_dirichlet(v: VelocityField) -> tuple[float, float]:
+    """max |div v| and int |Dv|^2, the two numbers that certify a kept
+    field: to the bit what :func:`divergence` and :func:`grad_norm_sq`
+    give, and NonFiniteFieldError where the divergence is not finite, as
+    :func:`divergence` raises. The torus reads both from one transform
+    of v."""
+    spec = v.spec
+    if not spec.is_periodic:
+        return _max_div(v), grad_norm_sq(v)
+    v_hats = _velocity_spectra(v)
+    max_div = float(np.max(np.abs(_divergence_from_spectra(spec, *v_hats))))
+    if not math.isfinite(max_div):
+        # what building divergence(v)'s field raises, without its copy
+        raise NonFiniteFieldError("scalar field contains non-finite samples")
+    return max_div, _dirichlet_from_spectra(spec, *v_hats)
 
 
 def laplacian(v: VelocityField) -> VelocityField:

@@ -10,9 +10,7 @@ projection and the Laplacian commute on the torus); the spectral kit's
 by a real symbol (-K^2, h (-K^2), 1 + h nu K^2) as the product with the
 symbol's real reciprocal: numpy's complex division by a divisor with a
 zero imaginary part computes that same product, so the spectra keep
-their bits and no complex division runs. The Stokes solve's
-diagnostics, max |div v| and int |Dv|^2, come from one forward
-transform of the v it returns (``fields._velocity_spectra``).
+their bits and no complex division runs.
 
 Dirichlet backend: the velocity unknowns live on interior nodes (walls
 pinned to zero) and the pressure on all nodes. The divergence constraint
@@ -26,6 +24,9 @@ influence matrix factored once per (grid, h, nu) (capacitance matrix;
 Buzbee, Dorr, George & Golub 1971). null(G), the four corners (which no
 interior central difference touches) and the parity sub-lattice
 constants, is removed once from each pressure. A solve keeps no state.
+
+A solve reports only what it solved: v, p and its momentum residual.
+The step measures the v it keeps (``fields.divergence_and_dirichlet``).
 """
 
 from __future__ import annotations
@@ -40,14 +41,10 @@ from .fields import (
     GridSpec,
     ScalarField,
     VelocityField,
-    _dirichlet_from_spectra,
-    _divergence_from_spectra,
     _fd_laplacian,
     _parseval_norm_sq,
     _partials,
     _spectral_kit,
-    _velocity_spectra,
-    divergence,
 )
 
 
@@ -63,15 +60,11 @@ class StokesInfo:
     L2 norm of v - h nu lap(v) + h grad(p) - w for the returned v and p:
     interior rows weighted dx^2 on the box, Parseval on the torus (a
     Leray projection forms it too and discards it).
-    ``dirichlet`` is int |Dv|^2 of the returned v on the torus, from the
-    transform of v that also gives ``max_divergence``; None on the box.
     ``outer_iterations`` is always 0, since neither backend's solve has
     a loop; it stays while ``perfbench/child.py`` reads it."""
 
     outer_iterations: int
-    max_divergence: float
     momentum_residual: float
-    dirichlet: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +226,6 @@ def _box_solver(spec: GridSpec, h: float, nu: float):
 # ---------------------------------------------------------------------------
 # public entry points
 
-def _stokes(w: VelocityField, h: float, nu: float):
-    """v, p and the momentum residual of the Stokes solve on w's
-    backend."""
-    spec = w.spec
-    if spec.is_periodic:
-        return _stokes_spectral(w, h, nu)
-    vel, p = _box_solver(spec, h, nu)(w.data)
-    v = VelocityField(spec, vel)
-    mom = (vel - h * nu * _fd_laplacian(spec, vel)
-           + h * _partials(spec, p) - w.data)[:, 1:-1, 1:-1]
-    return (v, ScalarField(spec, p).demeaned(),
-            spec.spacing * float(np.sqrt(np.sum(mom ** 2))))
-
-
 def leray_project(u: VelocityField) -> HelmholtzParts:
     """Split u into a divergence-free part plus a gradient.
 
@@ -255,7 +234,7 @@ def leray_project(u: VelocityField) -> HelmholtzParts:
     driven by the divergence of u. The box ignores u's wall samples and
     returns a solenoidal part pinned to zero on the walls.
     """
-    v, p, _ = _stokes(u, 1.0, 0.0)
+    v, p, _ = solve_implicit_stokes(u, 1.0, 0.0)
     return HelmholtzParts(v, p)
 
 
@@ -266,20 +245,17 @@ def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0,
     Exact on both backends, without iteration: mode by mode in Fourier
     space on the torus; on the box a free-slip spectral solve plus wall
     forces from the cached wall influence matrix, the pressure projected
-    once onto range(G^T). ``info.max_divergence`` is max |div v| of the
-    returned v, at roundoff.
+    once onto range(G^T).
     """
     if h <= 0.0:
         raise ValueError("time step h must be positive")
     spec = w.spec
-    v, p, mom_res = _stokes(w, h, nu)
-    if not spec.is_periodic:
-        return v, p, StokesInfo(0, float(np.max(np.abs(divergence(v).data))),
-                                mom_res)
-    # the diagnostics read the stored v, not the solve's own spectra,
-    # whose divergence vanishes by construction; they run once those
-    # spectra are freed, so the two sets of temporaries never coexist
-    v_hats = _velocity_spectra(v)
-    div = _divergence_from_spectra(spec, *v_hats)
-    return v, p, StokesInfo(0, float(np.max(np.abs(div))), mom_res,
-                            _dirichlet_from_spectra(spec, *v_hats))
+    if spec.is_periodic:
+        v, p, mom_res = _stokes_spectral(w, h, nu)
+        return v, p, StokesInfo(0, mom_res)
+    vel, p = _box_solver(spec, h, nu)(w.data)
+    v = VelocityField(spec, vel)
+    mom = (vel - h * nu * _fd_laplacian(spec, vel)
+           + h * _partials(spec, p) - w.data)[:, 1:-1, 1:-1]
+    return v, ScalarField(spec, p).demeaned(), StokesInfo(
+        0, spec.spacing * float(np.sqrt(np.sum(mom ** 2))))

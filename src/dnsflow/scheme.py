@@ -33,7 +33,7 @@ from .fields import (
     ScalarField,
     VelocityField,
     distance_sq,
-    divergence,
+    divergence_and_dirichlet,
     grad_norm_sq,
     inner_product_l2,
     laplacian,
@@ -69,10 +69,6 @@ def div_free_bound(v: VelocityField) -> float:
         raise NonFiniteFieldError(
             f"max |v| / dx is non-finite (max |v| {amplitude:.3e})")
     return DIV_FREE_BOUND[v.spec.bc] * max(1.0, scale)
-
-
-def _max_div(v: VelocityField) -> float:
-    return float(np.max(np.abs(divergence(v).data)))
 
 
 class SolverFailure(RuntimeError):
@@ -129,7 +125,8 @@ class StepRecord:
 
     ``kinetic_shifted`` and ``dirichlet`` are :func:`energy_terms` at v;
     ``increment_sq`` is int |v - v_prev|^2, whose / 2h is the ledger's
-    plain kinetic term; ``max_divergence`` is max |div v|.
+    plain kinetic term; ``max_divergence`` is max |div v|. Both paths
+    take it and ``dirichlet`` from ``divergence_and_dirichlet(v)``.
 
     ``el_residual`` is the norm of the solenoidal part of (v - w)/h -
     nu lap(v) on the direct-minimize path (from the split that gives p).
@@ -367,23 +364,19 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
             # finite fields whose residual overflows cannot be certified
             raise NonFiniteFieldError(
                 "implicit Stokes momentum residual is non-finite")
-        return v, p, info
+        return v, p, info.momentum_residual / cfg.h
 
     if cfg.path is SolvePath.EULER_LAGRANGE:
-        v, p, info = euler_lagrange()
-        max_div = info.max_divergence
-        el_res = info.momentum_residual / cfg.h
-        dirichlet = info.dirichlet
+        v, p, el_res = euler_lagrange()
     else:
         v = _minimize_projected_cg(w, cfg)
-        max_div = _max_div(v)
-        dirichlet = None
         # Leray split of the step residual (v - w)/h - nu lap(v): its
         # solenoidal part vanishes at the minimizer and its potential is
         # -p, since h grad(p) = w - v + h nu lap(v)
         split = leray_project((v - w) * (1.0 / cfg.h) - cfg.nu * laplacian(v))
         p = (split.potential * -1.0).demeaned()
         el_res = norm_l2(split.solenoidal)
+    max_div, dirichlet = divergence_and_dirichlet(v)
 
     gap = None
     if cfg.cross_check:
@@ -392,7 +385,6 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
                    else euler_lagrange()[0])
         gap = norm_l2(v - v_other)
 
-    # on the torus the Stokes solve took it from its one transform of v
     kinetic, dirichlet = energy_terms(v, w, cfg.h, dirichlet)
     if not (math.isfinite(kinetic) and math.isfinite(dirichlet)):
         # finite fields whose energy overflows cannot enter the ledger
@@ -434,16 +426,18 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> RunSummary:
         raise ValueError("initial datum grid does not match the config")
     projected = False
     try:
-        if not _max_div(a) <= div_free_bound(a):
+        max_div, dirichlet = divergence_and_dirichlet(a)
+        if not max_div <= div_free_bound(a):
             a = leray_project(a).solenoidal
             projected = True
-            max_div, bound = _max_div(a), div_free_bound(a)
+            max_div, dirichlet = divergence_and_dirichlet(a)
+            bound = div_free_bound(a)
             if not max_div <= bound:
                 raise SolverFailure(
                     f"initial projection leaves max divergence "
                     f"{max_div:.3e} above its bound {bound:.3e}", step=0)
         # the two energies of the datum; the ledger reads the second
-        energy, dirichlet = inner_product_l2(a, a), grad_norm_sq(a)
+        energy = inner_product_l2(a, a)
         if not (math.isfinite(energy) and math.isfinite(dirichlet)):
             raise NonFiniteFieldError(
                 f"the datum's energies are non-finite (int |a|^2 "

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from dnsflow import (
     ScalarField,
     SolvePath,
     VelocityField,
-    divergence,
     random_solenoidal_field,
     run,
 )
@@ -21,6 +19,7 @@ from dnsflow.scheme import CollectingSink, Trajectory
 
 _real_cg = scheme._cg
 _real_stokes = scheme.solve_implicit_stokes
+_real_minimizer = scheme._minimize_projected_cg
 
 
 @pytest.fixture(scope="session")
@@ -104,20 +103,28 @@ def failing_cg(apply_a, b, x0, max_iters, rel_tol):
     return x, k, False
 
 
-def leaky_stokes(w, h, nu=1.0):
-    """Stand-in for ``scheme.solve_implicit_stokes`` that leaves a
-    divergent part in v: the exact solve's v plus 1e-3 sin(pi x / L_x)
-    sin(pi y / L_y) in its first component, which vanishes on a box's
-    walls. An exact solve leaves only roundoff divergence, within
-    ``scheme.div_free_bound`` at every amplitude."""
-    v, p, info = _real_stokes(w, h, nu)
-    X, Y = w.spec.mesh()
-    lx, ly = w.spec.extent
+def leak(v: VelocityField) -> VelocityField:
+    """v plus 1e-3 sin(pi x / L_x) sin(pi y / L_y) in its first
+    component, a divergent part that vanishes on a box's walls."""
+    X, Y = v.spec.mesh()
+    lx, ly = v.spec.extent
     data = v.data.copy()
     data[0] += 1e-3 * np.sin(math.pi * X / lx) * np.sin(math.pi * Y / ly)
-    v = VelocityField(w.spec, data)
-    max_div = float(np.max(np.abs(divergence(v).data)))
-    return v, p, dataclasses.replace(info, max_divergence=max_div)
+    return VelocityField(v.spec, data)
+
+
+def leaky_stokes(w, h, nu=1.0):
+    """Stand-in for ``scheme.solve_implicit_stokes`` whose v has a
+    divergent part (:func:`leak`). An exact solve leaves only roundoff
+    divergence, within ``scheme.div_free_bound`` at every amplitude."""
+    v, p, info = _real_stokes(w, h, nu)
+    return leak(v), p, info
+
+
+def leaky_minimizer(w, cfg):
+    """Stand-in for ``scheme._minimize_projected_cg``, the solve of the
+    direct-minimize path, whose v has a divergent part (:func:`leak`)."""
+    return leak(_real_minimizer(w, cfg))
 
 
 def exactly_solenoidal_box_field(spec: GridSpec, seed: int,

@@ -571,7 +571,7 @@ def test_divergence_by_snapshot_recomputes_only_edited_steps(tg_mini_run,
 
     def counted(v):
         calls.append(v)
-        return scheme._max_div(v)
+        return fields._max_div(v)
 
     monkeypatch.setattr(analysis, "_max_div", counted)
     clean = analysis.divergence_by_snapshot(tg_mini_run)
@@ -587,7 +587,7 @@ def test_divergence_by_snapshot_recomputes_only_edited_steps(tg_mini_run,
     touched = [n for n in (k, k + 1) if 1 <= n <= last]
     assert [id(v) for v in calls] == [id(traj.snapshots[n]) for n in touched]
     for n in range(1, last + 1):
-        div = scheme._max_div(traj.snapshots[n])
+        div = fields._max_div(traj.snapshots[n])
         assert edited[n - 1] == (div, scheme.div_free_bound(traj.snapshots[n]))
         assert (edited[n - 1] == clean[n - 1]) == (n != k)
 

@@ -95,6 +95,12 @@ def configs(draw):
 @example(case=("[grid]\ncells = 16\n[time]\nh = 1e77\nt = 2e77\n"
                "[ladder]\nh = 1e77, 5e76\n", False),
          command="verify", threads=None)
+# both material-derivative quadrature gaps underflow to 0: M8 / M16
+# divided by zero
+@example(case=("[grid]\ncells = 16\nextent = 1e-150\n[time]\nh = 0.05\n"
+               "t = 0.1\n[initial]\nkind = random_solenoidal\n"
+               "amplitude = 1e-150\n[ladder]\nh = 0.05, 0.025\n", False),
+         command="verify", threads=None)
 def test_cli_exit_codes_without_traceback(case, command, threads):
     text, refused = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -24,6 +24,8 @@ from dnsflow.fields import (
     _partials,
     _spectral_kit,
     distance_sq,
+    divergence_and_dirichlet,
+    pin_walls,
     quadrature_weights,
     velocity_jacobian,
 )
@@ -323,6 +325,32 @@ def test_one_transform_divergence_matches_two_transform_sum(spec):
         scale = max(np.max(np.abs(jac[0, 0])), np.max(np.abs(jac[1, 1])))
         gap = np.max(np.abs(divergence(v).data - _old_divergence(v)))
         assert gap <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(16), GridSpec(64),
+    GridSpec(16, bc=BoundaryCondition.DIRICHLET_ZERO),
+    GridSpec((12, 20), extent=(0.6, 1.0), bc=BoundaryCondition.DIRICHLET_ZERO),
+], ids=["torus16", "torus64", "box16", "box12x20"])
+def test_divergence_and_dirichlet_is_the_two_operators_bitwise(spec):
+    for seed in range(4):
+        v = random_velocity(spec, seed)
+        if not spec.is_periodic:
+            v = VelocityField(spec, pin_walls(spec, v.data.copy()))
+        assert divergence_and_dirichlet(v) == (
+            float(np.max(np.abs(divergence(v).data))), grad_norm_sq(v))
+
+
+def test_divergence_and_dirichlet_rejects_what_divergence_rejects():
+    # on a torus of extent 1e-150 the wavenumbers reach 5e151, so
+    # i k u_hat overflows for white noise of amplitude 1e157
+    spec = GridSpec(16, extent=1e-150)
+    v = _white_noise(spec, 1) * 1e157
+    with np.errstate(over="ignore", invalid="ignore"):
+        for measure in (divergence, divergence_and_dirichlet):
+            with pytest.raises(NonFiniteFieldError,
+                               match="^scalar field contains non-finite"):
+                measure(v)
 
 
 @pytest.mark.parametrize("lead", [(), (2,), (2, 2)])

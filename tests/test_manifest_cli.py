@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dnsflow import BoundaryCondition, GridSpec, InterpOrder, SolvePath
-from dnsflow import analysis, bench, cli, scheme, snapshot
+from dnsflow import bench, cli, fields, scheme, snapshot
 from dnsflow.cli import _ladder_configs, main
 from dnsflow.fields import VelocityField, divergence
 from dnsflow.manifest import (
@@ -245,7 +245,7 @@ def test_verify_divergence_check_reads_step_records(torus_ladder,
     assert [s[0] for s in snaps] == [r.max_divergence
                                      for traj in trajs for r in traj.records]
     calls = []
-    monkeypatch.setattr(scheme, "divergence",
+    monkeypatch.setattr(fields, "divergence",
                         lambda v: calls.append(v) or divergence(v))
     _, ok, detail = _divergence_check(man, trajs)
     assert calls == []
@@ -483,6 +483,18 @@ def test_cli_verify_pairs_each_rung_with_its_own_horizon(tmp_path):
     assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
                  "--out", str(out)]) == 0
     assert "weak_residual_decreases: PASS" in (out / "verify.txt").read_text()
+
+
+def test_cli_verify_weak_residual_check_fails_on_nan(tmp_path):
+    # T^4 underflows to 0 at T = 2e-90, so every weak residual is NaN,
+    # which no comparison with the previous rung rejects
+    cfg = ("[grid]\ncells = 16\n[time]\nh = 1e-90\nt = 2e-90\n"
+           "[initial]\nkind = taylor_green\n[ladder]\nh = 1e-90, 5e-91\n")
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    assert ("weak_residual_decreases: FAIL (phi0: nan->nan; "
+            in (out / "verify.txt").read_text())
 
 
 @pytest.mark.parametrize("extent, h, amplitude, step, reason", [

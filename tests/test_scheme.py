@@ -30,7 +30,12 @@ from dnsflow import (
     taylor_green_field,
 )
 from dnsflow import scheme
-from dnsflow.fields import NonFiniteFieldError, pin_walls, velocity_jacobian
+from dnsflow.fields import (
+    NonFiniteFieldError,
+    _max_div,
+    pin_walls,
+    velocity_jacobian,
+)
 from dnsflow.projection import HelmholtzParts
 from dnsflow.scheme import CollectingSink, _cg, energy_terms
 
@@ -38,6 +43,7 @@ from conftest import (
     collected_run,
     exactly_solenoidal_box_field,
     failing_cg,
+    leaky_minimizer,
     leaky_stokes,
     random_pinned_velocity,
 )
@@ -560,13 +566,22 @@ def test_torus_run_certifies_large_amplitude_field():
             > scheme.DIV_FREE_BOUND[spec.bc])
 
 
-def test_dns_step_fails_uncertifiable_divergence(dirichlet32, monkeypatch):
+@pytest.mark.parametrize("path, solve, leaky", [
+    (SolvePath.EULER_LAGRANGE, "solve_implicit_stokes", leaky_stokes),
+    (SolvePath.DIRECT_MINIMIZE, "_minimize_projected_cg", leaky_minimizer),
+], ids=["euler_lagrange", "direct_minimize"])
+@pytest.mark.parametrize("bc", list(BoundaryCondition),
+                         ids=lambda bc: bc.value)
+def test_dns_step_fails_uncertifiable_divergence(bc, path, solve, leaky,
+                                                 monkeypatch):
     # an exact solve leaves roundoff divergence within its bound at every
-    # amplitude, so a faulty stand-in drives the failure
-    a = leray_project(random_solenoidal_field(dirichlet32, seed=2)).solenoidal
-    cfg = DnsConfig(h=0.0125, T=0.025, grid=dirichlet32)
+    # amplitude, so a faulty stand-in for each path's solve drives the
+    # failure: the step measures the v it keeps, not the solve's report
+    spec = GridSpec(32, bc=bc)
+    a = leray_project(random_solenoidal_field(spec, seed=2)).solenoidal
+    cfg = DnsConfig(h=0.0125, T=0.025, grid=spec, path=path)
     assert dns_step(a, cfg).max_divergence <= scheme.div_free_bound(a)
-    monkeypatch.setattr(scheme, "solve_implicit_stokes", leaky_stokes)
+    monkeypatch.setattr(scheme, solve, leaky)
     with pytest.raises(SolverFailure,
                        match="max divergence .* above its bound"):
         dns_step(a, cfg)
@@ -622,7 +637,7 @@ def test_run_checks_unprojected_datum_energies_at_step_0(exponent):
     spec = GridSpec(16, extent=1.0, bc=BoundaryCondition.DIRICHLET_ZERO)
     a = exactly_solenoidal_box_field(spec, 3, 2.0 ** exponent)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert scheme._max_div(a) <= scheme.div_free_bound(a)
+        assert _max_div(a) <= scheme.div_free_bound(a)
         with pytest.raises(SolverFailure) as err:
             run(a, DnsConfig(h=0.0125, T=0.05, grid=spec))
     assert err.value.step == 0
