@@ -5,10 +5,11 @@ Two backends share one node-collocated layout:
 * periodic: n x n nodes on [0, L) x [0, L), spectral derivatives via the
   real FFT, rectangle-rule quadrature (exact for trig polynomials below
   the Nyquist limit). One cached spectral kit per grid holds the Fourier
-  symbols that the operators here and the torus solves read. The
-  Dirichlet energy is summed by Parseval over the rfft2 half-spectra and
-  the divergence takes one inverse transform, so neither forms the
-  Jacobian in physical space; every transform is 2-D, one slice per call.
+  symbols that the operators here and the torus solves read, and the
+  weights of the Parseval sums. The Dirichlet energy is summed by
+  Parseval over the rfft2 half-spectra and the divergence takes one
+  inverse transform, so neither forms the Jacobian in physical space;
+  every transform is 2-D, one slice per call.
   Both start from ``_velocity_spectra``, the one forward transform of a
   velocity field: :func:`divergence` and :func:`grad_norm_sq` each take
   their own, while :func:`divergence_and_dirichlet` takes one and reads
@@ -258,10 +259,13 @@ def pin_walls(spec: GridSpec, data: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _spectral_kit(spec: GridSpec):
-    """Read-only symbols ``(ikx, iky, K2, neg_k2)`` of the real-FFT
-    layout: i kx, i ky, K2 = kx^2 + ky^2, and -K2 with +inf where K2 = 0,
-    so dividing a spectrum by it applies the inverse Laplacian and zeroes
-    those four modes.
+    """Read-only symbols ``(ikx, iky, K2, neg_k2, col, col_k2)`` of the
+    real-FFT layout: i kx, i ky, K2 = kx^2 + ky^2, and -K2 with +inf
+    where K2 = 0, so dividing a spectrum by it applies the inverse
+    Laplacian and zeroes those four modes; then the weights of the
+    half-spectrum's power in :func:`_parseval_norm_sq`: ``col`` counts
+    each column but ky = 0 and Nyquist twice, for its conjugate, and
+    ``col_k2`` is col x K2.
 
     The Nyquist wavenumber is zeroed so first derivatives stay
     skew-adjoint and real; the Laplacian symbol is the composition
@@ -278,24 +282,35 @@ def _spectral_kit(spec: GridSpec):
     KY = np.broadcast_to(ky[None, :], (nx, ny // 2 + 1))
     K2 = KX**2 + KY**2
     neg_k2 = np.where(K2 > 0.0, -K2, np.inf)
-    kit = (1j * KX, 1j * KY, K2, neg_k2)
+    col = np.full(ny // 2 + 1, 2.0)
+    col[0] = col[-1] = 1.0
+    kit = (1j * KX, 1j * KY, K2, neg_k2, col, col * K2)
     for arr in kit:
         arr.flags.writeable = False
     return kit
 
 
+def _weighted_power_sum(re: np.ndarray, im: np.ndarray,
+                        weights: np.ndarray) -> np.float64:
+    """sum(weights * (re^2 + im^2)), the power formed in one array."""
+    power = np.square(re)
+    power += np.square(im)
+    power *= weights
+    return np.sum(power)
+
+
 def _parseval_norm_sq(spec: GridSpec, *f_hats: np.ndarray,
-                      symbol=1.0) -> float:
+                      k2: bool = False) -> float:
     """Rectangle-rule integral of |f|^2 (summed over leading axes and
     over the spectra given, before the scaling) from f's rfft2
     half-spectrum: each column but ky = 0 and Nyquist counts twice, for
-    its conjugate. A real ``symbol`` s weights the power, for the
-    integral of |g|^2 with |g_hat|^2 = s |f_hat|^2."""
+    its conjugate. ``k2`` weights the power by K^2, for the integral of
+    |grad f|^2. The weights are the spectral kit's, formed once per
+    grid."""
     nx, ny = spec.cells
-    col = np.full(ny // 2 + 1, 2.0)
-    col[0] = col[-1] = 1.0
+    weights = _spectral_kit(spec)[5 if k2 else 4]
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(np.sum(col * symbol * (f.real ** 2 + f.imag ** 2))
+        total = sum(_weighted_power_sum(f.real, f.imag, weights)
                     for f in f_hats)
         value = float(spec.spacing ** 2 / (nx * ny) * total)
     if math.isfinite(value) or not all(np.all(np.isfinite(f))
@@ -309,7 +324,7 @@ def _parseval_norm_sq(spec: GridSpec, *f_hats: np.ndarray,
                for part in (f.real, f.imag))
     e = math.frexp(peak)[1]
     s = math.ldexp(1.0, -e)
-    total = sum(np.sum(col * symbol * ((s * f.real) ** 2 + (s * f.imag) ** 2))
+    total = sum(_weighted_power_sum(s * f.real, s * f.imag, weights)
                 for f in f_hats)
     try:
         return math.ldexp(float(spec.spacing ** 2 / (nx * ny) * total), 2 * e)
@@ -404,7 +419,7 @@ def _divergence_from_spectra(spec: GridSpec, u_hat: np.ndarray,
                              v_hat: np.ndarray) -> np.ndarray:
     """div v on the torus from its components' half-spectra: the two
     partials summed in Fourier space, one inverse transform."""
-    ikx, iky, _, _ = _spectral_kit(spec)
+    ikx, iky = _spectral_kit(spec)[:2]
     return np.fft.irfft2(ikx * u_hat + iky * v_hat, s=spec.node_shape)
 
 
@@ -412,8 +427,7 @@ def _dirichlet_from_spectra(spec: GridSpec, u_hat: np.ndarray,
                             v_hat: np.ndarray) -> float:
     """int |Dv|^2 on the torus from its components' half-spectra:
     Parseval's sum of K^2 |v_c_hat|^2, one component at a time."""
-    K2 = _spectral_kit(spec)[2]
-    return sum(_parseval_norm_sq(spec, f_hat, symbol=K2)
+    return sum(_parseval_norm_sq(spec, f_hat, k2=True)
                for f_hat in (u_hat, v_hat))
 
 

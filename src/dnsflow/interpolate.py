@@ -56,13 +56,14 @@ def _cubic_weights(t: np.ndarray):
     w0 *= tm1
     w0 *= tm2
     w0 /= 6.0
+    # halving by * 0.5 is exact, as / 2.0 is
     w1 = np.multiply(tp1, tm1, out=tp1)
     w1 *= tm2
-    w1 /= 2.0
+    w1 *= 0.5
     # -(a * b) rounds exactly as (-a) * b
     w2 = np.multiply(tp1t, tm2, out=tm2)
     np.negative(w2, out=w2)
-    w2 /= 2.0
+    w2 *= 0.5
     w3 = np.multiply(tp1t, tm1, out=tp1t)
     w3 /= 6.0
     return w0, w1, w2, w3
@@ -73,9 +74,12 @@ def _cell_coords(q: np.ndarray, L: float, dx: float) -> np.ndarray:
 
     ``np.mod`` runs only where q is outside [0, L): inside,
     ``np.mod(q, L)`` is q itself. ``-0.0`` counts as outside (its sign
-    bit is set), so it still maps to ``0.0``.
+    bit is set), so it still maps to ``0.0``. With every q in (0, L)
+    there is nothing to mask.
     """
     s = q / dx
+    if q.min() > 0.0 and q.max() < L:
+        return s
     out = np.signbit(q) | (q >= L)
     if out.any():
         s[out] = np.mod(q[out], L) / dx
@@ -91,8 +95,18 @@ def _ghost_source(v: VelocityField, reach: range):
     ``base + offs[a][b]`` of the source, where ``base = i0 * width + j0``.
     """
     lo, hi = -reach[0], reach[-1]
-    src = np.pad(v.data, ((0, 0), (lo, hi), (lo, hi)),
-                 mode="wrap" if v.spec.is_periodic else "constant")
+    _, nx, ny = v.data.shape
+    shape = (2, nx + lo + hi, ny + lo + hi)
+    periodic = v.spec.is_periodic
+    src = np.empty(shape) if periodic else np.zeros(shape)
+    src[:, lo:lo + nx, lo:lo + ny] = v.data
+    if periodic:
+        # wrap the rows, then the columns over the full height, which
+        # fills the corners; lo, hi <= 2 < nx, ny
+        src[:, :lo, lo:lo + ny] = v.data[:, nx - lo:]
+        src[:, lo + nx:, lo:lo + ny] = v.data[:, :hi]
+        src[:, :, :lo] = src[:, :, ny:ny + lo]
+        src[:, :, lo + ny:] = src[:, :, lo:lo + hi]
     width = src.shape[2]
     offs = [[(lo + di) * width + lo + dj for dj in reach] for di in reach]
     return src.reshape(2, -1), width, offs

@@ -10,7 +10,8 @@ projection and the Laplacian commute on the torus); the spectral kit's
 by a real symbol (-K^2, h (-K^2), 1 + h nu K^2) as the product with the
 symbol's real reciprocal: numpy's complex division by a divisor with a
 zero imaginary part computes that same product, so the spectra keep
-their bits and no complex division runs.
+their bits and no complex division runs. The reciprocals and
+1 + h nu K^2 are cached per (grid, h, nu); the algebra runs in place.
 
 Dirichlet backend: the velocity unknowns live on interior nodes (walls
 pinned to zero) and the pressure on all nodes. The divergence constraint
@@ -27,11 +28,16 @@ constants, is removed once from each pressure. A solve keeps no state.
 
 A solve reports only what it solved: v, p and its momentum residual.
 The step measures the v it keeps (``fields.divergence_and_dirichlet``).
+p is deferred: the solve keeps what forms it (the torus pressure's
+half-spectrum, the box pressure's range(G^T) samples) and forms the
+zero-mean field on the first read, so a step whose p nothing reads
+never forms it. ``leray_project`` reads its potential at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,31 +73,73 @@ class StokesInfo:
     momentum_residual: float
 
 
+class _Deferred:
+    """A zero-argument callable that forms its value on the first call
+    and returns that same value after; what formed it is dropped then."""
+
+    def __init__(self, form: Callable[[], ScalarField]):
+        self._form, self._value = form, None
+
+    def __call__(self) -> ScalarField:
+        if self._form is not None:
+            self._value = self._form()
+            self._form = None
+        return self._value
+
+
 # ---------------------------------------------------------------------------
 # periodic backend
 
+@lru_cache(maxsize=8)
+def _torus_symbols(spec: GridSpec, h: float, nu: float):
+    """Read-only real symbols of the torus Stokes solve at (h, nu):
+    1 / (-K^2), 1 / (h (-K^2)) (both 0 where K^2 = 0), sym = 1 + h nu
+    K^2 and 1 / sym."""
+    K2, neg_k2 = _spectral_kit(spec)[2:4]
+    sym = 1.0 + h * nu * K2
+    kit = (1.0 / neg_k2, 1.0 / (h * neg_k2), sym, 1.0 / sym)
+    for arr in kit:
+        arr.flags.writeable = False
+    return kit
+
+
 def _stokes_spectral(w: VelocityField, h: float, nu: float):
-    """v, p and the momentum residual of the torus Stokes solve."""
+    """v, the deferred p and the momentum residual of the torus Stokes
+    solve. The algebra runs in place in two work spectra; p keeps only
+    its half-spectrum until it is read."""
     spec = w.spec
-    ikx, iky, K2, neg_k2 = _spectral_kit(spec)
+    ikx, iky = _spectral_kit(spec)[:2]
+    inv_neg_k2, inv_h_neg_k2, sym, inv_sym = _torus_symbols(spec, h, nu)
     shape = spec.node_shape
     wu_hat = np.fft.rfft2(w.data[0])
     wv_hat = np.fft.rfft2(w.data[1])
-    div_hat = ikx * wu_hat + iky * wv_hat
-    phi_hat = div_hat * (1.0 / neg_k2)
-    p_hat = div_hat * (1.0 / (h * neg_k2))
-    sym = 1.0 + h * nu * K2
-    inv_sym = 1.0 / sym
-    vu_hat = (wu_hat - ikx * phi_hat) * inv_sym
-    vv_hat = (wv_hat - iky * phi_hat) * inv_sym
+    # a = div_hat = ikx wu_hat + iky wv_hat, then phi_hat = div_hat / -K^2
+    a = ikx * wu_hat
+    b = iky * wv_hat
+    a += b
+    p_hat = a * inv_h_neg_k2
+    a *= inv_neg_k2
+    # b = vu_hat = (wu_hat - ikx phi_hat) / sym, a = vv_hat likewise
+    np.multiply(ikx, a, out=b)
+    np.subtract(wu_hat, b, out=b)
+    b *= inv_sym
+    np.multiply(iky, a, out=a)
+    np.subtract(wv_hat, a, out=a)
+    a *= inv_sym
     vel = np.empty((2,) + shape)
-    vel[0] = np.fft.irfft2(vu_hat, s=shape)
-    vel[1] = np.fft.irfft2(vv_hat, s=shape)
-    p = ScalarField(spec, np.fft.irfft2(p_hat, s=shape)).demeaned()
-    mom_res = math.sqrt(_parseval_norm_sq(
-        spec, vu_hat * sym + h * ikx * p_hat - wu_hat,
-        vv_hat * sym + h * iky * p_hat - wv_hat))
-    return VelocityField(spec, vel), p, mom_res
+    vel[0] = np.fft.irfft2(b, s=shape)
+    vel[1] = np.fft.irfft2(a, s=shape)
+    # the momentum residual v_hat sym + h ik p_hat - w_hat, in place
+    h_ik_p = np.empty_like(p_hat)
+    for v_hat, ik, w_hat in ((b, ikx, wu_hat), (a, iky, wv_hat)):
+        v_hat *= sym
+        np.multiply(h, ik, out=h_ik_p)
+        h_ik_p *= p_hat
+        v_hat += h_ik_p
+        v_hat -= w_hat
+    mom_res = math.sqrt(_parseval_norm_sq(spec, b, a))
+    return VelocityField(spec, vel), _Deferred(lambda: ScalarField(
+        spec, np.fft.irfft2(p_hat, s=shape)).demeaned()), mom_res
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +283,35 @@ def leray_project(u: VelocityField) -> HelmholtzParts:
     returns a solenoidal part pinned to zero on the walls.
     """
     v, p, _ = solve_implicit_stokes(u, 1.0, 0.0)
-    return HelmholtzParts(v, p)
+    return HelmholtzParts(v, p())
 
 
 def solve_implicit_stokes(w: VelocityField, h: float, nu: float = 1.0,
-                          ) -> tuple[VelocityField, ScalarField, StokesInfo]:
+                          ) -> tuple[VelocityField, Callable[[], ScalarField],
+                                     StokesInfo]:
     """Solve v - h nu lap(v) + h grad(p) = w with div(v) = 0.
 
     Exact on both backends, without iteration: mode by mode in Fourier
     space on the torus; on the box a free-slip spectral solve plus wall
     forces from the cached wall influence matrix, the pressure projected
     once onto range(G^T).
+
+    Returns v, p deferred and the :class:`StokesInfo`. The deferred p is
+    a zero-argument callable that forms the zero-mean pressure on its
+    first call and returns that same field after: from the kept
+    half-spectrum on the torus (one inverse transform), from the kept
+    range(G^T) samples on the box. A caller that never reads p never
+    forms it.
     """
     if h <= 0.0:
         raise ValueError("time step h must be positive")
     spec = w.spec
     if spec.is_periodic:
-        v, p, mom_res = _stokes_spectral(w, h, nu)
-        return v, p, StokesInfo(0, mom_res)
+        v, pressure, mom_res = _stokes_spectral(w, h, nu)
+        return v, pressure, StokesInfo(0, mom_res)
     vel, p = _box_solver(spec, h, nu)(w.data)
     v = VelocityField(spec, vel)
     mom = (vel - h * nu * _fd_laplacian(spec, vel)
            + h * _partials(spec, p) - w.data)[:, 1:-1, 1:-1]
-    return v, ScalarField(spec, p).demeaned(), StokesInfo(
+    return v, _Deferred(lambda: ScalarField(spec, p).demeaned()), StokesInfo(
         0, spec.spacing * float(np.sqrt(np.sum(mom ** 2))))

@@ -11,7 +11,8 @@ gradients on divergence-free fields (oracle path). The functional is
 convex, so the two must agree; a cross-check mode measures their gap.
 
 ``run`` streams: each step's :class:`StepResult` (its scalars plus v
-and p) goes to the caller's sinks and is dropped, and the run keeps one
+and p, which the Euler-Lagrange path forms only when a sink reads it)
+goes to the caller's sinks and is dropped, and the run keeps one
 :class:`StepRecord` per step, the datum it stepped from and the final
 field (:class:`RunSummary`). A caller that reads every step's velocity
 after the run passes a :class:`CollectingSink`, which keeps each v and
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -147,10 +149,20 @@ class StepRecord:
 @dataclass(frozen=True, kw_only=True)
 class StepResult(StepRecord):
     """One step's record and fields: v and its pressure p. :func:`run`
-    hands each to its sinks and keeps only :meth:`record`."""
+    hands each to its sinks and keeps only :meth:`record`.
+
+    ``pressure`` is the solve's deferred p, a zero-argument callable that
+    returns the same field on every call; :attr:`p` reads it. On the
+    Euler-Lagrange path p is formed on the first read, so a step whose p
+    no sink reads never forms it; the direct-minimize path forms it in
+    the step."""
 
     v: VelocityField
-    p: ScalarField
+    pressure: Callable[[], ScalarField] = field(repr=False)
+
+    @property
+    def p(self) -> ScalarField:
+        return self.pressure()
 
     def record(self) -> StepRecord:
         """The step's scalars, without its fields."""
@@ -359,15 +371,15 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
     w = backtrace(v_prev, cfg.h, cfg.interp_order)
 
     def euler_lagrange():
-        v, p, info = solve_implicit_stokes(w, cfg.h, cfg.nu)
+        v, pressure, info = solve_implicit_stokes(w, cfg.h, cfg.nu)
         if not math.isfinite(info.momentum_residual):
             # finite fields whose residual overflows cannot be certified
             raise NonFiniteFieldError(
                 "implicit Stokes momentum residual is non-finite")
-        return v, p, info.momentum_residual / cfg.h
+        return v, pressure, info.momentum_residual / cfg.h
 
     if cfg.path is SolvePath.EULER_LAGRANGE:
-        v, p, el_res = euler_lagrange()
+        v, pressure, el_res = euler_lagrange()
     else:
         v = _minimize_projected_cg(w, cfg)
         # Leray split of the step residual (v - w)/h - nu lap(v): its
@@ -376,6 +388,9 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
         split = leray_project((v - w) * (1.0 / cfg.h) - cfg.nu * laplacian(v))
         p = (split.potential * -1.0).demeaned()
         el_res = norm_l2(split.solenoidal)
+
+        def pressure() -> ScalarField:
+            return p
     max_div, dirichlet = divergence_and_dirichlet(v)
 
     gap = None
@@ -396,7 +411,7 @@ def dns_step(v_prev: VelocityField, cfg: DnsConfig) -> StepResult:
         raise SolverFailure(f"the step's solve leaves max divergence "
                             f"{max_div:.3e} above its bound {bound:.3e}")
     return StepResult(
-        v=v, p=p,
+        v=v, pressure=pressure,
         kinetic_shifted=kinetic,
         dirichlet=dirichlet,
         increment_sq=distance_sq(v, v_prev),
@@ -453,10 +468,11 @@ def run(a: VelocityField, cfg: DnsConfig, sinks=()) -> RunSummary:
         except (SolverFailure, NonFiniteFieldError) as exc:
             raise SolverFailure(str(exc), step=n) from exc
         records.append(result.record())
+        # v_prev goes before the sinks run, and the step's p, or what
+        # forms it, before the next step builds its own
+        v = result.v
         for sink in sinks:
             sink(n, result)
-        v = result.v
-        # drop the step's p before the next step builds its own
         del result
     return RunSummary(cfg=cfg, initial=a, initial_dirichlet=dirichlet,
                       final=v, records=tuple(records),

@@ -146,3 +146,14 @@ def exactly_solenoidal_box_field(spec: GridSpec, seed: int,
     data[0, 1:-1, 1:-1] = (psi[1:-1, 2:] - psi[1:-1, :-2]) / (2.0 * dx)
     data[1, 1:-1, 1:-1] = -(psi[2:, 1:-1] - psi[:-2, 1:-1]) / (2.0 * dx)
     return VelocityField(spec, data * amplitude)
+
+
+def plain_parseval(spec, *f_hats, symbol=1.0):
+    """The Parseval sum of ``fields._parseval_norm_sq`` as it stood
+    before its overflow guard and its cached weights, verbatim."""
+    nx, ny = spec.cells
+    col = np.full(ny // 2 + 1, 2.0)
+    col[0] = col[-1] = 1.0
+    total = sum(np.sum(col * symbol * (f.real ** 2 + f.imag ** 2))
+                for f in f_hats)
+    return float(spec.spacing ** 2 / (nx * ny) * total)

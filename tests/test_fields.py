@@ -30,7 +30,7 @@ from dnsflow.fields import (
     velocity_jacobian,
 )
 
-from conftest import random_scalar, random_velocity
+from conftest import plain_parseval, random_scalar, random_velocity
 
 TWO_PI = 2.0 * math.pi
 
@@ -281,7 +281,7 @@ TORUS_IDS = ["16x16", "16x32"]
 # Jacobian, and the divergence summed two inverse transforms.
 
 def _old_partials(spec, data):
-    ikx, iky, _, _ = _spectral_kit(spec)
+    ikx, iky = _spectral_kit(spec)[:2]
     ik = np.stack([ikx, iky])
     return np.fft.irfft2(ik * np.fft.rfft2(data)[..., None, :, :],
                          s=spec.node_shape)
@@ -295,7 +295,7 @@ def _old_grad_norm_sq(v):
 
 def _old_divergence(v):
     spec = v.spec
-    ikx, iky, _, _ = _spectral_kit(spec)
+    ikx, iky = _spectral_kit(spec)[:2]
     shape = spec.node_shape
     return (np.fft.irfft2(ikx * np.fft.rfft2(v.u), s=shape)
             + np.fft.irfft2(iky * np.fft.rfft2(v.v), s=shape))
@@ -380,16 +380,6 @@ def test_inner_product_spec_mismatch(periodic32, periodic64):
                          VelocityField.zeros(periodic64))
 
 
-def _plain_parseval(spec, *f_hats, symbol=1.0):
-    # the Parseval sum as it stood before its overflow guard, verbatim
-    nx, ny = spec.cells
-    col = np.full(ny // 2 + 1, 2.0)
-    col[0] = col[-1] = 1.0
-    total = sum(np.sum(col * symbol * (f.real ** 2 + f.imag ** 2))
-                for f in f_hats)
-    return float(spec.spacing ** 2 / (nx * ny) * total)
-
-
 def _taylor_green(spec, amplitude):
     from dnsflow import TaylorGreenOracle, taylor_green_field
     return taylor_green_field(0.0, spec, TaylorGreenOracle(amplitude))[0]
@@ -403,13 +393,49 @@ def test_grad_norm_sq_survives_squared_spectra_overflow():
     K2 = _spectral_kit(spec)[2]
     unit = grad_norm_sq(_taylor_green(spec, 1.0))
     v = _taylor_green(spec, 1e150)
-    plain = sum(_plain_parseval(spec, np.fft.rfft2(c), symbol=K2)
+    plain = sum(plain_parseval(spec, np.fft.rfft2(c), symbol=K2)
                 for c in v.data)
     assert math.isfinite(plain)
     assert grad_norm_sq(v) == plain
     huge = grad_norm_sq(_taylor_green(spec, 1e152))
     assert huge == pytest.approx(1e304 * unit, rel=1e-14)
     assert huge == pytest.approx(3.95e305, rel=1e-3)
+
+
+@pytest.mark.parametrize("spec", TORUS_SPECS + [GridSpec(256)],
+                         ids=TORUS_IDS + ["256"])
+def test_parseval_weights_match_plain_sum_bitwise(spec):
+    # the cached weights col x symbol and the power formed in place give
+    # the plain sum's bits, for symbol 1 and K^2, on one spectrum, on a
+    # batch of two and on two spectra summed
+    K2 = _spectral_kit(spec)[2]
+    data = np.random.default_rng(17).normal(size=(2,) + spec.node_shape)
+    batch = np.fft.rfft2(data)
+    for k2, symbol in ((False, 1.0), (True, K2)):
+        for f_hats in ([batch[0]], [batch], [batch[0], batch[1]]):
+            assert (_parseval_norm_sq(spec, *f_hats, k2=k2)
+                    == plain_parseval(spec, *f_hats, symbol=symbol))
+
+
+@pytest.mark.parametrize("k2", [False, True])
+def test_parseval_rescue_uses_the_same_weights(k2):
+    # a 16^2 Taylor-Green datum at amplitude 1e153: the plain sum
+    # overflows, and the rescue is the plain sum of the spectrum scaled
+    # by 2^-e, scaled back by 2^2e, to the bit
+    spec = GridSpec(16)
+    symbol = _spectral_kit(spec)[2] if k2 else 1.0
+    f_hat = np.fft.rfft2(_taylor_green(spec, 1e153).data[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert plain_parseval(spec, f_hat, symbol=symbol) == math.inf
+    e = math.frexp(max(np.max(np.abs(f_hat.real)),
+                       np.max(np.abs(f_hat.imag))))[1]
+    scaled = np.empty_like(f_hat)
+    scaled.real = math.ldexp(1.0, -e) * f_hat.real
+    scaled.imag = math.ldexp(1.0, -e) * f_hat.imag
+    rescued = _parseval_norm_sq(spec, f_hat, k2=k2)
+    assert math.isfinite(rescued)
+    assert rescued == math.ldexp(plain_parseval(spec, scaled, symbol=symbol),
+                                 2 * e)
 
 
 def test_parseval_norm_sq_overflows_only_with_its_integral(periodic32):

@@ -318,3 +318,112 @@ def test_cubic_backtrace_peak_memory_256():
     finally:
         tracemalloc.stop()
     assert peak < 5 * v.data.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the sampler's helpers before three trims (halving by * 0.5, no mask
+# for coordinates inside (0, L), slice copies in place of np.pad), kept
+# verbatim; each trim must keep every bit
+
+def _old_cubic_weights(t):
+    tm1, tm2, tp1 = t - 1.0, t - 2.0, t + 1.0
+    tp1t = tp1 * t
+    w0 = np.negative(t, out=t)
+    w0 *= tm1
+    w0 *= tm2
+    w0 /= 6.0
+    w1 = np.multiply(tp1, tm1, out=tp1)
+    w1 *= tm2
+    w1 /= 2.0
+    w2 = np.multiply(tp1t, tm2, out=tm2)
+    np.negative(w2, out=w2)
+    w2 /= 2.0
+    w3 = np.multiply(tp1t, tm1, out=tp1t)
+    w3 /= 6.0
+    return w0, w1, w2, w3
+
+
+def _old_cell_coords(q, L, dx):
+    s = q / dx
+    out = np.signbit(q) | (q >= L)
+    if out.any():
+        s[out] = np.mod(q[out], L) / dx
+    return s
+
+
+def _old_ghost_source(v, reach):
+    lo, hi = -reach[0], reach[-1]
+    src = np.pad(v.data, ((0, 0), (lo, hi), (lo, hi)),
+                 mode="wrap" if v.spec.is_periodic else "constant")
+    width = src.shape[2]
+    offs = [[(lo + di) * width + lo + dj for dj in reach] for di in reach]
+    return src.reshape(2, -1), width, offs
+
+
+def _trim_edges(L):
+    """0.0, -0.0, L, the largest double below L and huge finite
+    coordinates (whose q / dx stays finite)."""
+    big = 1e300 * min(L, 1.0)
+    return [0.0, -0.0, L, float(np.nextafter(L, 0.0)),
+            float(np.nextafter(L, np.inf)), 5e-324, -5e-324, big, -big,
+            3.0 * L, -3.0 * L]
+
+
+def test_cubic_weights_halving_keeps_bits():
+    rng = np.random.default_rng(21)
+    t = np.concatenate([[0.0, 1.0, 0.5, 5e-324, np.nextafter(1.0, 0.0),
+                         np.nextafter(0.0, 1.0) * 2 ** 52],
+                        rng.uniform(0.0, 1.0, 5000),
+                        np.linspace(0.0, 1.0, 1025)])
+    for new, old in zip(interpolate._cubic_weights(t.copy()),
+                        _old_cubic_weights(t.copy())):
+        assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("L", [TWO_PI, 1.0, 1e-150, 3e300])
+def test_cell_coords_unmasked_path_keeps_bits(L):
+    dx = L / 16
+    inside = np.random.default_rng(22).uniform(0.0, L, 2000)
+    inside[:2] = np.nextafter(0.0, 1.0), np.nextafter(L, 0.0)
+    cases = [inside, np.array([0.5 * L])]
+    for edge in _trim_edges(L):
+        cases += [np.array([edge]), np.append(inside, edge)]
+    for q in cases:
+        new = interpolate._cell_coords(q.copy(), L, dx)
+        assert new.tobytes() == _old_cell_coords(q.copy(), L, dx).tobytes()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("cells", [(8, 8), (8, 12), (12, 8)])
+def test_ghost_source_from_slices_keeps_bits(cells, bc, order):
+    spec = GridSpec(cells, extent=tuple(map(float, cells)), bc=bc)
+    fld = random_velocity(spec, 23)
+    reach = range(2) if order is InterpOrder.LINEAR else range(-1, 3)
+    src, width, offs = interpolate._ghost_source(fld, reach)
+    ref_src, ref_width, ref_offs = _old_ghost_source(fld, reach)
+    assert src.tobytes() == ref_src.tobytes()
+    assert (width, offs) == (ref_width, ref_offs)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("bc", BCS)
+def test_trimmed_sampler_keeps_bits(monkeypatch, bc, order):
+    """The sampler with all three trims against the one with none, on
+    edge points, huge finite coordinates and random points."""
+    spec = GridSpec(16, bc=bc)
+    L = spec.extent[0]
+    fld = random_velocity(spec, 24)
+    edges = _trim_edges(L) + [0.3 * spec.spacing, L - 0.3 * spec.spacing]
+    X, Y = np.meshgrid(edges, edges, indexing="ij")
+    rng = np.random.default_rng(25)
+    cases = [np.stack([X, Y], axis=-1), _edge_points(spec),
+             rng.uniform(0.0, L, size=(30, 20, 2)),
+             rng.uniform(-0.1 * L, 1.1 * L, size=(30, 20, 2))]
+    new = [sample_offgrid(fld, pts, order) for pts in cases]
+    for name, old in (("_cubic_weights", _old_cubic_weights),
+                      ("_cell_coords", _old_cell_coords),
+                      ("_ghost_source", _old_ghost_source)):
+        monkeypatch.setattr(interpolate, name, old)
+    for pts, got in zip(cases, new):
+        assert got.tobytes() == sample_offgrid(fld, pts, order).tobytes()

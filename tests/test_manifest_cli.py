@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dnsflow import BoundaryCondition, GridSpec, InterpOrder, SolvePath
-from dnsflow import bench, cli, fields, scheme, snapshot
+from dnsflow import bench, cli, fields, projection, scheme, snapshot
 from dnsflow.cli import _ladder_configs, main
 from dnsflow.fields import VelocityField, divergence
 from dnsflow.manifest import (
@@ -497,6 +497,20 @@ def test_cli_verify_weak_residual_check_fails_on_nan(tmp_path):
             in (out / "verify.txt").read_text())
 
 
+def test_cli_verify_prints_both_zero_quadrature_gaps(tmp_path):
+    # on a torus of extent 1e-150 both material-derivative gaps underflow
+    # to 0: the check passes, and its detail names the gaps, not a ratio
+    cfg = ("[grid]\ncells = 16\nextent = 1e-150\n[time]\nh = 0.05\n"
+           "t = 0.1\n[initial]\nkind = random_solenoidal\n"
+           "amplitude = 1e-150\n[ladder]\nh = 0.05, 0.025\n")
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    assert ("material_derivative_identity: PASS "
+            "(constant=0.0e+00 M8=0.0e+00 M16=0.0e+00)\n"
+            in (out / "verify.txt").read_text())
+
+
 @pytest.mark.parametrize("extent, h, amplitude, step, reason", [
     # samples near 1e160 are finite, the datum's energies not
     ("6.283185307179586", "0.05", "1e160", 0, "energies are non-finite"),
@@ -816,3 +830,75 @@ def test_cli_unusable_out_exits_2(tmp_path, capsys, command, below_file):
     msg = _assert_one_line_reason(capsys, "i/o error: ")
     assert str(out) in msg
     assert blocker.read_text() == "not a directory\n"
+
+
+# ---------------------------------------------------------------------------
+# the pressure on demand: a step forms p only when a sink reads it
+
+class _UnformedPressure:
+    """Stand-in for ``projection._Deferred`` that raises when read."""
+
+    def __init__(self, form):
+        pass
+
+    def __call__(self):
+        raise AssertionError("a pressure was formed")
+
+
+def _outputs(out, command):
+    """The command's result files; convergence.csv without its run time,
+    the last column."""
+    if command == "verify":
+        return (out / "verify.txt").read_text()
+    rows = (out / "convergence.csv").read_text().splitlines()
+    return [row.rsplit(",", 1)[0] for row in rows]
+
+
+@pytest.mark.parametrize("command", ["verify", "converge"])
+def test_verify_and_converge_form_no_pressure(tmp_path, capsys, monkeypatch,
+                                              command):
+    path = _write_cfg(tmp_path)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setattr(projection, "_Deferred", _UnformedPressure)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "unread")]) == 0
+    unread = capsys.readouterr().out
+    assert (_outputs(tmp_path / "unread", command)
+            == _outputs(tmp_path / "plain", command))
+    if command == "verify":
+        assert unread == plain
+
+
+@pytest.mark.parametrize("cadence", [1, 2, 3, 100])
+def test_run_forms_exactly_the_pressures_it_writes(tmp_path, monkeypatch,
+                                                   cadence):
+    # each step's solve makes one deferred p, numbered here by step
+    steps = 7
+    made, formed = [], []
+
+    class Counted(projection._Deferred):
+        def __init__(self, form):
+            made.append(len(made) + 1)
+            n = made[-1]
+
+            def counted():
+                formed.append(n)
+                return form()
+
+            super().__init__(counted)
+
+    monkeypatch.setattr(projection, "_Deferred", Counted)
+    cfg = (BASE_CFG.replace("t = 0.2", f"t = {0.05 * steps + 0.01}")
+           .replace("cadence = 2", f"cadence = {cadence}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    written = sorted(int(f.stem.split("_")[1])
+                     for f in out.glob("snapshot_*.vtk"))
+    expected = [n for n in range(1, steps + 1)
+                if n % cadence == 0 or n == steps]
+    assert made == list(range(1, steps + 1))
+    assert written == [0] + expected
+    assert formed == expected

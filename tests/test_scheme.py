@@ -708,12 +708,14 @@ class _TransformCounter:
 def test_torus_step_transform_count(periodic32, monkeypatch):
     """Deterministic guard on the torus step's FFT work: the Dirichlet
     energy comes from two forward transforms by Parseval, and a step runs
-    the Stokes solve's 2 + 3 transforms and one transform of v (2
+    the Stokes solve's 2 + 2 transforms and one transform of v (2
     forward), from which both the divergence (1 inverse) and the energy
-    are taken, each a single 2-D transform per call; the Jacobian takes
-    one forward and two inverse transforms per component. Restoring the
-    physical-space energy, the two-transform divergence, a second
-    transform of v or a batched transform changes these counts."""
+    are taken, each a single 2-D transform per call; the pressure's one
+    inverse transform runs only when p is read, once however often; the
+    Jacobian takes one forward and two inverse transforms per component.
+    Restoring the physical-space energy, the two-transform divergence, a
+    second transform of v, an eager pressure or a batched transform
+    changes these counts."""
     fwd = _TransformCounter(np.fft.rfft2)
     inv = _TransformCounter(np.fft.irfft2)
     monkeypatch.setattr(np.fft, "rfft2", fwd)
@@ -726,8 +728,11 @@ def test_torus_step_transform_count(periodic32, monkeypatch):
     assert (inv.calls, inv.transforms) == (4, 4)
     fwd.calls = fwd.transforms = inv.calls = inv.transforms = 0
     h = 0.0125
-    dns_step(v, DnsConfig(h=h, T=h, grid=periodic32,
-                          interp_order=InterpOrder.CUBIC))
+    res = dns_step(v, DnsConfig(h=h, T=h, grid=periodic32,
+                                interp_order=InterpOrder.CUBIC))
+    assert (fwd.calls, fwd.transforms) == (4, 4)
+    assert (inv.calls, inv.transforms) == (3, 3)
+    assert res.p is res.p
     assert (fwd.calls, fwd.transforms) == (4, 4)
     assert (inv.calls, inv.transforms) == (4, 4)
 

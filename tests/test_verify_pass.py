@@ -139,7 +139,10 @@ def _two_pass_weak_residual(traj, phis):
 
 # the all-rungs checks as they stood before each rung was reduced on its
 # own, copied verbatim but for the monitor call, which now takes the
-# rungs' h and max |Dv| where it took the trajectories
+# rungs' h and max |Dv| where it took the trajectories, and for the two
+# guards the reduced checks have since gained: a non-finite weak
+# residual fails, and the material-derivative check reads no ratio of
+# two zero gaps
 
 def _all_rungs_checks(man, trajs):
     """Run every mandatory check over the ladder; returns (name, ok, detail)."""
@@ -211,6 +214,9 @@ def _all_rungs_checks(man, trajs):
         for k in range(len(phis)):
             residuals = [abs(rep[k].linear_residual) for rep in reports]
             zero_floor = 1e-12
+            # a NaN residual compares False against everything
+            if not all(math.isfinite(r) for r in residuals):
+                decreasing = False
             for i in range(len(residuals) - 1):
                 if residuals[i + 1] > max(residuals[i], zero_floor):
                     decreasing = False
@@ -228,9 +234,12 @@ def _all_rungs_checks(man, trajs):
     r16 = analysis.material_derivative_identity(
         bench.TaylorGreenOracle().as_analytic_field(0.0), h=1e-2,
         quad_nodes=16, spec=cfg.grid)
-    md_ok = const_res < 1e-12 and r8 / r16 >= 3.5
+    # both gaps underflow to 0 on a tiny grid, where a ratio says nothing
+    md_ok = const_res < 1e-12 and (r16 == 0.0 or r8 / r16 >= 3.5)
+    gaps = (f"M8={r8:.1e} M16={r16:.1e}" if r16 == 0.0
+            else f"M8/M16={r8 / max(r16, 1e-300):.3f}")
     checks.append(("material_derivative_identity", md_ok,
-                   f"constant={const_res:.1e} M8/M16={r8 / max(r16, 1e-300):.3f}"))
+                   f"constant={const_res:.1e} {gaps}"))
     return checks
 
 
@@ -279,6 +288,52 @@ def box_ladder():
     return _ladder(BOX_CFG)
 
 
+# two ladders that reach the guards: on a torus of extent 1e-150 the
+# fields and both quadrature gaps underflow to 0; at h = 1e-90 the weak
+# residuals are NaN
+TINY_EXTENT_CFG = textwrap.dedent("""\
+    [grid]
+    cells = 16
+    extent = 1e-150
+    [time]
+    h = 0.05
+    t = 0.1
+    [initial]
+    kind = random_solenoidal
+    amplitude = 1e-150
+    [ladder]
+    h = 0.05, 0.025
+""")
+
+TINY_STEP_CFG = textwrap.dedent("""\
+    [grid]
+    cells = 16
+    [time]
+    h = 1e-90
+    t = 2e-90
+    [initial]
+    kind = taylor_green
+    [ladder]
+    h = 1e-90, 5e-91
+""")
+
+# each degenerate ladder's guarded check and the verdict it must read
+GUARDED = {"tiny_extent_ladder": ("material_derivative_identity", True),
+           "tiny_step_ladder": ("weak_residual_decreases", False)}
+
+
+@pytest.fixture(scope="module")
+def tiny_extent_ladder():
+    with np.errstate(all="ignore"):
+        return _ladder(TINY_EXTENT_CFG)
+
+
+@pytest.fixture(scope="module")
+def tiny_step_ladder():
+    with np.errstate(all="ignore"):
+        return _ladder(TINY_STEP_CFG)
+
+
 @pytest.mark.parametrize("ladder", ["torus_ladder", "box_ladder"])
 def test_verify_takes_one_jacobian_per_snapshot(request, monkeypatch,
                                                 ladder):
@@ -318,7 +373,8 @@ def test_shared_pass_matches_two_pass_bitwise(request, ladder):
 
 
 @pytest.mark.parametrize("fault", [None, 0, 1, "last"])
-@pytest.mark.parametrize("ladder", ["torus_ladder", "box_ladder"])
+@pytest.mark.parametrize("ladder", ["torus_ladder", "box_ladder",
+                                    "tiny_extent_ladder", "tiny_step_ladder"])
 def test_per_rung_checks_match_all_rungs_code(request, ladder, fault):
     # verify --inject-fault negates one snapshot of the first rung; either
     # code must read the same checks from the same faulted ladder
@@ -326,9 +382,14 @@ def test_per_rung_checks_match_all_rungs_code(request, ladder, fault):
     if fault == "last":
         fault = len(trajs[0].snapshots) - 1
     trajs = _faulted(trajs, fault)
-    expected = _all_rungs_checks(man, trajs)
-    assert _per_rung_checks(man, trajs) == expected
-    assert all(ok for _, ok, _ in expected) == (fault is None)
+    with np.errstate(all="ignore"):
+        expected = _all_rungs_checks(man, trajs)
+        assert _per_rung_checks(man, trajs) == expected
+    if ladder in GUARDED:
+        name, verdict = GUARDED[ladder]
+        assert {n: ok for n, ok, _ in expected}[name] is verdict
+    else:
+        assert all(ok for _, ok, _ in expected) == (fault is None)
 
 
 @pytest.mark.parametrize("fault", [-1, 5])
@@ -422,7 +483,8 @@ def test_verify_memory_does_not_grow_with_rungs(tmp_path):
         finally:
             tracemalloc.stop()
 
-    peak("0.0125, 0.00625", "warm")   # builds the cached spectral kits
+    # builds the cached spectral kits and each rung's torus symbols
+    peak("0.025, 0.0125, 0.00625", "warm")
     three = peak("0.025, 0.0125, 0.00625", "three")
     two = peak("0.0125, 0.00625", "two")
     assert three - two <= field_bytes
