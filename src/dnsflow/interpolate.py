@@ -74,12 +74,9 @@ def _cell_coords(q: np.ndarray, L: float, dx: float) -> np.ndarray:
 
     ``np.mod`` runs only where q is outside [0, L): inside,
     ``np.mod(q, L)`` is q itself. ``-0.0`` counts as outside (its sign
-    bit is set), so it still maps to ``0.0``. With every q in (0, L)
-    there is nothing to mask.
+    bit is set), so it still maps to ``0.0``.
     """
     s = q / dx
-    if q.min() > 0.0 and q.max() < L:
-        return s
     out = np.signbit(q) | (q >= L)
     if out.any():
         s[out] = np.mod(q[out], L) / dx

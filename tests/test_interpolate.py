@@ -321,9 +321,9 @@ def test_cubic_backtrace_peak_memory_256():
 
 
 # ---------------------------------------------------------------------------
-# the sampler's helpers before three trims (halving by * 0.5, no mask
-# for coordinates inside (0, L), slice copies in place of np.pad), kept
-# verbatim; each trim must keep every bit
+# the sampler's helpers before two trims (halving by * 0.5, slice
+# copies in place of np.pad), kept verbatim; each trim must keep every
+# bit
 
 def _old_cubic_weights(t):
     tm1, tm2, tp1 = t - 1.0, t - 2.0, t + 1.0
@@ -341,14 +341,6 @@ def _old_cubic_weights(t):
     w3 = np.multiply(tp1t, tm1, out=tp1t)
     w3 /= 6.0
     return w0, w1, w2, w3
-
-
-def _old_cell_coords(q, L, dx):
-    s = q / dx
-    out = np.signbit(q) | (q >= L)
-    if out.any():
-        s[out] = np.mod(q[out], L) / dx
-    return s
 
 
 def _old_ghost_source(v, reach):
@@ -380,19 +372,6 @@ def test_cubic_weights_halving_keeps_bits():
         assert new.tobytes() == old.tobytes()
 
 
-@pytest.mark.parametrize("L", [TWO_PI, 1.0, 1e-150, 3e300])
-def test_cell_coords_unmasked_path_keeps_bits(L):
-    dx = L / 16
-    inside = np.random.default_rng(22).uniform(0.0, L, 2000)
-    inside[:2] = np.nextafter(0.0, 1.0), np.nextafter(L, 0.0)
-    cases = [inside, np.array([0.5 * L])]
-    for edge in _trim_edges(L):
-        cases += [np.array([edge]), np.append(inside, edge)]
-    for q in cases:
-        new = interpolate._cell_coords(q.copy(), L, dx)
-        assert new.tobytes() == _old_cell_coords(q.copy(), L, dx).tobytes()
-
-
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("bc", BCS)
 @pytest.mark.parametrize("cells", [(8, 8), (8, 12), (12, 8)])
@@ -409,7 +388,7 @@ def test_ghost_source_from_slices_keeps_bits(cells, bc, order):
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("bc", BCS)
 def test_trimmed_sampler_keeps_bits(monkeypatch, bc, order):
-    """The sampler with all three trims against the one with none, on
+    """The sampler with both trims against the one with neither, on
     edge points, huge finite coordinates and random points."""
     spec = GridSpec(16, bc=bc)
     L = spec.extent[0]
@@ -422,7 +401,6 @@ def test_trimmed_sampler_keeps_bits(monkeypatch, bc, order):
              rng.uniform(-0.1 * L, 1.1 * L, size=(30, 20, 2))]
     new = [sample_offgrid(fld, pts, order) for pts in cases]
     for name, old in (("_cubic_weights", _old_cubic_weights),
-                      ("_cell_coords", _old_cell_coords),
                       ("_ghost_source", _old_ghost_source)):
         monkeypatch.setattr(interpolate, name, old)
     for pts, got in zip(cases, new):

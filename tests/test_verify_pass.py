@@ -15,6 +15,7 @@ than two distinct rungs and a fault index outside the first rung are
 config errors.
 """
 
+import contextlib
 import gc
 import math
 import textwrap
@@ -382,7 +383,11 @@ def test_per_rung_checks_match_all_rungs_code(request, ladder, fault):
     if fault == "last":
         fault = len(trajs[0].snapshots) - 1
     trajs = _faulted(trajs, fault)
-    with np.errstate(all="ignore"):
+    # only the degenerate ladders under- and overflow; the others still
+    # run under the suite's RuntimeWarning filter
+    quiet = (np.errstate(all="ignore") if ladder in GUARDED
+             else contextlib.nullcontext())
+    with quiet:
         expected = _all_rungs_checks(man, trajs)
         assert _per_rung_checks(man, trajs) == expected
     if ladder in GUARDED:
@@ -464,10 +469,13 @@ def test_pass_holds_one_jacobian_at_a_time():
 def test_verify_memory_does_not_grow_with_rungs(tmp_path):
     # each rung is reduced and dropped before the next one runs, so adding
     # a coarser rung (8 steps before the 16- and 32-step rungs) leaves the
-    # peak where the largest rung puts it. Measured at 64^2: the peaks
-    # differ by at most 0.21 fields either way over three repeats; with
-    # every rung's v, p and w kept until the checks, by 20.3 to 20.4
+    # peak where the largest rung puts it, but for the one thing a rung
+    # leaves behind: its cached torus symbols, four real half-spectra per
+    # (grid, h, nu). Measured at 64^2 before that cache: the peaks differ
+    # by at most 0.21 fields either way over three repeats; with every
+    # rung's v, p and w kept until the checks, by 20.3 to 20.4
     field_bytes = 2 * 64 * 64 * 8
+    symbol_bytes = 4 * 64 * (64 // 2 + 1) * 8
     text = (TORUS_CFG.replace("cells = 16", "cells = 64")
             .replace("h = 0.05\n", "h = 0.025\n"))
 
@@ -483,11 +491,12 @@ def test_verify_memory_does_not_grow_with_rungs(tmp_path):
         finally:
             tracemalloc.stop()
 
-    # builds the cached spectral kits and each rung's torus symbols
-    peak("0.025, 0.0125, 0.00625", "warm")
+    # builds the cached spectral kits and the two finer rungs' symbols;
+    # the coarser rung of the three adds its own
+    peak("0.0125, 0.00625", "warm")
     three = peak("0.025, 0.0125, 0.00625", "three")
     two = peak("0.0125, 0.00625", "two")
-    assert three - two <= field_bytes
+    assert three - two <= field_bytes + symbol_bytes
 
 
 def _reachable_arrays(root):
