@@ -92,18 +92,8 @@ def _ghost_source(v: VelocityField, reach: range):
     ``base + offs[a][b]`` of the source, where ``base = i0 * width + j0``.
     """
     lo, hi = -reach[0], reach[-1]
-    _, nx, ny = v.data.shape
-    shape = (2, nx + lo + hi, ny + lo + hi)
-    periodic = v.spec.is_periodic
-    src = np.empty(shape) if periodic else np.zeros(shape)
-    src[:, lo:lo + nx, lo:lo + ny] = v.data
-    if periodic:
-        # wrap the rows, then the columns over the full height, which
-        # fills the corners; lo, hi <= 2 < nx, ny
-        src[:, :lo, lo:lo + ny] = v.data[:, nx - lo:]
-        src[:, lo + nx:, lo:lo + ny] = v.data[:, :hi]
-        src[:, :, :lo] = src[:, :, ny:ny + lo]
-        src[:, :, lo + ny:] = src[:, :, lo:lo + hi]
+    src = np.pad(v.data, ((0, 0), (lo, hi), (lo, hi)),
+                 mode="wrap" if v.spec.is_periodic else "constant")
     width = src.shape[2]
     offs = [[(lo + di) * width + lo + dj for dj in reach] for di in reach]
     return src.reshape(2, -1), width, offs

@@ -321,9 +321,8 @@ def test_cubic_backtrace_peak_memory_256():
 
 
 # ---------------------------------------------------------------------------
-# the sampler's helpers before two trims (halving by * 0.5, slice
-# copies in place of np.pad), kept verbatim; each trim must keep every
-# bit
+# the cubic weights before halving by * 0.5 replaced / 2.0, kept
+# verbatim; the trim must keep every bit
 
 def _old_cubic_weights(t):
     tm1, tm2, tp1 = t - 1.0, t - 2.0, t + 1.0
@@ -341,15 +340,6 @@ def _old_cubic_weights(t):
     w3 = np.multiply(tp1t, tm1, out=tp1t)
     w3 /= 6.0
     return w0, w1, w2, w3
-
-
-def _old_ghost_source(v, reach):
-    lo, hi = -reach[0], reach[-1]
-    src = np.pad(v.data, ((0, 0), (lo, hi), (lo, hi)),
-                 mode="wrap" if v.spec.is_periodic else "constant")
-    width = src.shape[2]
-    offs = [[(lo + di) * width + lo + dj for dj in reach] for di in reach]
-    return src.reshape(2, -1), width, offs
 
 
 def _trim_edges(L):
@@ -372,24 +362,10 @@ def test_cubic_weights_halving_keeps_bits():
         assert new.tobytes() == old.tobytes()
 
 
-@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("bc", BCS)
-@pytest.mark.parametrize("cells", [(8, 8), (8, 12), (12, 8)])
-def test_ghost_source_from_slices_keeps_bits(cells, bc, order):
-    spec = GridSpec(cells, extent=tuple(map(float, cells)), bc=bc)
-    fld = random_velocity(spec, 23)
-    reach = range(2) if order is InterpOrder.LINEAR else range(-1, 3)
-    src, width, offs = interpolate._ghost_source(fld, reach)
-    ref_src, ref_width, ref_offs = _old_ghost_source(fld, reach)
-    assert src.tobytes() == ref_src.tobytes()
-    assert (width, offs) == (ref_width, ref_offs)
-
-
-@pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("bc", BCS)
-def test_trimmed_sampler_keeps_bits(monkeypatch, bc, order):
-    """The sampler with both trims against the one with neither, on
-    edge points, huge finite coordinates and random points."""
+def test_trimmed_sampler_keeps_bits(monkeypatch, bc):
+    """The cubic sampler with the halving trim against the one without,
+    on edge points, huge finite coordinates and random points."""
     spec = GridSpec(16, bc=bc)
     L = spec.extent[0]
     fld = random_velocity(spec, 24)
@@ -399,9 +375,8 @@ def test_trimmed_sampler_keeps_bits(monkeypatch, bc, order):
     cases = [np.stack([X, Y], axis=-1), _edge_points(spec),
              rng.uniform(0.0, L, size=(30, 20, 2)),
              rng.uniform(-0.1 * L, 1.1 * L, size=(30, 20, 2))]
-    new = [sample_offgrid(fld, pts, order) for pts in cases]
-    for name, old in (("_cubic_weights", _old_cubic_weights),
-                      ("_ghost_source", _old_ghost_source)):
-        monkeypatch.setattr(interpolate, name, old)
+    new = [sample_offgrid(fld, pts, InterpOrder.CUBIC) for pts in cases]
+    monkeypatch.setattr(interpolate, "_cubic_weights", _old_cubic_weights)
     for pts, got in zip(cases, new):
-        assert got.tobytes() == sample_offgrid(fld, pts, order).tobytes()
+        old = sample_offgrid(fld, pts, InterpOrder.CUBIC)
+        assert got.tobytes() == old.tobytes()
