@@ -137,7 +137,10 @@ def random_solenoidal_field(spec: GridSpec, seed: int, k_min: int = 1,
     combination of squared-sine bumps, so the curl vanishes on the walls.
     """
     rng = np.random.default_rng(seed)
-    X, Y = spec.mesh()
+    # per-axis factors: each product broadcasts to the grid where it
+    # meets the other axis, in the order the full mesh would take it
+    X = spec.axis_nodes(0)[:, None]
+    Y = spec.axis_nodes(1)[None, :]
     psi_x = np.zeros(spec.node_shape)
     psi_y = np.zeros(spec.node_shape)
     if spec.is_periodic:

@@ -259,10 +259,8 @@ def pin_walls(spec: GridSpec, data: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _spectral_kit(spec: GridSpec):
-    """Read-only symbols ``(ikx, iky, K2, neg_k2, col, col_k2)`` of the
-    real-FFT layout: i kx, i ky, K2 = kx^2 + ky^2, and -K2 with +inf
-    where K2 = 0, so dividing a spectrum by it applies the inverse
-    Laplacian and zeroes those four modes; then the weights of the
+    """Read-only symbols ``(ikx, iky, K2, col, col_k2)`` of the real-FFT
+    layout: i kx, i ky and K2 = kx^2 + ky^2; then the weights of the
     half-spectrum's power in :func:`_parseval_norm_sq`: ``col`` counts
     each column but ky = 0 and Nyquist twice, for its conjugate, and
     ``col_k2`` is col x K2.
@@ -281,10 +279,9 @@ def _spectral_kit(spec: GridSpec):
     KX = np.broadcast_to(kx[:, None], (nx, ny // 2 + 1))
     KY = np.broadcast_to(ky[None, :], (nx, ny // 2 + 1))
     K2 = KX**2 + KY**2
-    neg_k2 = np.where(K2 > 0.0, -K2, np.inf)
     col = np.full(ny // 2 + 1, 2.0)
     col[0] = col[-1] = 1.0
-    kit = (1j * KX, 1j * KY, K2, neg_k2, col, col * K2)
+    kit = (1j * KX, 1j * KY, K2, col, col * K2)
     for arr in kit:
         arr.flags.writeable = False
     return kit
@@ -308,7 +305,7 @@ def _parseval_norm_sq(spec: GridSpec, *f_hats: np.ndarray,
     |grad f|^2. The weights are the spectral kit's, formed once per
     grid."""
     nx, ny = spec.cells
-    weights = _spectral_kit(spec)[5 if k2 else 4]
+    weights = _spectral_kit(spec)[4 if k2 else 3]
     with np.errstate(over="ignore", invalid="ignore"):
         total = sum(_weighted_power_sum(f.real, f.imag, weights)
                     for f in f_hats)
@@ -474,16 +471,20 @@ def laplacian(v: VelocityField) -> VelocityField:
 
 @lru_cache(maxsize=32)
 def quadrature_weights(spec: GridSpec) -> np.ndarray:
-    """Rectangle rule (periodic) or trapezoid rule (dirichlet) node weights."""
+    """Rectangle rule (periodic) or trapezoid rule (dirichlet) node weights.
+
+    The torus weight is the one constant dx^2, broadcast to the node
+    shape with zero strides: a read-only view that holds no grid-sized
+    buffer. Products with it are the same bits as with a full array.
+    """
     dx = spec.spacing
     if spec.is_periodic:
-        w = np.full(spec.node_shape, dx * dx)
-    else:
-        w1x = np.full(spec.node_shape[0], dx)
-        w1x[0] = w1x[-1] = 0.5 * dx
-        w1y = np.full(spec.node_shape[1], dx)
-        w1y[0] = w1y[-1] = 0.5 * dx
-        w = w1x[:, None] * w1y[None, :]
+        return np.broadcast_to(np.float64(dx * dx), spec.node_shape)
+    w1x = np.full(spec.node_shape[0], dx)
+    w1x[0] = w1x[-1] = 0.5 * dx
+    w1y = np.full(spec.node_shape[1], dx)
+    w1y[0] = w1y[-1] = 0.5 * dx
+    w = w1x[:, None] * w1y[None, :]
     w.flags.writeable = False
     return w
 

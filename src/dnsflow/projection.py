@@ -93,9 +93,11 @@ class _Deferred:
 @lru_cache(maxsize=8)
 def _torus_symbols(spec: GridSpec, h: float, nu: float):
     """Read-only real symbols of the torus Stokes solve at (h, nu):
-    1 / (-K^2), 1 / (h (-K^2)) (both 0 where K^2 = 0), sym = 1 + h nu
-    K^2 and 1 / sym."""
-    K2, neg_k2 = _spectral_kit(spec)[2:4]
+    1 / (-K^2), 1 / (h (-K^2)) (both 0 where K^2 = 0: -K^2 is taken as
+    +inf there, so dividing by it zeroes those four modes), sym = 1 + h
+    nu K^2 and 1 / sym."""
+    K2 = _spectral_kit(spec)[2]
+    neg_k2 = np.where(K2 > 0.0, -K2, np.inf)
     sym = 1.0 + h * nu * K2
     kit = (1.0 / neg_k2, 1.0 / (h * neg_k2), sym, 1.0 / sym)
     for arr in kit:

@@ -10,6 +10,7 @@ from dnsflow import (
     GridSpec,
     InterpOrder,
     TaylorGreenOracle,
+    VelocityField,
     convergence_study,
     divergence,
     inner_product_l2,
@@ -18,6 +19,7 @@ from dnsflow import (
     taylor_green_field,
 )
 from dnsflow import analysis, bench
+from dnsflow.fields import pin_walls
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,6 +136,65 @@ def test_random_solenoidal_deterministic(periodic32):
     c = random_solenoidal_field(periodic32, seed=12)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
+
+
+# Reference: the generator as it stood when it took every factor on the
+# full mesh, kept verbatim; the per-axis factors must give the same bits
+
+def _ref_random_solenoidal_field(spec, seed, k_min=1, k_max=4,
+                                 amplitude=1.0):
+    rng = np.random.default_rng(seed)
+    X, Y = spec.mesh()
+    psi_x = np.zeros(spec.node_shape)
+    psi_y = np.zeros(spec.node_shape)
+    if spec.is_periodic:
+        for kx in range(0, k_max + 1):
+            for ky in range(-k_max, k_max + 1):
+                k2 = kx * kx + ky * ky
+                if k2 < k_min * k_min or k2 > k_max * k_max:
+                    continue
+                amp = rng.normal() / max(k2, 1)
+                ph = rng.uniform(0.0, TWO_PI)
+                arg = kx * X + ky * Y + ph
+                psi_x += -amp * kx * np.sin(arg)
+                psi_y += -amp * ky * np.sin(arg)
+    else:
+        lx, ly = spec.extent
+        for mx in range(max(k_min, 1), k_max + 1):
+            for my in range(max(k_min, 1), k_max + 1):
+                amp = rng.normal() / (mx * mx + my * my)
+                ax = math.pi * mx / lx
+                ay = math.pi * my / ly
+                sx2 = np.sin(ax * X) ** 2
+                sy2 = np.sin(ay * Y) ** 2
+                psi_x += amp * 2.0 * ax * np.sin(ax * X) * np.cos(ax * X) * sy2
+                psi_y += amp * 2.0 * ay * sx2 * np.sin(ay * Y) * np.cos(ay * Y)
+    u = psi_y
+    v = -psi_x
+    scale = float(np.max(np.hypot(u, v)))
+    if scale > 0.0:
+        u = u * (amplitude / scale)
+        v = v * (amplitude / scale)
+    return VelocityField(spec, pin_walls(spec, np.stack([u, v])))
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC,
+                                BoundaryCondition.DIRICHLET_ZERO])
+@pytest.mark.parametrize("cells, extent, kwargs", [
+    (16, (TWO_PI, TWO_PI), {}),
+    ((16, 32), (math.pi, TWO_PI), {}),
+    ((32, 16), (3.0, 1.5), dict(k_min=2, k_max=6, amplitude=2.5)),
+    (64, (TWO_PI, TWO_PI), dict(k_min=8, k_max=16)),
+    (256, (TWO_PI, TWO_PI), {}),
+])
+def test_random_solenoidal_per_axis_factors_bitwise(bc, cells, extent,
+                                                    kwargs):
+    spec = GridSpec(cells, extent, bc)
+    got = random_solenoidal_field(spec, seed=7, **kwargs)
+    want = _ref_random_solenoidal_field(spec, seed=7, **kwargs)
+    assert got.data.shape == (2,) + spec.node_shape
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.data.flags.c_contiguous
 
 
 def test_stream_bump_is_no_slip(dirichlet32):

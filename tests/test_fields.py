@@ -374,6 +374,44 @@ def test_distance_sq_is_the_inner_product_of_the_difference(spec_name,
         assert distance_sq(a, b) == inner_product_l2(d, d)
 
 
+@pytest.mark.parametrize("cells, extent", [(32, (TWO_PI, TWO_PI)),
+                                           ((16, 32), (1.5, 3.0))])
+def test_torus_weights_are_a_zero_stride_constant(cells, extent):
+    spec = GridSpec(cells, extent)
+    w = quadrature_weights(spec)
+    assert w.shape == spec.node_shape
+    assert w.strides == (0, 0)
+    assert not w.flags.writeable
+    full = np.full(spec.node_shape, spec.spacing * spec.spacing)
+    assert w.dtype == full.dtype
+    assert np.array_equal(w, full)
+
+
+@pytest.mark.parametrize("cells, extent", [(32, (TWO_PI, TWO_PI)),
+                                           ((16, 32), (1.5, 3.0))])
+def test_torus_sums_match_the_full_weight_array_bitwise(cells, extent):
+    # the quadratures as they read with a full dx^2 array, kept verbatim
+    spec = GridSpec(cells, extent)
+    w = np.full(spec.node_shape, spec.spacing * spec.spacing)
+    rng = np.random.default_rng(5)
+    for scale in (1e-6, 1.0, 1e6):
+        a, b = (VelocityField(spec, scale * rng.normal(
+            size=(2,) + spec.node_shape)) for _ in range(2))
+        f = ScalarField(spec, scale * rng.normal(size=spec.node_shape))
+        inner = float(np.sum(w * (a.data[0] * b.data[0]
+                                  + a.data[1] * b.data[1])))
+        assert inner_product_l2(a, b) == inner
+        d = a.data - b.data
+        np.multiply(d, d, out=d)
+        d[0] += d[1]
+        d[0] *= w
+        assert distance_sq(a, b) == float(np.sum(d[0]))
+        aa = float(np.sum(w * (a.data[0] * a.data[0]
+                               + a.data[1] * a.data[1])))
+        assert norm_l2(a) == math.sqrt(max(aa, 0.0))
+        assert f.mean() == float(np.sum(w * f.data) / np.sum(w))
+
+
 def test_inner_product_spec_mismatch(periodic32, periodic64):
     with pytest.raises(ValueError):
         inner_product_l2(VelocityField.zeros(periodic32),

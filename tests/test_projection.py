@@ -282,7 +282,8 @@ def test_torus_solves_match_old_kit_bitwise(n, kind):
 
 def _eager_stokes_spectral(w, h, nu):
     spec = w.spec
-    ikx, iky, K2, neg_k2 = _spectral_kit(spec)[:4]
+    ikx, iky, K2 = _spectral_kit(spec)[:3]
+    neg_k2 = np.where(K2 > 0.0, -K2, np.inf)
     shape = spec.node_shape
     wu_hat = np.fft.rfft2(w.data[0])
     wv_hat = np.fft.rfft2(w.data[1])

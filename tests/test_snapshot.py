@@ -1,4 +1,5 @@
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,78 @@ def test_vtk_layout(tmp_path, periodic32):
     assert np.array_equal(block[..., 0], v.data[0].T)
     assert np.array_equal(block[..., 1], v.data[1].T)
     assert not block[..., 2].any()
+
+
+# Reference: the writer as it stood when it joined copies of its blocks
+# in memory, kept verbatim; the streaming writer must leave the same bytes
+
+def _ref_write_vtk_joined(path, velocity, pressure=None):
+    spec = velocity.spec
+    nx, ny = spec.node_shape
+    dx = spec.spacing
+    header = "\n".join([
+        "# vtk DataFile Version 3.0",
+        f"dnsflow bc={spec.bc.value} "
+        f"extent={_ref_fmt(spec.extent[0])},{_ref_fmt(spec.extent[1])}",
+        "BINARY",
+        "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {nx} {ny} 1",
+        "ORIGIN 0 0 0",
+        f"SPACING {_ref_fmt(dx)} {_ref_fmt(dx)} 1",
+        f"POINT_DATA {nx * ny}",
+        "VECTORS velocity double",
+    ]) + "\n"
+    # VTK point order is x fastest: the (ny, nx) transpose of each component
+    vectors = np.zeros((ny, nx, 3), dtype=">f8")
+    vectors[..., 0] = velocity.data[0].T
+    vectors[..., 1] = velocity.data[1].T
+    parts = [header.encode(), vectors.tobytes()]
+    if pressure is not None:
+        parts.append(b"\nSCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        parts.append(pressure.data.T.astype(">f8").tobytes())
+    Path(path).write_bytes(b"".join(parts))
+
+
+@pytest.mark.parametrize("bc", BACKENDS)
+@pytest.mark.parametrize("with_pressure", [False, True])
+def test_vtk_bytes_match_joined_writer_non_square(tmp_path, bc,
+                                                  with_pressure):
+    spec = GridSpec((16, 32), (1.5, 3.0), bc)
+    v = random_pinned_velocity(spec, 5)
+    p = random_scalar(spec, 6).data.copy()
+    p[0, :3] = (-0.0, 5e-324, 1.7976931348623157e308)
+    p = ScalarField(spec, p) if with_pressure else None
+    write_vtk(tmp_path / "new.vtk", v, p)
+    _ref_write_vtk_joined(tmp_path / "ref.vtk", v, p)
+    raw = (tmp_path / "new.vtk").read_bytes()
+    assert raw == (tmp_path / "ref.vtk").read_bytes()
+    nx, ny = spec.node_shape
+    assert f"DIMENSIONS {nx} {ny} 1".encode() in raw
+    v2, p2 = read_vtk(tmp_path / "new.vtk")
+    _assert_bitwise(v2, v)
+    if with_pressure:
+        _assert_bitwise(p2, p)
+    else:
+        assert p2 is None
+
+
+def test_vtk_write_peak_memory(tmp_path):
+    # the blocks stream to the file: the big-endian velocity block (1.5
+    # field-bytes) is freed before the pressure block is cast, and no
+    # copy is joined (the joined writer peaked at 5.5 field-bytes, and
+    # 2.0 with both blocks alive at once)
+    spec = GridSpec(256)
+    v = random_velocity(spec, 2)
+    p = random_scalar(spec, 3)
+    write_vtk(tmp_path / "warm.vtk", v, p)
+    tracemalloc.start()
+    try:
+        write_vtk(tmp_path / "snap.vtk", v, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * v.data.nbytes
+    _assert_bitwise(read_vtk(tmp_path / "snap.vtk")[0], v)
 
 
 def test_vtk_rejects_garbage(tmp_path):
